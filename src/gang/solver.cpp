@@ -6,6 +6,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "gang/anderson.hpp"
 #include "gang/away_period.hpp"
 #include "linalg/batch.hpp"
 #include "obs/obs.hpp"
@@ -50,6 +51,24 @@ std::uint64_t double_bits(double v) {
   std::uint64_t u = 0;
   std::memcpy(&u, &v, sizeof u);
   return u;
+}
+
+// The next iterate's slices from the effective quanta the current one
+// produced: the accelerated update when the run carries an accelerator,
+// otherwise the plain update (the fitted, or exact, quanta themselves).
+void advance_slices(std::optional<AndersonAccelerator>& accel,
+                    const std::vector<EffectiveQuantum>& effq,
+                    const GangSolveOptions& options,
+                    std::vector<PhaseType>& slices) {
+  if (accel) {
+    accel->next_slices(effq, options.fit_max_order, slices);
+    return;
+  }
+  for (std::size_t q = 0; q < effq.size(); ++q) {
+    slices[q] = options.eff_mode == EffQuantumMode::kExact
+                    ? *effq[q].exact
+                    : effq[q].fitted(options.fit_max_order);
+  }
 }
 
 // Arena-key tags so a structure's scalar slots, batch slots, and the
@@ -116,12 +135,19 @@ std::vector<PhaseType> GangSolver::initial_slices(InitMode mode) const {
   return slices;
 }
 
-SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices) const {
+bool GangSolver::accelerates(bool optimistic) const {
+  return options_.eff_mode == EffQuantumMode::kMomentMatched && !optimistic;
+}
+
+SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices,
+                            bool accelerate) const {
   const std::size_t L = params_.num_classes();
   obs::Span span("gang.solve");
   span.arg("classes", static_cast<std::int64_t>(L));
   obs::count("gang.solve.count");
   std::vector<PhaseType> slices = init_slices;
+  std::optional<AndersonAccelerator> accel;
+  if (accelerate) accel.emplace(params_);
   std::vector<double> prev_n(L, -1.0);
 
   SolveReport report;
@@ -242,11 +268,7 @@ SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices) const {
       return report;
     }
 
-    for (std::size_t q = 0; q < L; ++q) {
-      slices[q] = options_.eff_mode == EffQuantumMode::kExact
-                      ? *effq[q].exact
-                      : effq[q].fitted(options_.fit_max_order);
-    }
+    advance_slices(accel, effq, options_, slices);
     log::debug("gang fixed point iteration ", iter, ": delta=", delta);
   }
   GS_ASSERT(false);  // loop always returns via `done`
@@ -349,7 +371,7 @@ SolveReport GangSolver::solve_warm(
   }
   try {
     obs::count("gang.solve.warm");
-    SolveReport report = run(slices);
+    SolveReport report = run(slices, accelerates(/*optimistic=*/false));
     report.used_warm_start = true;
     return report;
   } catch (const NumericalError& e) {
@@ -416,6 +438,8 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
     std::vector<std::optional<ClassProcess>> procs;
     std::vector<std::optional<qbd::QbdSolution>> sols;
     std::vector<EffectiveQuantum> effq;
+    /// Accelerated update history; empty for plain-update runs.
+    std::optional<AndersonAccelerator> accel;
     SolveReport report;
     bool active = false;
     bool retryable = false;  ///< last failure was a NumericalError
@@ -438,8 +462,11 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
 
     std::vector<Lane> lanes(width);
     const auto reset_lane = [L](Lane& ln, std::vector<PhaseType> slices,
-                                bool warm) {
+                                bool warm, bool optimistic) {
       ln.slices = std::move(slices);
+      ln.accel.reset();
+      if (ln.solver->accelerates(optimistic))
+        ln.accel.emplace(ln.solver->params_);
       ln.prev_n.assign(L, -1.0);
       ln.n.assign(L, 0.0);
       ln.procs.clear();
@@ -469,7 +496,9 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
                  warm != nullptr
                      ? *warm
                      : ln.solver->initial_slices(ln.solver->options_.init),
-                 warm != nullptr);
+                 warm != nullptr,
+                 warm == nullptr &&
+                     ln.solver->options_.init == InitMode::kOptimistic);
     }
     const auto fail = [&lanes](std::size_t wi, bool retryable) {
       lanes[wi].retryable = retryable;
@@ -688,11 +717,7 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
               ln.active = false;
             } else {
               obs::StageTimer fit_timer("gang.batch.effq.fit");
-              for (std::size_t q = 0; q < L; ++q) {
-                ln.slices[q] = opts.eff_mode == EffQuantumMode::kExact
-                                   ? *ln.effq[q].exact
-                                   : ln.effq[q].fitted(opts.fit_max_order);
-              }
+              advance_slices(ln.accel, ln.effq, opts, ln.slices);
             }
           } catch (const NumericalError&) {
             fail(wi, /*retryable=*/true);
@@ -714,7 +739,8 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
       if (!ln.fellback || !ln.retryable || !ln.warm) continue;
       ln.fellback = false;
       reset_lane(ln, ln.solver->initial_slices(ln.solver->options_.init),
-                 /*warm=*/false);
+                 /*warm=*/false,
+                 ln.solver->options_.init == InitMode::kOptimistic);
       obs::count("gang.solve_batch.retry");
       rerun = true;
     }
@@ -732,7 +758,7 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
         continue;
       ln.fellback = false;
       reset_lane(ln, ln.solver->initial_slices(InitMode::kOptimistic),
-                 /*warm=*/false);
+                 /*warm=*/false, /*optimistic=*/true);
       optimistic[wi] = 1;
       obs::count("gang.solve_batch.retry");
       rerun = true;
@@ -813,7 +839,8 @@ SolveReport GangSolver::solve() const {
         " >= 1: the gang-scheduled system cannot be stable");
   }
   try {
-    return run(initial_slices(options_.init));
+    return run(initial_slices(options_.init),
+               accelerates(options_.init == InitMode::kOptimistic));
   } catch (const NumericalError& e) {
     if (options_.init == InitMode::kHeavyTraffic &&
         options_.fallback_to_optimistic) {
@@ -821,7 +848,8 @@ SolveReport GangSolver::solve() const {
       log::info(
           "heavy-traffic initialization unstable (", e.what(),
           "); retrying with the optimistic initialization");
-      SolveReport report = run(initial_slices(InitMode::kOptimistic));
+      SolveReport report = run(initial_slices(InitMode::kOptimistic),
+                               accelerates(/*optimistic=*/true));
       report.used_optimistic_init = true;
       return report;
     }

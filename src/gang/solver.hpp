@@ -215,7 +215,12 @@ class GangSolver {
 
  private:
   std::vector<PhaseType> initial_slices(InitMode mode) const;
-  SolveReport run(const std::vector<PhaseType>& init_slices) const;
+  // Whether a fixed-point run takes the Anderson-accelerated update
+  // (gang/anderson.hpp): moment-matched runs that did not start from the
+  // optimistic initialization.
+  bool accelerates(bool optimistic) const;
+  SolveReport run(const std::vector<PhaseType>& init_slices,
+                  bool accelerate) const;
   bool solve_classes_grouped(
       const std::vector<PhaseType>& slices, qbd::WorkspaceArena::Lease& ws,
       std::vector<std::optional<ClassProcess>>& procs,

@@ -2,7 +2,15 @@
 //
 // A snapshot is NDJSON, one entry per line, least-recently-used first:
 //
-//   {"scenario":{"system":...,"options":...},"hits":H,"report":{...}}
+//   {"solver_revision":R,"scenario":{"system":...,"options":...},
+//    "hits":H,"report":{...}}
+//
+// The solver revision names the fixed-point algorithm that produced the
+// reports. A solver change that moves answers bumps kSolverRevision, and
+// lines stamped with any other revision (or none, as in snapshots from
+// before the stamp existed) are skipped on load and counted in
+// serve.cache.snapshot_stale: the daemon re-solves those scenarios on
+// demand instead of replaying stale answers.
 //
 // The scenario member is the canonical scenario object itself (the hash
 // preimage), so loading re-derives the scenario hash with fnv1a64 over
@@ -16,15 +24,21 @@
 #include <ostream>
 #include <string>
 
+#include "obs/obs.hpp"
 #include "serve/canonical.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 
 namespace gs::serve {
 
 namespace {
 
 using json::Json;
+
+// Revision 1: the Anderson-accelerated fixed-point update
+// (gang/anderson.hpp).
+constexpr std::int64_t kSolverRevision = 1;
 
 Json class_to_json_full(const gang::ClassResult& c) {
   Json out = Json::object();
@@ -111,6 +125,7 @@ std::size_t EvalService::save_cache(std::ostream& out) const {
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     const ResultCache::Entry& e = **it;
     Json line = Json::object();
+    line.set("solver_revision", kSolverRevision);
     line.set("scenario", Json::parse(e.scenario));
     line.set("hits", e.hits);
     line.set("report", report_to_json_full(e.report));
@@ -133,6 +148,7 @@ std::size_t EvalService::load_cache(std::istream& in) {
   std::string text;
   std::size_t line_no = 0;
   std::size_t loaded = 0;
+  std::size_t stale = 0;
   while (std::getline(in, text)) {
     ++line_no;
     if (!text.empty() && text.back() == '\r') text.pop_back();
@@ -152,6 +168,13 @@ std::size_t EvalService::load_cache(std::istream& in) {
           options_from_json(scenario.at("options"));
       shape = structure_hash(params, opts);
       hits = static_cast<std::uint64_t>(entry.at("hits").as_int());
+      // The scenario must parse whatever the revision (a malformed line
+      // is an error); the report's layout belongs to its revision.
+      const Json* revision = entry.find("solver_revision");
+      if (revision == nullptr || revision->as_int() != kSolverRevision) {
+        ++stale;
+        continue;
+      }
       report = report_from_json_full(entry.at("report"));
     } catch (const Error& e) {
       throw Error("cache snapshot line " + std::to_string(line_no) +
@@ -161,6 +184,11 @@ std::size_t EvalService::load_cache(std::istream& in) {
     cache_.insert(key, std::move(canon), std::move(report), hits);
     warm_index_[shape] = key;
     ++loaded;
+  }
+  if (stale > 0) {
+    obs::count("serve.cache.snapshot_stale", stale);
+    log::warn("cache snapshot: skipped ", stale,
+              " entries from another solver revision");
   }
   return loaded;
 }

@@ -489,6 +489,7 @@ json::Json EvalService::do_sweep(const Json& req) {
       row.set("mean_jobs", std::move(n));
       row.set("total_mean_jobs", total);
       row.set("iterations", pt.iterations);
+      row.set("converged", pt.converged);
     }
     rows.push_back(std::move(row));
   }

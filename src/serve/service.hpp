@@ -140,8 +140,11 @@ class EvalService {
 
   /// Load a save_cache snapshot, re-deriving every scenario hash and
   /// structure hash from the canonical text. Entries beyond the cache
-  /// capacity evict in LRU order, exactly as if solved live. Returns the
-  /// number of entries loaded; throws gs::Error on malformed input.
+  /// capacity evict in LRU order, exactly as if solved live. Lines
+  /// stamped with another solver revision, or with none, are skipped
+  /// and counted in serve.cache.snapshot_stale (their answers may no
+  /// longer be this solver's). Returns the number of entries loaded;
+  /// throws gs::Error on malformed input.
   std::size_t load_cache(std::istream& in);
   std::size_t load_cache_file(const std::string& path);
 

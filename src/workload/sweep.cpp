@@ -47,6 +47,7 @@ std::vector<gang::PhaseType> solve_point(
     const gang::SolveReport rep =
         seed != nullptr ? solver.solve_warm(*seed) : solver.solve();
     point.iterations = rep.iterations;
+    point.converged = rep.converged;
     point.warm_started = rep.used_warm_start;
     if (point.warm_started) obs::count("sweep.warm_started");
     for (const auto& r : rep.per_class) point.model_n.push_back(r.mean_jobs);
@@ -122,6 +123,7 @@ void solve_wave_batched(
       }
       const gang::SolveReport& rep = got[j].report;
       point.iterations = rep.iterations;
+      point.converged = rep.converged;
       point.warm_started = rep.used_warm_start;
       if (point.warm_started) obs::count("sweep.warm_started");
       for (const auto& r : rep.per_class)

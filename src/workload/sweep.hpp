@@ -29,6 +29,9 @@ struct SweepPoint {
   /// requested).
   std::vector<double> sim_n;
   int iterations = 0;  ///< fixed-point iterations the solve took
+  /// The solve's fixed point met its tolerance within max_iterations
+  /// (gang::SolveReport::converged); false on failed points too.
+  bool converged = false;
   /// True when this point's fixed point was seeded from an anchor's
   /// solution (SweepOptions::warm_chain) rather than solved cold.
   bool warm_started = false;

@@ -147,7 +147,8 @@ std::string solve_line(double arrival_rate, const std::string& id) {
   return req.dump();
 }
 
-std::string sweep_line(int points, const std::string& id) {
+std::string sweep_line(int points, const std::string& id,
+                       double spacing = 0.2) {
   Json req = Json::object();
   req.set("op", "sweep");
   req.set("id", id);
@@ -155,10 +156,17 @@ std::string sweep_line(int points, const std::string& id) {
   Json vary = Json::object();
   vary.set("param", "quantum_mean");
   Json values = Json::array();
-  for (int i = 0; i < points; ++i) values.push_back(0.6 + 0.2 * i);
+  for (int i = 0; i < points; ++i) values.push_back(0.6 + spacing * i);
   vary.set("values", std::move(values));
   req.set("vary", std::move(vary));
   return req.dump();
+}
+
+// A sweep that holds the only executor far longer than the tests' 200 ms
+// head start: 96 quantum means in [0.6, 5.35], about 1.2 s in a Release
+// build on a 4-core x86-64 host, and longer under sanitizers.
+std::string blocker_line() {
+  return sweep_line(/*points=*/96, "blocker", /*spacing=*/0.05);
 }
 
 // ----------------------------------------------------------- the tests
@@ -225,7 +233,7 @@ TEST(EventLoopDaemon, IdenticalConcurrentSolvesCoalesceToOneExecution) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(blocker_line());
   // Give the loop time to admit the sweep and occupy the one executor.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
@@ -278,7 +286,7 @@ TEST(EventLoopDaemon, OverloadShedsWithStructuredErrors) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(blocker_line());
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   constexpr int kOffered = 4;
@@ -329,7 +337,7 @@ TEST(EventLoopDaemon, ControlOpsBypassAdmissionControl) {
 
   Client blocker;
   blocker.connect(server.port());
-  blocker.send_line(sweep_line(/*points=*/6, "blocker"));
+  blocker.send_line(blocker_line());
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   // A solve behind the blocker is shed...

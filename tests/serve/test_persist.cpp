@@ -1,11 +1,13 @@
 // Cache persistence round-trip: a save_cache snapshot restored into a
 // fresh service reproduces cache hits (byte-identical responses), the
 // warm-start donor index, LRU order under capacity pressure, and the
-// per-entry hit counters.
+// per-entry hit counters. Lines from another solver revision load as
+// misses.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "json/json.hpp"
@@ -23,9 +25,10 @@ using gs::serve::ServiceOptions;
 using gs::workload::paper_system;
 using gs::workload::PaperKnobs;
 
-std::string solve_line(double arrival_rate) {
+std::string solve_line(double arrival_rate, double quantum_mean = 1.0) {
   PaperKnobs knobs;
   knobs.arrival_rate = arrival_rate;
+  knobs.quantum_mean = quantum_mean;
   Json req = Json::object();
   req.set("op", "solve");
   req.set("system", gs::serve::params_to_json(paper_system(knobs)));
@@ -166,6 +169,65 @@ TEST(CachePersistence, FileRoundTripViaHelpers) {
   ::unlink(path.c_str());
 
   EXPECT_THROW(restored.load_cache_file(path + ".missing"), gs::Error);
+}
+
+TEST(CachePersistence, UnstampedSnapshotLineLoadsAsAMiss) {
+  // A line written before snapshots carried a solver revision: the
+  // Figure 2 system at quantum 4, whose plain-iteration report stopped
+  // unconverged after 60 iterations. Serving it after a warm boot would
+  // replay that stale answer, so it must be skipped and the scenario
+  // solved afresh.
+  std::ifstream in(GS_SERVE_TEST_DATA "/snapshot_unstamped.ndjson");
+  ASSERT_TRUE(in) << "missing checked-in snapshot";
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const Json old = Json::parse(line);
+  ASSERT_EQ(old.find("solver_revision"), nullptr);
+  ASSERT_FALSE(old.at("report").at("converged").as_bool());
+
+  EvalService service(deterministic_options());
+  std::stringstream snapshot(line + "\n");
+  EXPECT_EQ(service.load_cache(snapshot), 0u);
+  EXPECT_EQ(service.cache().size(), 0u);
+
+  const Json r = Json::parse(service.handle_line(solve_line(0.40, 4.0)));
+  EXPECT_EQ(r.at("hash").as_string(),
+            gs::json::hash_hex(gs::json::fnv1a64(old.at("scenario").dump())))
+      << "the request must name the snapshot's scenario";
+  EXPECT_FALSE(r.at("cached").as_bool());
+  EXPECT_FALSE(r.at("warm_started").as_bool())
+      << "a skipped line must not seed the warm-start index either";
+  EXPECT_TRUE(r.at("converged").as_bool());
+  EXPECT_EQ(service.stats().solves_executed, 1u);
+}
+
+TEST(CachePersistence, OtherSolverRevisionIsSkippedCurrentOneLoads) {
+  EvalService original(deterministic_options());
+  original.handle_line(solve_line(0.40));
+  original.handle_line(solve_line(0.41));
+  std::stringstream snapshot;
+  ASSERT_EQ(original.save_cache(snapshot), 2u);
+
+  // Re-stamp the first line with a different revision; the second keeps
+  // the current one.
+  std::string first, second;
+  std::getline(snapshot, first);
+  std::getline(snapshot, second);
+  Json restamped = Json::parse(first);
+  ASSERT_NE(restamped.find("solver_revision"), nullptr);
+  restamped.set("solver_revision",
+                restamped.at("solver_revision").as_int() + 1);
+
+  EvalService restored(deterministic_options());
+  std::stringstream mixed(restamped.dump() + "\n" + second + "\n");
+  EXPECT_EQ(restored.load_cache(mixed), 1u);
+  EXPECT_EQ(restored.cache().size(), 1u);
+  EXPECT_FALSE(Json::parse(restored.handle_line(solve_line(0.40)))
+                   .at("cached")
+                   .as_bool());
+  EXPECT_TRUE(Json::parse(restored.handle_line(solve_line(0.41)))
+                  .at("cached")
+                  .as_bool());
 }
 
 }  // namespace
