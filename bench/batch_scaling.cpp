@@ -7,16 +7,12 @@
 // split (gang.batch.{boundary,effq} and their
 // qbd.batch.boundary.{pack,lu,trsm} / gang.batch.effq.{tails,moments,
 // fit} sub-stages, shares of end-to-end sweep wall). A second section
-// races the four R backends on the Figure 2 load range and records
-// their fixed-point iteration counts. Checked in-bench:
+// times the lock-step R-solve core alone. Checked in-bench:
 //   - every width's rows are bitwise identical to the width-1 (scalar
 //     dispatch) rows — the lock-step guarantee the test suite pins; a
 //     divergence prints the offending points' exact bits (%a) per class
 //     and FAILS the run,
 //   - every point actually rode the lock-step path at widths > 1,
-//   - the four R backends land on the same R to 1e-8 and Newton's
-//     median iteration count beats substitution's (the first-order
-//     fixed point it supersedes),
 //   - optionally (--min-batch-speedup=X) that the lock-step R-solve
 //     core clears X times its width-1 lane throughput at the widest
 //     width, and (--min-sweep-ratio=Y) that the END-TO-END sweep clears
@@ -305,53 +301,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --- R-backend race on the Figure 2 load range. ---
-  // One class chain per load point; all four backends must land on the
-  // same R to 1e-8 (they share the defining equation, not the iterate
-  // sequence) and Newton's median fixed-point iteration count must beat
-  // substitution's — quadratic outer step vs linear — while log
-  // reduction's level-doubling count rides along for context.
-  struct BackendRow {
-    double rho = 0.0;
-    int newton = 0, logreduction = 0, substitution = 0, cyclic = 0;
-  };
-  std::vector<BackendRow> backend_rows;
-  {
-    std::vector<int> nw_iters, ss_iters, lr_iters;
-    for (double rho : {0.2, 0.4, 0.6, 0.8, 0.9}) {
-      PaperKnobs knobs;
-      knobs.arrival_rate = rho;
-      const auto sys = paper_system(knobs);
-      const auto away = gs::gang::away_period_heavy_traffic(sys, 0);
-      const gs::gang::ClassProcess cp(sys, 0, away);
-      const auto& blk = cp.process().blocks();
-      const auto nw = gs::qbd::solve_r_newton(blk.a0, blk.a1, blk.a2);
-      const auto lr = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-      const auto ss = gs::qbd::solve_r_substitution(blk.a0, blk.a1, blk.a2);
-      const auto cr =
-          gs::qbd::solve_r_cyclic_reduction(blk.a0, blk.a1, blk.a2);
-      require(gs::linalg::max_abs_diff(nw.r, lr.r) <= 1e-8 &&
-                  gs::linalg::max_abs_diff(nw.r, ss.r) <= 1e-8 &&
-                  gs::linalg::max_abs_diff(nw.r, cr.r) <= 1e-8,
-              "R backends disagree beyond 1e-8 at rho " + std::to_string(rho));
-      backend_rows.push_back({rho, nw.iterations, lr.iterations,
-                              ss.iterations, cr.iterations});
-      nw_iters.push_back(nw.iterations);
-      ss_iters.push_back(ss.iterations);
-      lr_iters.push_back(lr.iterations);
-    }
-    const auto median_int = [](std::vector<int> xs) {
-      std::sort(xs.begin(), xs.end());
-      return xs[xs.size() / 2];
-    };
-    require(median_int(nw_iters) < median_int(ss_iters),
-            "Newton's median iteration count must beat substitution's");
-  }
-
   // --- Lock-step core scaling. ---
-  // Lane throughput of the batched R solve itself: the five race chains
-  // above cycle across the lanes (so convergence spreads like a real
-  // mixed batch) and every width solves the same set of chains. The
+  // Lane throughput of the batched R solve itself: class 0's chain at
+  // five Figure 2 loads cycles across the lanes (so convergence spreads
+  // like a real mixed batch) and every width solves the same set of
+  // chains. The
   // speedup is lane-solves/s at width w over width 1 — the quantity the
   // tiled batch kernels actually move, free of the sweep's scalar
   // effective-quantum and boundary stages.
@@ -489,18 +443,6 @@ int main(int argc, char** argv) {
   }
   out.set("batched_sweep", std::move(width_rows));
 
-  Json backends = Json::array();
-  for (const auto& row : backend_rows) {
-    Json r = Json::object();
-    r.set("rho", row.rho);
-    r.set("newton_iterations", row.newton);
-    r.set("logreduction_iterations", row.logreduction);
-    r.set("substitution_iterations", row.substitution);
-    r.set("cyclic_reduction_iterations", row.cyclic);
-    backends.push_back(std::move(r));
-  }
-  out.set("r_backend_iterations", std::move(backends));
-
   Json core = Json::array();
   for (const auto& row : core_rows) {
     Json r = Json::object();
@@ -543,11 +485,6 @@ int main(int argc, char** argv) {
   for (const auto& row : core_rows)
     std::printf("core width %2d: %7.1f us/lane-solve  (%.2fx vs width 1)\n",
                 row.width, row.lane_us, row.speedup);
-  for (const auto& row : backend_rows)
-    std::printf(
-        "rho %.1f: newton %d  logreduction %d  substitution %d  "
-        "cyclic_reduction %d iterations\n",
-        row.rho, row.newton, row.logreduction, row.substitution, row.cyclic);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -229,25 +229,6 @@ BENCHMARK(BM_BatchGemmUnpacked)
     ->Args({8, 64})
     ->Args({8, 128});
 
-// Newton vs the other R backends on the paper's class-0 chain: the
-// per-iteration costs differ wildly (see BENCH_batch.json's
-// r_backend_iterations for the counts), so wall time is the honest
-// comparison.
-void BM_RMatrixNewton(benchmark::State& state) {
-  const auto sys = gs::workload::paper_system({});
-  const gs::gang::ClassProcess cp(
-      sys, 0, gs::gang::away_period_heavy_traffic(sys, 0));
-  const auto& blk = cp.process().blocks();
-  gs::qbd::RSolveOptions opts;
-  opts.sparse = state.range(0) != 0;
-  gs::qbd::Workspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gs::qbd::solve_r_newton(blk.a0, blk.a1, blk.a2, opts, &ws));
-  }
-}
-BENCHMARK(BM_RMatrixNewton)->Arg(0)->Arg(1);
-
 void BM_LuSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_dd_matrix(n, 3);

@@ -75,7 +75,6 @@ void advance_slices(std::optional<AndersonAccelerator>& accel,
 // per-(class, lane) slots of a lock-step solve keep separate warm entries.
 constexpr std::uint64_t kBatchWsTag = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kLaneWsTag = 0xc2b2ae3d27d4eb4full;
-constexpr std::uint64_t kGroupWsTag = 0x94d049bb133111ebull;
 
 }  // namespace
 
@@ -182,18 +181,9 @@ SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices,
     iter_span.arg("iter", static_cast<std::int64_t>(iter));
     // Solve every class against the current away periods. The per-class
     // chains are independent given `slices`, so they solve concurrently;
-    // each task touches only its own slots and workspace. On the
-    // sequential path the same independence lets the L R-solves run as
-    // one lock-step batch instead (grouped by chain shape) — bitwise
-    // identical per class, and any failure falls through to the scalar
-    // loop below, which reproduces the scalar diagnostics exactly
-    // (update_away is idempotent, so the redo is safe).
+    // each task touches only its own slots and workspace.
     std::vector<double> n(L, 0.0);
-    const bool grouped =
-        options_.group_classes && L >= 2 &&
-        std::max(1, options_.num_threads) <= 1 &&
-        solve_classes_grouped(slices, workspaces, procs, sols, n);
-    if (!grouped) pool.parallel_for(L, [&](std::size_t p) {
+    pool.parallel_for(L, [&](std::size_t p) {
       obs::Span class_span("gang.class_solve");
       class_span.arg("class", static_cast<std::int64_t>(p));
       if (procs[p]) {
@@ -275,88 +265,6 @@ SolveReport GangSolver::run(const std::vector<PhaseType>& init_slices,
   return report;
 }
 
-bool GangSolver::solve_classes_grouped(
-    const std::vector<PhaseType>& slices, qbd::WorkspaceArena::Lease& ws,
-    std::vector<std::optional<ClassProcess>>& procs,
-    std::vector<std::optional<qbd::QbdSolution>>& sols,
-    std::vector<double>& n) const {
-  const std::size_t L = params_.num_classes();
-  try {
-    obs::Span span("gang.class_solve_grouped");
-    span.arg("classes", static_cast<std::int64_t>(L));
-    // Build / revalue every chain first, applying the drift admission
-    // qbd::solve would. A violation returns false so the scalar loop can
-    // throw its exact diagnostic (Theorem 4.4 text included).
-    for (std::size_t p = 0; p < L; ++p) {
-      if (procs[p]) {
-        procs[p]->update_away(away_period(params_, p, slices, &ws[p]));
-      } else {
-        procs[p].emplace(params_, p, away_period(params_, p, slices, &ws[p]),
-                         &ws[p]);
-      }
-      if (!options_.qbd.skip_stability_check &&
-          !procs[p]->process().drift().stable)
-        return false;
-    }
-    // Group the classes by repeating dimension (the fitted away periods
-    // can give different classes different block orders) and run each
-    // group's R solves lanes-abreast, chunked at the lane cap; the
-    // boundary solve stays scalar per class, exactly as qbd::solve runs
-    // it after its R solve.
-    std::vector<std::size_t> dims;
-    for (std::size_t p = 0; p < L; ++p) {
-      const std::size_t d = procs[p]->process().blocks().a1.rows();
-      if (std::find(dims.begin(), dims.end(), d) == dims.end())
-        dims.push_back(d);
-    }
-    qbd::WorkspaceArena::BatchLease batch_ws =
-        qbd::WorkspaceArena::borrow_batch(batch_key() ^ kGroupWsTag,
-                                          dims.size());
-    qbd::BatchRSolveResult rres;
-    linalg::Matrix lane_r;
-    for (std::size_t di = 0; di < dims.size(); ++di) {
-      const std::size_t d = dims[di];
-      std::vector<std::size_t> members;
-      for (std::size_t p = 0; p < L; ++p)
-        if (procs[p]->process().blocks().a1.rows() == d) members.push_back(p);
-      for (std::size_t start = 0; start < members.size();
-           start += linalg::kMaxBatchLanes) {
-        const std::size_t width =
-            std::min(linalg::kMaxBatchLanes, members.size() - start);
-        qbd::BatchWorkspace& bw = batch_ws[di];
-        bw.blocks.ensure(d, width);
-        const linalg::LaneMask mask(width, true);
-        for (std::size_t i = 0; i < width; ++i)
-          bw.blocks.load_lane(
-              i, procs[members[start + i]]->process().blocks());
-        qbd::solve_r_batch(bw.blocks, mask, options_.qbd.r_method,
-                           options_.qbd.r_options, bw, rres);
-        for (std::size_t i = 0; i < width; ++i) {
-          const std::size_t p = members[start + i];
-          if (!rres.ok(i)) return false;  // scalar redo rethrows exactly
-          rres.r.store_lane(i, lane_r);
-          // Keep the per-solve operator surface: each class still counts
-          // as one qbd.solve, timed from the boundary stage (its R time
-          // sits in the shared batch span above).
-          obs::Span solve_span("qbd.solve");
-          solve_span.arg("repeating", static_cast<std::int64_t>(d));
-          obs::count("qbd.solve.count");
-          sols[p].emplace(qbd::solve_with_r(procs[p]->process(), lane_r,
-                                            options_.qbd, &ws[p]));
-          n[p] = sols[p]->mean_level();
-        }
-      }
-    }
-    obs::count("gang.solve.grouped_classes", static_cast<std::uint64_t>(L));
-    return true;
-  } catch (const Error&) {
-    // Anything the lock-step path cannot finish (singular factor mid
-    // batch, boundary failure, ...) falls back wholesale; the scalar
-    // redo reproduces the scalar path's exception behavior exactly.
-    return false;
-  }
-}
-
 SolveReport GangSolver::solve_warm(
     const std::vector<PhaseType>& slices) const {
   GS_CHECK(slices.size() == params_.num_classes(),
@@ -399,13 +307,11 @@ std::uint64_t GangSolver::batch_key() const {
   mix(static_cast<std::uint64_t>(options_.init));
   mix(options_.fallback_to_optimistic ? 1 : 0);
   mix(static_cast<std::uint64_t>(options_.queue_dist_levels));
-  mix(static_cast<std::uint64_t>(options_.qbd.r_method));
   mix(double_bits(options_.qbd.r_options.tol));
   mix(static_cast<std::uint64_t>(options_.qbd.r_options.max_iter));
   mix(options_.qbd.r_options.sparse ? 1 : 0);
   mix(options_.qbd.r_options.tiled ? 1 : 0);
   mix(options_.qbd.skip_stability_check ? 1 : 0);
-  mix(options_.group_classes ? 1 : 0);
   return h;
 }
 
@@ -573,8 +479,8 @@ void GangSolver::run_chunk(const std::vector<BatchItem>& items,
               bw.blocks.load_lane(wi, blk);
             }
             if (!mask.any()) continue;
-            qbd::solve_r_batch(bw.blocks, mask, opts.qbd.r_method,
-                               opts.qbd.r_options, bw, rres);
+            qbd::solve_r_logreduction_batch(bw.blocks, mask,
+                                            opts.qbd.r_options, bw, rres);
             linalg::LaneMask bmask(width, false);
             for (std::size_t wi = 0; wi < width; ++wi) {
               if (!mask[wi] || !lanes[wi].active) continue;

@@ -66,7 +66,7 @@ struct GangSolveOptions {
   bool fallback_to_optimistic = true;
   /// Number of queue-length probabilities P(N_p = n) to report per class.
   std::size_t queue_dist_levels = 0;
-  /// Options forwarded to every per-class QBD solve (R method, tolerances).
+  /// Options forwarded to every per-class QBD solve (R tolerances, kernels).
   qbd::SolveOptions qbd{};
   /// Lanes of concurrency across the L per-class chains of each
   /// fixed-point iteration (the chains are independent given the away
@@ -79,15 +79,6 @@ struct GangSolveOptions {
   /// their own. Non-owning; must outlive the solve. Never affects
   /// results, only where the lanes live.
   util::ThreadPool* pool = nullptr;
-  /// Solve the L per-class R matrices of each fixed-point iteration as
-  /// one lock-step batch when the classes share a chain shape (grouped
-  /// by repeating dimension otherwise). Applies only on the sequential
-  /// path (num_threads <= 1) — with threads the classes already overlap.
-  /// Like num_threads this can never change the answer: the batched R
-  /// solve is bitwise identical to the scalar one per lane, and any
-  /// grouping failure re-runs the exact scalar loop. It is a knob only
-  /// so benches and the equivalence tests can time/pin both paths.
-  bool group_classes = true;
 };
 
 /// Per-class performance measures at the final iterate (Section 4.5's
@@ -221,11 +212,6 @@ class GangSolver {
   bool accelerates(bool optimistic) const;
   SolveReport run(const std::vector<PhaseType>& init_slices,
                   bool accelerate) const;
-  bool solve_classes_grouped(
-      const std::vector<PhaseType>& slices, qbd::WorkspaceArena::Lease& ws,
-      std::vector<std::optional<ClassProcess>>& procs,
-      std::vector<std::optional<qbd::QbdSolution>>& sols,
-      std::vector<double>& n) const;
   static void run_chunk(const std::vector<BatchItem>& items,
                         const std::vector<std::size_t>& idxs,
                         std::vector<BatchOutcome>& out);

@@ -102,90 +102,6 @@ void BatchRSolveResult::reset(std::size_t width) {
   error.assign(width, std::string());
 }
 
-void solve_r_substitution_batch(const BatchBlocks& blocks,
-                                const linalg::LaneMask& lanes,
-                                const RSolveOptions& opts, BatchWorkspace& w,
-                                BatchRSolveResult& out) {
-  const std::size_t d = blocks.size();
-  const std::size_t width = blocks.width();
-  GS_CHECK(blocks.a0.rows() == d && blocks.a2.rows() == d,
-           "R solve: block size mismatch");
-  GS_CHECK(lanes.width() == width, "batch R solve: mask width mismatch");
-
-  obs::Span span("qbd.rsolve.substitution.batch");
-  span.arg("d", static_cast<std::int64_t>(d));
-  span.arg("width", static_cast<std::int64_t>(width));
-
-  out.reset(width);
-  BatchKernelStats stats;
-  LaneMask run = lanes;
-
-  linalg::batch_scaled_copy(w.neg_a1, blocks.a1, -1.0, run);
-  {
-    StageTimer lu_t("qbd.batch.lu");
-    w.lu_a1.factor(w.neg_a1, run);
-  }
-  drop_singular_lanes(w.lu_a1, run, out);
-
-  linalg::batch_zero(w.r_cur, d, d, run);
-  std::vector<unsigned char> conv(width, 0);
-  std::vector<double> last_delta(width, 0.0);
-  for (int it = 1; it <= opts.max_iter && run.any(); ++it) {
-    // Per lane: R_next (-A1) = A0 + R (R A2), exactly the scalar
-    // association (the scalar CSR path shares it, bitwise).
-    {
-      StageTimer gemm_t("qbd.batch.gemm");
-      linalg::batch_multiply_into(w.r_t, w.r_cur, blocks.a2, run, &stats);
-      linalg::batch_multiply_into(w.r_num, w.r_cur, w.r_t, run, &stats);
-    }
-    linalg::batch_add(w.r_num, blocks.a0, run);
-    {
-      StageTimer trsm_t("qbd.batch.trsm");
-      w.lu_a1.solve_right_into(w.r_num, w.r_next, run);
-    }
-    for (std::size_t l = 0; l < width; ++l) {
-      if (!run[l]) continue;
-      last_delta[l] = linalg::lane_max_abs_diff(w.r_next, w.r_cur, l);
-      out.iterations[l] = it;
-    }
-    // Copy-not-swap: a lane that retires below keeps its converged
-    // iterate frozen in r_cur while the others continue in place.
-    linalg::batch_copy(w.r_cur, w.r_next, run);
-    for (std::size_t l = 0; l < width; ++l) {
-      if (run[l] && last_delta[l] <= opts.tol) {
-        conv[l] = 1;
-        run.set(l, false);
-      }
-    }
-  }
-
-  LaneMask fin(width, false);
-  for (std::size_t l = 0; l < width; ++l)
-    if (lanes[l] && out.ok(l)) fin.set(l, true);
-  linalg::batch_copy(out.r, w.r_cur, fin);
-  for (std::size_t l = 0; l < width; ++l) {
-    if (!fin[l]) continue;
-    out.residual[l] = lane_residual(out.r, blocks, l, w);
-    if (conv[l] == 0) {
-      out.error[l] =
-          "successive substitution for R exhausted max_iter=" +
-          std::to_string(opts.max_iter) + " (last step " +
-          std::to_string(last_delta[l]) + " > tol " +
-          std::to_string(opts.tol) + ", residual " +
-          std::to_string(out.residual[l]) +
-          "); the chain is likely not positive recurrent";
-    } else if (out.residual[l] > 1e-8 * std::max(1.0, w.lane_a1.max_abs())) {
-      out.error[l] =
-          "successive substitution for R converged in " +
-          std::to_string(out.iterations[l]) +
-          " iterations but the residual " + std::to_string(out.residual[l]) +
-          " fails the defining equation; the chain is likely not positive "
-          "recurrent";
-    }
-  }
-  count_batch_obs(out, lanes, stats);
-}
-
 void solve_r_logreduction_batch(const BatchBlocks& blocks,
                                 const linalg::LaneMask& lanes,
                                 const RSolveOptions& opts, BatchWorkspace& w,
@@ -339,240 +255,6 @@ void solve_r_logreduction_batch(const BatchBlocks& blocks,
     }
   }
   count_batch_obs(out, lanes, stats);
-}
-
-void solve_r_newton_batch(const BatchBlocks& blocks,
-                          const linalg::LaneMask& lanes,
-                          const RSolveOptions& opts, BatchWorkspace& w,
-                          BatchRSolveResult& out) {
-  const std::size_t d = blocks.size();
-  const std::size_t width = blocks.width();
-  GS_CHECK(blocks.a0.rows() == d && blocks.a2.rows() == d,
-           "R solve: block size mismatch");
-  GS_CHECK(lanes.width() == width, "batch R solve: mask width mismatch");
-
-  obs::Span span("qbd.rsolve.newton.batch");
-  span.arg("d", static_cast<std::int64_t>(d));
-  span.arg("width", static_cast<std::int64_t>(width));
-
-  out.reset(width);
-  BatchKernelStats stats;
-  LaneMask run = lanes;
-  obs::count("qbd.rsolve.newton.count",
-             static_cast<std::uint64_t>(run.count()));
-
-  linalg::batch_zero(w.r_cur, d, d, run);
-  std::vector<unsigned char> conv(width, 0);
-  std::vector<double> last_delta(width, 0.0);
-  std::vector<double> last_inner(width, 0.0);
-  std::vector<int> lane_sweeps(width, 0);
-  std::uint64_t inner_total = 0;
-  for (int it = 1; it <= opts.max_iter && run.any(); ++it) {
-    // Per lane: S = A1 + R A2 (iu), F = A0 + R S (r_num), M = -S factored
-    // once — the scalar association, bitwise (the scalar CSR / tiled
-    // toggles share the bits by the linalg contracts). R packs once per
-    // outer step; the F product and every inner sweep reuse the pack.
-    {
-      StageTimer gemm_t("qbd.batch.gemm");
-      linalg::batch_multiply_into(w.r_t, w.r_cur, blocks.a2, run, &stats);
-    }
-    linalg::batch_copy(w.iu, blocks.a1, run);
-    linalg::batch_add(w.iu, w.r_t, run);
-    if (opts.tiled) {
-      {
-        StageTimer pack_t("qbd.batch.pack");
-        w.bg_h_a.pack(w.r_cur, run);
-        w.bg_l_b.pack(w.iu);
-      }
-      StageTimer gemm_t("qbd.batch.gemm");
-      linalg::batch_gemm_packed_into(w.r_num, w.bg_h_a, w.bg_l_b, run);
-    } else {
-      StageTimer gemm_t("qbd.batch.gemm");
-      linalg::batch_multiply_into(w.r_num, w.r_cur, w.iu, run, &stats);
-    }
-    linalg::batch_add(w.r_num, blocks.a0, run);
-    linalg::batch_scale(w.iu, -1.0, run);
-    {
-      StageTimer lu_t("qbd.batch.lu");
-      w.lu_iu.factor(w.iu, run);
-    }
-    drop_singular_lanes(w.lu_iu, run, out);
-    if (!run.any()) break;
-    // Inner fixed point for H S + R H A2 = -F, seeded H = F M^{-1}, under
-    // its own per-lane mask: a lane whose sweep step reaches tol freezes
-    // its correction and waits for the rest of the lock-step.
-    {
-      StageTimer trsm_t("qbd.batch.trsm");
-      w.lu_iu.solve_right_into(w.r_num, w.h, run);
-    }
-    LaneMask inner = run;
-    for (std::size_t l = 0; l < width; ++l) {
-      if (run[l]) {
-        last_inner[l] = 0.0;
-        lane_sweeps[l] = 1;
-      }
-    }
-    int sweeps = 1;
-    for (; sweeps < opts.max_iter && inner.any(); ++sweeps) {
-      if (opts.tiled) {
-        {
-          StageTimer pack_t("qbd.batch.pack");
-          w.bg_h_b.pack(w.h);
-        }
-        StageTimer gemm_t("qbd.batch.gemm");
-        linalg::batch_gemm_packed_into(w.hh, w.bg_h_a, w.bg_h_b, inner);
-      } else {
-        StageTimer gemm_t("qbd.batch.gemm");
-        linalg::batch_multiply_into(w.hh, w.r_cur, w.h, inner, &stats);
-      }
-      {
-        StageTimer gemm_t("qbd.batch.gemm");
-        linalg::batch_multiply_into(w.ll, w.hh, blocks.a2, inner, &stats);
-      }
-      linalg::batch_add(w.ll, w.r_num, inner);
-      {
-        StageTimer trsm_t("qbd.batch.trsm");
-        w.lu_iu.solve_right_into(w.ll, w.t, inner);
-      }
-      for (std::size_t l = 0; l < width; ++l) {
-        if (!inner[l]) continue;
-        last_inner[l] = linalg::lane_max_abs_diff(w.t, w.h, l);
-        lane_sweeps[l] = sweeps;
-      }
-      // Copy-not-swap: the converged lanes' H stays frozen in place.
-      linalg::batch_copy(w.h, w.t, inner);
-      for (std::size_t l = 0; l < width; ++l) {
-        if (inner[l] && last_inner[l] <= opts.tol) inner.set(l, false);
-      }
-    }
-    for (std::size_t l = 0; l < width; ++l) {
-      if (!run[l]) continue;
-      out.iterations[l] = it;
-      inner_total += static_cast<std::uint64_t>(
-          inner[l] ? opts.max_iter : lane_sweeps[l]);
-      if (inner[l]) {
-        // The scalar solver throws here; the lane records the exact text
-        // and drops out — qbd::solve and solve_r_batch read this as the
-        // fall-back-to-log-reduction cue.
-        out.error[l] =
-            "Newton iteration for R: inner Sylvester sweep exhausted "
-            "max_iter=" +
-            std::to_string(opts.max_iter) + " at outer iteration " +
-            std::to_string(it) + " (last sweep step " +
-            std::to_string(last_inner[l]) + " > tol " +
-            std::to_string(opts.tol) +
-            "); the chain is likely not positive recurrent";
-        run.set(l, false);
-      }
-    }
-    if (!run.any()) break;
-    for (std::size_t l = 0; l < width; ++l) {
-      if (run[l]) last_delta[l] = w.h.lane_max_abs(l);
-    }
-    linalg::batch_add(w.r_cur, w.h, run);
-    for (std::size_t l = 0; l < width; ++l) {
-      if (run[l] && last_delta[l] <= opts.tol) {
-        conv[l] = 1;
-        run.set(l, false);
-      }
-    }
-  }
-  obs::count("qbd.rsolve.newton.inner_sweeps", inner_total);
-
-  LaneMask fin(width, false);
-  std::uint64_t iter_total = 0;
-  for (std::size_t l = 0; l < width; ++l) {
-    if (lanes[l]) iter_total += static_cast<std::uint64_t>(out.iterations[l]);
-    if (lanes[l] && out.ok(l)) fin.set(l, true);
-  }
-  obs::count("qbd.rsolve.newton.iterations", iter_total);
-  linalg::batch_copy(out.r, w.r_cur, fin);
-  for (std::size_t l = 0; l < width; ++l) {
-    if (!fin[l]) continue;
-    out.residual[l] = lane_residual(out.r, blocks, l, w);
-    if (conv[l] == 0) {
-      out.error[l] = "Newton iteration for R exhausted max_iter=" +
-                     std::to_string(opts.max_iter) + " (last step " +
-                     std::to_string(last_delta[l]) + " > tol " +
-                     std::to_string(opts.tol) + ", residual " +
-                     std::to_string(out.residual[l]) +
-                     "); the chain is likely not positive recurrent";
-    } else if (out.residual[l] > 1e-8 * std::max(1.0, w.lane_a1.max_abs())) {
-      out.error[l] =
-          "Newton iteration for R converged in " +
-          std::to_string(out.iterations[l]) + " iterations but the residual " +
-          std::to_string(out.residual[l]) +
-          " fails the defining equation; the chain is likely not positive "
-          "recurrent";
-    }
-  }
-  count_batch_obs(out, lanes, stats);
-}
-
-void solve_r_batch(const BatchBlocks& blocks, const linalg::LaneMask& lanes,
-                   RMethod method, const RSolveOptions& opts,
-                   BatchWorkspace& w, BatchRSolveResult& out) {
-  if (method == RMethod::kLogReduction) {
-    solve_r_logreduction_batch(blocks, lanes, opts, w, out);
-  } else if (method == RMethod::kCyclicReduction) {
-    // Cyclic reduction has no lock-step batched form yet — it is the
-    // cross-check backend, not the hot path — so each active lane runs
-    // the scalar solver; per lane the bits, iteration count, residual,
-    // and error text are exactly the scalar solver's by construction.
-    const std::size_t d = blocks.size();
-    const std::size_t width = blocks.width();
-    GS_CHECK(lanes.width() == width, "batch R solve: mask width mismatch");
-    out.reset(width);
-    out.r.ensure(d, d, width);
-    for (std::size_t l = 0; l < width; ++l) {
-      if (!lanes[l]) continue;
-      blocks.a0.store_lane(l, w.lane_a0);
-      blocks.a1.store_lane(l, w.lane_a1);
-      blocks.a2.store_lane(l, w.lane_a2);
-      try {
-        const RSolveResult res = solve_r_cyclic_reduction(
-            w.lane_a0, w.lane_a1, w.lane_a2, opts, &w.scalar);
-        out.r.load_lane(l, res.r);
-        out.iterations[l] = res.iterations;
-        out.residual[l] = res.residual;
-      } catch (const NumericalError& e) {
-        out.error[l] = e.what();
-      }
-    }
-  } else if (method == RMethod::kNewton) {
-    solve_r_newton_batch(blocks, lanes, opts, w, out);
-    // Mirror qbd::solve's newton -> logreduction fallback per lane: the
-    // failed lanes re-run through the batched log reduction into a local
-    // result (running it on `out` would reset the converged Newton
-    // lanes) and merge back, so grouped and scalar dispatch keep
-    // answering identically.
-    const std::size_t width = blocks.width();
-    LaneMask retry(width, false);
-    std::size_t retries = 0;
-    for (std::size_t l = 0; l < width; ++l) {
-      if (lanes[l] && !out.ok(l)) {
-        retry.set(l, true);
-        ++retries;
-      }
-    }
-    if (retries > 0) {
-      obs::count("qbd.rsolve.newton.fallback",
-                 static_cast<std::uint64_t>(retries));
-      BatchRSolveResult fb;
-      solve_r_logreduction_batch(blocks, retry, opts, w, fb);
-      out.r.ensure(blocks.size(), blocks.size(), width);
-      for (std::size_t l = 0; l < width; ++l) {
-        if (!retry[l]) continue;
-        fb.r.store_lane(l, w.lane_r);
-        out.r.load_lane(l, w.lane_r);
-        out.iterations[l] = fb.iterations[l];
-        out.residual[l] = fb.residual[l];
-        out.error[l] = fb.error[l];
-      }
-    }
-  } else {
-    solve_r_substitution_batch(blocks, lanes, opts, w, out);
-  }
 }
 
 void BatchBoundaryResult::reset(std::size_t width) {

@@ -3,11 +3,11 @@
 // The gang fixed point's cost is dominated by the per-class R solves, and
 // every batch-generating surface (figure sweeps, warm-chain fills,
 // coalesced daemon requests) produces chains whose blocks share one shape
-// and differ only in values. These solvers run the substitution /
-// logarithmic-reduction iterations on linalg::BatchMatrix storage with a
-// per-lane convergence mask: each lane retires the moment *its* iterate
-// converges (its storage freezes in place), the rest keep iterating, and
-// the extracted per-lane R is bitwise identical to the scalar solver's —
+// and differ only in values. These solvers run the logarithmic-reduction
+// iteration on linalg::BatchMatrix storage with a per-lane convergence
+// mask: each lane retires the moment *its* iterate converges (its
+// storage freezes in place), the rest keep iterating, and the extracted
+// per-lane R is bitwise identical to the scalar solver's —
 // the contract linalg/batch.hpp spells out and the batched equivalence
 // tests pin on the paper's Figure 2-5 configurations.
 //
@@ -76,16 +76,14 @@ struct BatchRSolveResult {
   void reset(std::size_t width);
 };
 
-/// Reusable scratch for the batched R solvers: every BatchMatrix
-/// temporary of both iterations, the three lock-step LU factors, the
+/// Reusable scratch for the batched R solver: every BatchMatrix
+/// temporary of the iteration, the three lock-step LU factors, the
 /// lane-major block mirrors, and the scalar scratch the per-lane residual
 /// checks run on. Lives in the workspace arena (one slot per class of a
 /// gang batch solve) so consecutive same-shaped batches stop allocating.
 struct BatchWorkspace {
   // Logarithmic reduction iterates and products.
   linalg::BatchMatrix h, l, g, t, u, lh, hh, ll, iu, incr, tmp;
-  // Successive substitution iterates.
-  linalg::BatchMatrix r_cur, r_num, r_next, r_t;
   linalg::BatchMatrix neg_a1;             ///< shared -A1 operand
   // Lock-step LU factors for the three batched solves per iteration.
   linalg::BatchLu lu_a1, lu_iu, lu_final;
@@ -93,8 +91,7 @@ struct BatchWorkspace {
   BatchBlocks blocks;
   // Packed batched-GEMM operands (RSolveOptions::tiled): three A-side
   // packs and two B-side packs cover one log-reduction squaring-plus-
-  // carry iteration; Newton reuses bg_h_a for R and bg_h_b / bg_l_b for
-  // its inner iterates.
+  // carry iteration.
   linalg::BatchGemmPackA bg_h_a, bg_l_a, bg_t_a;
   linalg::BatchGemmPackB bg_h_b, bg_l_b;  ///< shared B-side panel packs
   // Per-lane extraction + residual scratch (scalar shapes).
@@ -130,45 +127,13 @@ struct BatchBoundaryResult {
   void reset(std::size_t width);
 };
 
-/// Successive substitution from R = 0 on the masked lanes, retiring each
-/// lane when its step reaches opts.tol. Per lane: the exact arithmetic,
-/// iteration count, residual, and (on failure) error text of
-/// solve_r_substitution on that lane's blocks.
-void solve_r_substitution_batch(const BatchBlocks& blocks,
-                                const linalg::LaneMask& lanes,
-                                const RSolveOptions& opts, BatchWorkspace& w,
-                                BatchRSolveResult& out);
-
-/// Logarithmic reduction on the masked lanes with per-lane retirement —
-/// the batched default, mirroring solve_r_logreduction lane by lane.
+/// Logarithmic reduction on the masked lanes with per-lane retirement,
+/// mirroring solve_r_logreduction lane by lane: per lane the exact
+/// arithmetic, iteration count, residual, and (on failure) error text.
 void solve_r_logreduction_batch(const BatchBlocks& blocks,
                                 const linalg::LaneMask& lanes,
                                 const RSolveOptions& opts, BatchWorkspace& w,
                                 BatchRSolveResult& out);
-
-/// Newton's iteration on the masked lanes in lock-step: per outer step
-/// one shared grouped-GEMM assembly and one batched LU of -S, then the
-/// inner Sylvester sweeps run under their own per-lane mask (a lane
-/// whose sweep converges freezes its correction and waits for the
-/// others). Per lane: the exact arithmetic, iteration count, residual,
-/// and (on failure) error text of solve_r_newton on that lane's blocks —
-/// including the inner-exhaustion error that cues the log-reduction
-/// fallback.
-void solve_r_newton_batch(const BatchBlocks& blocks,
-                          const linalg::LaneMask& lanes,
-                          const RSolveOptions& opts, BatchWorkspace& w,
-                          BatchRSolveResult& out);
-
-/// Method dispatch, matching qbd::solve's choice. Cyclic reduction runs
-/// per-lane through the scalar solver (it is the cross-check backend and
-/// has no lock-step batched form); the other methods run batched. For
-/// kNewton, lanes that fail Newton are re-run through the batched log
-/// reduction and their results merged in — the batch mirror of
-/// qbd::solve's newton -> logreduction fallback, so grouped and scalar
-/// dispatch keep answering identically.
-void solve_r_batch(const BatchBlocks& blocks, const linalg::LaneMask& lanes,
-                   RMethod method, const RSolveOptions& opts,
-                   BatchWorkspace& w, BatchRSolveResult& out);
 
 /// The boundary/stationary stage of solve() for W lanes in lock-step —
 /// the batched twin of solve_with_r, fed the batched R the lock-step R

@@ -294,255 +294,4 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
   return out;
 }
 
-RSolveResult solve_r_newton(const Matrix& a0, const Matrix& a1,
-                            const Matrix& a2, const RSolveOptions& opts,
-                            Workspace* ws) {
-  const std::size_t d = a1.rows();
-  GS_CHECK(a0.rows() == d && a2.rows() == d, "R solve: block size mismatch");
-
-  obs::Span span("qbd.rsolve.newton");
-  span.arg("d", static_cast<std::int64_t>(d));
-  obs::count("qbd.rsolve.newton.count");
-
-  Workspace local;
-  Workspace& w = ws ? *ws : local;
-
-  // Newton reads the structured A2 in every inner sweep (R A2 inside S,
-  // H A2 inside the Sylvester right-hand side), so CSR pays exactly as
-  // it does for substitution; A1 rides along for the residual.
-  const bool use_sparse =
-      opts.sparse &&
-      0.5 * (dense_fraction(a1) + dense_fraction(a2)) <= kCsrDensityGate;
-  if (use_sparse) {
-    w.a1_csr.assign_from_dense(a1);
-    w.a2_csr.assign_from_dense(a2);
-  }
-
-  RSolveResult out;
-  w.r_cur.assign_zero(d, d);
-  bool converged = false;
-  double delta = 0.0;
-  std::uint64_t inner_total = 0;
-  for (int it = 1; it <= opts.max_iter; ++it) {
-    // S = A1 + R A2 (iu), F = A0 + R S (r_num), M = -S factored once.
-    // The dense R-sided products run through the packed tiled kernel
-    // when opts.tiled (R packs once per outer step and both the F
-    // product and every inner sweep reuse the pack) — bitwise identical
-    // to multiply_into either way, like everywhere else.
-    if (use_sparse) {
-      linalg::multiply_into(w.r_t, w.r_cur, w.a2_csr);
-    } else {
-      linalg::multiply_into(w.r_t, w.r_cur, a2);
-    }
-    w.iu = a1;
-    w.iu += w.r_t;
-    if (opts.tiled) {
-      w.gp_h_a.pack(w.r_cur);
-      w.gp_l_b.pack(w.iu);
-      linalg::gemm_packed_into(w.r_num, w.gp_h_a, w.gp_l_b);
-    } else {
-      linalg::multiply_into(w.r_num, w.r_cur, w.iu);
-    }
-    w.r_num += a0;
-    w.iu *= -1.0;
-    const linalg::Lu lu(w.iu);
-    // Inner fixed point for H S + R H A2 = -F, seeded H = F M^{-1}. The
-    // sweep contracts like sp(R): linear, but each sweep is only two
-    // products and one blocked right-division against the shared factor.
-    lu.solve_right_into(w.r_num, w.h);
-    bool inner_ok = false;
-    double inner_delta = 0.0;
-    int sweeps = 1;
-    for (; sweeps < opts.max_iter; ++sweeps) {
-      if (opts.tiled) {
-        w.gp_h_b.pack(w.h);
-        linalg::gemm_packed_into(w.hh, w.gp_h_a, w.gp_h_b);
-      } else {
-        linalg::multiply_into(w.hh, w.r_cur, w.h);
-      }
-      if (use_sparse) {
-        linalg::multiply_into(w.ll, w.hh, w.a2_csr);
-      } else {
-        linalg::multiply_into(w.ll, w.hh, a2);
-      }
-      w.ll += w.r_num;
-      lu.solve_right_into(w.ll, w.t);
-      inner_delta = linalg::max_abs_diff(w.t, w.h);
-      std::swap(w.h, w.t);
-      if (inner_delta <= opts.tol) {
-        inner_ok = true;
-        break;
-      }
-    }
-    inner_total += static_cast<std::uint64_t>(sweeps);
-    out.iterations = it;
-    if (!inner_ok) {
-      obs::count("qbd.rsolve.newton.iterations",
-                 static_cast<std::uint64_t>(out.iterations));
-      obs::count("qbd.rsolve.newton.inner_sweeps", inner_total);
-      throw NumericalError(
-          "Newton iteration for R: inner Sylvester sweep exhausted "
-          "max_iter=" +
-          std::to_string(opts.max_iter) + " at outer iteration " +
-          std::to_string(it) + " (last sweep step " +
-          std::to_string(inner_delta) + " > tol " + std::to_string(opts.tol) +
-          "); the chain is likely not positive recurrent");
-    }
-    delta = w.h.max_abs();
-    w.r_cur += w.h;
-    if (delta <= opts.tol) {
-      converged = true;
-      break;
-    }
-  }
-  obs::count("qbd.rsolve.newton.iterations",
-             static_cast<std::uint64_t>(out.iterations));
-  obs::count("qbd.rsolve.newton.inner_sweeps", inner_total);
-  span.arg("iterations", static_cast<std::int64_t>(out.iterations));
-  out.residual = r_residual(w.r_cur, a0, a1, a2, w, use_sparse);
-  if (!converged) {
-    throw NumericalError(
-        "Newton iteration for R exhausted max_iter=" +
-        std::to_string(opts.max_iter) + " (last step " +
-        std::to_string(delta) + " > tol " + std::to_string(opts.tol) +
-        ", residual " + std::to_string(out.residual) +
-        "); the chain is likely not positive recurrent");
-  }
-  if (out.residual > 1e-8 * std::max(1.0, a1.max_abs())) {
-    throw NumericalError(
-        "Newton iteration for R converged in " +
-        std::to_string(out.iterations) + " iterations but the residual " +
-        std::to_string(out.residual) +
-        " fails the defining equation; the chain is likely not positive "
-        "recurrent");
-  }
-  out.r = w.r_cur;
-  return out;
-}
-
-RSolveResult solve_r_cyclic_reduction(const Matrix& a0, const Matrix& a1,
-                                      const Matrix& a2,
-                                      const RSolveOptions& opts,
-                                      Workspace* ws) {
-  const std::size_t d = a1.rows();
-  GS_CHECK(a0.rows() == d && a2.rows() == d, "R solve: block size mismatch");
-
-  obs::Span span("qbd.rsolve.cyclicreduction");
-  span.arg("d", static_cast<std::int64_t>(d));
-  obs::count("qbd.rsolve.cyclicreduction.count");
-
-  Workspace local;
-  Workspace& w = ws ? *ws : local;
-  std::optional<obs::Span> stage;
-  stage.emplace("qbd.rsolve.cyclicreduction.setup");
-
-  // The shrinking-chain iterates start at the originals; hat-A1 censors
-  // the even levels down to level one: hat <- hat - A0 A1^{-1} A2.
-  w.cr_a0 = a0;
-  w.cr_a1 = a1;
-  w.cr_a2 = a2;
-  w.cr_hat = a1;
-
-  // Same densification story as log reduction: the CR iterates are
-  // products of solves and fill in after one step, so CSR only pays in
-  // the final stage (structured A0) and the residual (A1/A2).
-  const bool sparse_final = opts.sparse && dense_fraction(a0) <= kCsrDensityGate;
-  const bool sparse_resid =
-      opts.sparse &&
-      0.5 * (dense_fraction(a1) + dense_fraction(a2)) <= kCsrDensityGate;
-  if (sparse_final) w.a0_csr.assign_from_dense(a0);
-  if (sparse_resid) {
-    w.a1_csr.assign_from_dense(a1);
-    w.a2_csr.assign_from_dense(a2);
-  }
-  stage.emplace("qbd.rsolve.cyclicreduction.loop");
-
-  RSolveResult out;
-  bool converged = false;
-  for (int it = 1; it <= opts.max_iter; ++it) {
-    // One elimination step. A1^(k) is the diagonal block of a generator
-    // restricted to a transient level set, hence nonsingular until the
-    // iterates underflow past convergence (the Lu throws if a degenerate
-    // input does make it singular).
-    const linalg::Lu lu(w.cr_a1);
-    lu.solve_into(w.cr_a0, w.cr_t0, opts.tiled);  // T0 = A1^{-1} A0
-    lu.solve_into(w.cr_a2, w.cr_t2, opts.tiled);  // T2 = A1^{-1} A2
-    // Four products over two A-side and two B-side operands — one
-    // grouped pass, same shape as the log-reduction squaring pass.
-    if (opts.tiled) {
-      w.gp_h_a.pack(w.cr_a0);
-      w.gp_l_a.pack(w.cr_a2);
-      w.gp_h_b.pack(w.cr_t0);
-      w.gp_l_b.pack(w.cr_t2);
-      const linalg::GemmOp elim[4] = {
-          {&w.incr, &w.gp_h_a, &w.gp_l_b},  // A0 A1^{-1} A2
-          {&w.lh, &w.gp_l_a, &w.gp_h_b},    // A2 A1^{-1} A0
-          {&w.hh, &w.gp_h_a, &w.gp_h_b},    // A0 A1^{-1} A0
-          {&w.ll, &w.gp_l_a, &w.gp_l_b},    // A2 A1^{-1} A2
-      };
-      linalg::gemm_grouped(elim, 4);
-      obs::count("qbd.rsolve.cyclicreduction.grouped_passes");
-    } else {
-      linalg::multiply_into(w.incr, w.cr_a0, w.cr_t2);
-      linalg::multiply_into(w.lh, w.cr_a2, w.cr_t0);
-      linalg::multiply_into(w.hh, w.cr_a0, w.cr_t0);
-      linalg::multiply_into(w.ll, w.cr_a2, w.cr_t2);
-    }
-    w.cr_hat -= w.incr;
-    w.cr_a1 -= w.incr;
-    w.cr_a1 -= w.lh;
-    w.cr_a0 = w.hh;
-    w.cr_a0 *= -1.0;
-    w.cr_a2 = w.ll;
-    w.cr_a2 *= -1.0;
-    out.iterations = it;
-    // The odd-level coupling A0 A1^{-1} A2 is what hat-A1 still moves by;
-    // it collapses quadratically along with the off-diagonal iterates.
-    if (w.incr.max_abs() <= opts.tol) {
-      converged = true;
-      break;
-    }
-  }
-
-  obs::count("qbd.rsolve.cyclicreduction.iterations",
-             static_cast<std::uint64_t>(out.iterations));
-  span.arg("iterations", static_cast<std::int64_t>(out.iterations));
-  stage.emplace("qbd.rsolve.cyclicreduction.final");
-
-  // G = -(hat-A1)^{-1} A2 against the *original* A2, then R from G by the
-  // same final stage as log reduction: R (-(A1 + A0 G)) = A0.
-  w.tmp = a2;
-  w.tmp *= -1.0;
-  const linalg::Lu lu_hat(w.cr_hat);
-  lu_hat.solve_into(w.tmp, w.g, opts.tiled);
-  if (sparse_final) {
-    linalg::multiply_into(w.tmp, w.a0_csr, w.g);
-  } else {
-    linalg::multiply_into(w.tmp, a0, w.g);
-  }
-  w.iu = a1;
-  w.iu += w.tmp;
-  w.iu *= -1.0;
-  const linalg::Lu lu_negu(w.iu);
-  lu_negu.solve_right_into(a0, out.r);
-  out.g = w.g;
-  out.residual = r_residual(out.r, a0, a1, a2, w, sparse_resid);
-  stage.reset();
-  if (!converged) {
-    throw NumericalError(
-        "cyclic reduction for R exhausted max_iter=" +
-        std::to_string(opts.max_iter) + " (last increment " +
-        std::to_string(w.incr.max_abs()) + " > tol " +
-        std::to_string(opts.tol) + ", residual " +
-        std::to_string(out.residual) + ")");
-  }
-  if (out.residual > 1e-8 * std::max(1.0, a1.max_abs())) {
-    throw NumericalError(
-        "cyclic reduction for R did not converge (residual " +
-        std::to_string(out.residual) + " after " +
-        std::to_string(out.iterations) + " iterations)");
-  }
-  return out;
-}
-
 }  // namespace gs::qbd

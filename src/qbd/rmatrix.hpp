@@ -3,13 +3,13 @@
 //     A0 + R A1 + R^2 A2 = 0                      (eq. 23 of the paper)
 //
 // under the convention pi_{n+1} = pi_n R for the repeating levels.
-// Two algorithms:
-//  * successive substitution  R_next (-A1) = A0 + R (R A2)  solved by a
-//    right division against one LU of -A1 (linear convergence, trivially
-//    correct — kept as a cross-check), and
-//  * logarithmic reduction (Latouche–Ramaswami) for G, the first-passage
-//    matrix solving A2 + A1 G + A0 G^2 = 0, followed by
-//    R = A0 (-(A1 + A0 G))^{-1}  (quadratic convergence — the default).
+// The solver uses one algorithm, logarithmic reduction (Latouche–
+// Ramaswami): it computes G, the first-passage matrix solving
+// A2 + A1 G + A0 G^2 = 0, then R = A0 (-(A1 + A0 G))^{-1} (quadratic
+// convergence). Successive substitution, R_next (-A1) = A0 + R (R A2)
+// solved by a right division against one LU of -A1, stays as a free
+// function: linear and slow, but trivially correct, so tests use it as
+// the oracle for log reduction and bench/qbd_kernels times it.
 #pragma once
 
 #include "linalg/gemm.hpp"
@@ -21,7 +21,7 @@ namespace gs::qbd {
 
 using linalg::Matrix;
 
-/// Solver knobs shared by both R algorithms. Thread-compatible: one
+/// Knobs for the R solvers. Thread-compatible: one
 /// options object may drive concurrent solves (it is only read).
 ///
 /// Stage timings that used to live in RSolveProfile now flow through the
@@ -49,10 +49,10 @@ struct RSolveOptions {
   /// is also bitwise-invisible.
   bool sparse = true;
   /// Run the iterate-heavy inner stages through the tiled kernel suite:
-  /// the dense products of the log-reduction squaring loop (and the
-  /// cyclic-reduction updates) go through the packed tiled GEMM kernel
-  /// (linalg/gemm.hpp), grouped so the packed iterates amortize across
-  /// the products of one iteration, and the (I-U)^{-1} substitution
+  /// the dense products of the log-reduction squaring loop go through the
+  /// packed tiled GEMM kernel (linalg/gemm.hpp), grouped so the packed
+  /// iterates amortize across the products of one iteration, and the
+  /// (I-U)^{-1} substitution
   /// sweeps advance a block of right-hand sides per factor read
   /// (Lu::solve_into blocked_rhs). On by default: every tiled kernel is
   /// bitwise identical to the one it replaces (see gemm.hpp / lu.hpp),
@@ -92,13 +92,9 @@ struct Workspace {
   linalg::SparseMatrix a0_csr, a1_csr, a2_csr, rt_csr;
   // r_residual scratch: R A1, R R, (R R) A2, and the running sum.
   Matrix res_ra1, res_rr, res_rra2, res_acc;
-  // Cyclic reduction: the shrinking A0/A1/A2 iterates, the accumulated
-  // hat-A1, and the two one-step solve results T0/T2.
-  Matrix cr_a0, cr_a1, cr_a2, cr_hat, cr_t0, cr_t2;
   // Packed-GEMM operand buffers for the grouped iterate products
   // (RSolveOptions::tiled): two A-side and two B-side packs cover one
-  // squaring pass, gp_t_a the G/T carry pass; cyclic reduction reuses
-  // the same five.
+  // squaring pass, gp_t_a the G/T carry pass.
   linalg::GemmPackA gp_h_a, gp_l_a, gp_t_a;
   linalg::GemmPackB gp_h_b, gp_l_b;
   // Revalue staging for the gang fixed point: ClassProcess rebuilds its
@@ -125,40 +121,6 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
                                   const Matrix& a2,
                                   const RSolveOptions& opts = {},
                                   Workspace* ws = nullptr);
-
-/// Cyclic reduction (Bini-Meini): halve the level set each step by
-/// eliminating the odd levels, tracking the censored first-level block
-/// hat-A1 whose limit gives G = -(hat-A1)^{-1} A2, then R from G exactly
-/// as the logarithmic-reduction final stage. Quadratically convergent
-/// like log reduction but with two multi-RHS solves and four (groupable)
-/// products per step instead of two solves and six products — a third
-/// backend cross-checked against the other two at tolerance (CR takes
-/// its own rounding path, so agreement is numerical, not bitwise).
-RSolveResult solve_r_cyclic_reduction(const Matrix& a0, const Matrix& a1,
-                                      const Matrix& a2,
-                                      const RSolveOptions& opts = {},
-                                      Workspace* ws = nullptr);
-
-/// Newton's iteration for the minimal R, from R = 0. Each outer step
-/// solves the Frechet-derivative equation of F(R) = A0 + R A1 + R^2 A2
-/// exactly: with S = A1 + R A2 and F = A0 + R S, the correction H obeys
-/// the Sylvester equation H S + R H A2 = -F, solved by the inner fixed
-/// point H <- (F + R H A2) (-S)^{-1} (one LU of -S per outer step,
-/// seeded H = F (-S)^{-1}). R starts at 0, so -S starts as the M-matrix
-/// -A1 and stays invertible for positive recurrent chains; the first
-/// outer step reproduces one substitution step exactly. Outer
-/// convergence is quadratic in the step max|H| (versus substitution's
-/// linear and log reduction's level-doubling); the inner sweep contracts
-/// like sp(R), so near saturation the inner loop, capped at the same
-/// max_iter, can exhaust first — that throw is the cue qbd::solve uses
-/// to fall back to log reduction. Throws gs::NumericalError on inner or
-/// outer exhaustion and on a failed defining-equation residual.
-/// Cross-checked against the other three backends at tolerance (Newton
-/// walks a different iterate sequence, so agreement is numerical, not
-/// bitwise).
-RSolveResult solve_r_newton(const Matrix& a0, const Matrix& a1,
-                            const Matrix& a2, const RSolveOptions& opts = {},
-                            Workspace* ws = nullptr);
 
 /// max|A0 + R A1 + R^2 A2| — the defining-equation residual.
 double r_residual(const Matrix& r, const Matrix& a0, const Matrix& a1,

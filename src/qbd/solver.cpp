@@ -152,29 +152,8 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
     }
   }
 
-  RSolveResult rres;
-  if (opts.r_method == RMethod::kNewton) {
-    // Newton's inner Sylvester sweep contracts like sp(R): near
-    // saturation it can exhaust before the quadratic outer step pays
-    // off. That throw is recoverable by construction — fall back to the
-    // quadratic default on the same blocks, counted so the bench and
-    // the batched path (solve_r_batch mirrors this per lane) can see it.
-    try {
-      rres = solve_r_newton(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
-    } catch (const NumericalError&) {
-      obs::count("qbd.rsolve.newton.fallback");
-      rres = solve_r_logreduction(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
-    }
-  } else {
-    rres = opts.r_method == RMethod::kLogReduction
-               ? solve_r_logreduction(blk.a0, blk.a1, blk.a2, opts.r_options,
-                                      &w)
-           : opts.r_method == RMethod::kCyclicReduction
-               ? solve_r_cyclic_reduction(blk.a0, blk.a1, blk.a2,
-                                          opts.r_options, &w)
-               : solve_r_substitution(blk.a0, blk.a1, blk.a2, opts.r_options,
-                                      &w);
-  }
+  const RSolveResult rres =
+      solve_r_logreduction(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
   return solve_with_r(process, rres.r, opts, &w);
 }
 

@@ -1,5 +1,5 @@
 // Full stationary solution of a QBD process (Theorem 4.2):
-//   * R from the repeating blocks,
+//   * R from the repeating blocks by logarithmic reduction,
 //   * boundary vector from the finite balance system (eqs. 21–22, 25–26),
 //   * normalization via the matrix-geometric tail (eq. 24),
 // and the performance measures built on it (eq. 37).
@@ -12,22 +12,11 @@
 
 namespace gs::qbd {
 
-/// Which fixed-point algorithm computes Neuts' R matrix. All converge
-/// to the same R; logarithmic reduction is quadratically convergent
-/// (the default), successive substitution is linear but cheaper per
-/// iteration on very sparse blocks, cyclic reduction (Bini-Meini) is a
-/// second quadratic algorithm on a different recurrence — kept as an
-/// independent cross-check of the default — and Newton's iteration is
-/// quadratic in the outer step with the fewest fixed-point iterations
-/// of the four near saturation; when its inner Sylvester sweep stalls,
-/// solve() falls back to log reduction. See DESIGN.md § R-matrix.
-enum class RMethod { kLogReduction, kSubstitution, kCyclicReduction, kNewton };
-
 /// Knobs for solve(). The defaults reproduce the paper's configuration.
 struct SolveOptions {
-  /// R-matrix algorithm; the answer is method-independent to tolerance.
-  RMethod r_method = RMethod::kLogReduction;
-  /// Tolerance / iteration caps forwarded to the R solver.
+  /// Tolerance / iteration caps forwarded to the R solver (logarithmic
+  /// reduction, the only algorithm solve() runs — see DESIGN.md
+  /// § R-matrix).
   RSolveOptions r_options{};
   /// When false (default) an unstable chain (drift condition violated)
   /// raises gs::NumericalError before any expensive work.

@@ -176,20 +176,6 @@ const char* init_name(gang::InitMode m) {
   return m == gang::InitMode::kOptimistic ? "optimistic" : "heavy_traffic";
 }
 
-const char* r_method_name(qbd::RMethod m) {
-  switch (m) {
-    case qbd::RMethod::kSubstitution:
-      return "substitution";
-    case qbd::RMethod::kCyclicReduction:
-      return "cyclic_reduction";
-    case qbd::RMethod::kNewton:
-      return "newton";
-    case qbd::RMethod::kLogReduction:
-      break;
-  }
-  return "logreduction";
-}
-
 }  // namespace
 
 Json options_to_json(const gang::GangSolveOptions& options) {
@@ -208,7 +194,10 @@ Json options_to_json(const gang::GangSolveOptions& options) {
   out.set("fallback_to_optimistic", options.fallback_to_optimistic);
   out.set("queue_dist_levels", options.queue_dist_levels);
   Json qbd = Json::object();
-  qbd.set("r_method", r_method_name(options.qbd.r_method));
+  // Log reduction is the only R algorithm; the member stays in the
+  // canonical form so scenario hashes match those computed when the
+  // algorithm was selectable.
+  qbd.set("r_method", "logreduction");
   qbd.set("r_tol", options.qbd.r_options.tol);
   qbd.set("r_max_iter", options.qbd.r_options.max_iter);
   out.set("qbd", std::move(qbd));
@@ -266,18 +255,10 @@ gang::GangSolveOptions options_from_json(const Json& v) {
     check_keys(*x, {"r_method", "r_tol", "r_max_iter"}, "options.qbd");
     if (const Json* y = x->find("r_method")) {
       const std::string& s = y->as_string();
-      if (s == "logreduction")
-        o.qbd.r_method = qbd::RMethod::kLogReduction;
-      else if (s == "substitution")
-        o.qbd.r_method = qbd::RMethod::kSubstitution;
-      else if (s == "cyclic_reduction")
-        o.qbd.r_method = qbd::RMethod::kCyclicReduction;
-      else if (s == "newton")
-        o.qbd.r_method = qbd::RMethod::kNewton;
-      else
-        throw InvalidArgument(
-            "qbd.r_method must be 'logreduction', 'substitution', "
-            "'cyclic_reduction', or 'newton'");
+      if (s != "logreduction")
+        throw InvalidArgument("qbd.r_method '" + s +
+                              "' is not available: the only R algorithm "
+                              "is 'logreduction'");
     }
     if (const Json* y = x->find("r_tol"))
       o.qbd.r_options.tol = y->as_double();

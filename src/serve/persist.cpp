@@ -10,7 +10,9 @@
 // lines stamped with any other revision (or none, as in snapshots from
 // before the stamp existed) are skipped on load and counted in
 // serve.cache.snapshot_stale: the daemon re-solves those scenarios on
-// demand instead of replaying stale answers.
+// demand instead of replaying stale answers. Lines whose options name an
+// R algorithm that has since been removed are skipped and counted the
+// same way.
 //
 // The scenario member is the canonical scenario object itself (the hash
 // preimage), so loading re-derives the scenario hash with fnv1a64 over
@@ -39,6 +41,19 @@ using json::Json;
 // Revision 1: the Anderson-accelerated fixed-point update
 // (gang/anderson.hpp).
 constexpr std::int64_t kSolverRevision = 1;
+
+// R algorithms earlier solvers could select through options.qbd.r_method.
+// A line naming one describes a scenario no request can reach any more
+// (options_from_json rejects it), so it is skipped as stale instead of
+// failing the load.
+bool names_removed_r_method(const Json& options) {
+  const Json* qbd = options.is_object() ? options.find("qbd") : nullptr;
+  const Json* m =
+      qbd != nullptr && qbd->is_object() ? qbd->find("r_method") : nullptr;
+  if (m == nullptr || !m->is_string()) return false;
+  const std::string& s = m->as_string();
+  return s == "newton" || s == "cyclic_reduction" || s == "substitution";
+}
 
 Json class_to_json_full(const gang::ClassResult& c) {
   Json out = Json::object();
@@ -164,6 +179,10 @@ std::size_t EvalService::load_cache(std::istream& in) {
       key = json::fnv1a64(canon);
       const gang::SystemParams params =
           params_from_json(scenario.at("system"));
+      if (names_removed_r_method(scenario.at("options"))) {
+        ++stale;
+        continue;
+      }
       const gang::GangSolveOptions opts =
           options_from_json(scenario.at("options"));
       shape = structure_hash(params, opts);
@@ -188,7 +207,8 @@ std::size_t EvalService::load_cache(std::istream& in) {
   if (stale > 0) {
     obs::count("serve.cache.snapshot_stale", stale);
     log::warn("cache snapshot: skipped ", stale,
-              " entries from another solver revision");
+              " entries from another solver revision or a removed R "
+              "algorithm");
   }
   return loaded;
 }

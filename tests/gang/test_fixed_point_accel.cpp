@@ -4,9 +4,8 @@
 // state a warm restart accepts at once, and keeps the plain update (and
 // its verdicts) where the safeguards say it must.
 //
-// Solves go through GangSolver::solve_batch at GS_BATCH_WIDTH lanes and
-// the R backend named by GS_R_METHOD when CI exports them (unset: width 8
-// and each test's own backend), so the suite also runs per matrix leg.
+// Solves go through GangSolver::solve_batch at GS_BATCH_WIDTH lanes when
+// CI exports it (unset: width 8), so the suite also runs per matrix leg.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,22 +30,6 @@ std::size_t width_under_test() {
   if (const char* env = std::getenv("GS_BATCH_WIDTH"); env != nullptr)
     return static_cast<std::size_t>(std::stoul(env));
   return 8;
-}
-
-GangSolveOptions with_env_r_method(GangSolveOptions options) {
-  if (const char* env = std::getenv("GS_R_METHOD"); env != nullptr) {
-    const std::string s = env;
-    if (s == "newton") {
-      options.qbd.r_method = qbd::RMethod::kNewton;
-    } else if (s == "substitution") {
-      options.qbd.r_method = qbd::RMethod::kSubstitution;
-    } else if (s == "cyclic_reduction") {
-      options.qbd.r_method = qbd::RMethod::kCyclicReduction;
-    } else if (s == "logreduction") {
-      options.qbd.r_method = qbd::RMethod::kLogReduction;
-    }
-  }
-  return options;
 }
 
 SystemParams quantum_system(double arrival_rate, double quantum_mean) {
@@ -106,7 +89,6 @@ TEST(FixedPointAcceleration, Figure2GridConvergesWithinDefaultCap) {
     xs.push_back(0.25 + 3.75 * static_cast<double>(i) /
                             static_cast<double>(kPoints - 1));
   workload::SweepOptions opts;
-  opts.solver = with_env_r_method(opts.solver);
   opts.batch_width = width_under_test();
   const std::vector<workload::SweepPoint> points = workload::sweep(
       xs, [](double q) { return quantum_system(0.4, q); }, opts);
@@ -123,7 +105,7 @@ TEST(FixedPointAcceleration, DefaultTolAnswersMatchTightTolSolve) {
   // Stopping when successive N_p move less than tol must leave each
   // answer within 10 tol of the fixed point itself.
   const std::vector<Scenario> scenarios = figure_scenarios();
-  const GangSolveOptions base = with_env_r_method({});
+  const GangSolveOptions base{};
   GangSolveOptions tight = base;
   tight.tol = 1e-12;
   tight.max_iterations = 200;
@@ -156,7 +138,7 @@ TEST(FixedPointAcceleration, WarmRestartFromFinalSlicesStopsAtOnce) {
   for (const double q : {1.0, 4.0})
     scenarios.push_back({"fig3 q=" + std::to_string(q),
                          quantum_system(0.9, q)});
-  const GangSolveOptions options = with_env_r_method({});
+  const GangSolveOptions options{};
   std::vector<GangSolver> solvers;
   for (const Scenario& s : scenarios) solvers.emplace_back(s.params, options);
   std::vector<SolveReport> cold;
@@ -182,7 +164,7 @@ TEST(FixedPointAcceleration, OptimisticInitKeepsPlainUpdateAndVerdict) {
   // initialization, so the solve falls back to the optimistic one, which
   // keeps the plain update: its verdict (the cap, unconverged) and its
   // iteration count are those of the plain iteration.
-  const GangSolveOptions options = with_env_r_method({});
+  const GangSolveOptions options{};
   const std::vector<GangSolver> solvers{GangSolver(figure4_system(2.0),
                                                    options)};
   const SolveReport scalar = solvers[0].solve();

@@ -76,19 +76,6 @@ TEST(GangSparseEquivalence, Figure5FavoredClass) {
                "figure5");
 }
 
-TEST(GangSparseEquivalence, SubstitutionSolverAgreesToo) {
-  workload::PaperKnobs knobs;
-  knobs.arrival_rate = 0.4;
-  const SystemParams sys = workload::paper_system(knobs);
-  GangSolveOptions sparse;
-  sparse.qbd.r_method = qbd::RMethod::kSubstitution;
-  sparse.qbd.r_options.sparse = true;
-  GangSolveOptions dense = sparse;
-  dense.qbd.r_options.sparse = false;
-  expect_identical(GangSolver(sys, sparse).solve(),
-                   GangSolver(sys, dense).solve());
-}
-
 // The revalue path: rebuilding a ClassProcess's blocks into the staged
 // workspace and revaluing the live QbdProcess must leave exactly the
 // blocks a from-scratch construction produces.

@@ -1,5 +1,5 @@
 // Batched R-solver contract tests: lane-by-lane bitwise equality with the
-// scalar solvers (iterate counts and residuals included), independent
+// scalar solver (iterate counts and residuals included), independent
 // lane retirement, mask independence, the scalar error text on failing
 // lanes, and the qbd.batch.* observability counters.
 #include "qbd/batch.hpp"
@@ -53,26 +53,22 @@ BatchBlocks pack(const std::vector<QbdBlocks>& lanes) {
   return b;
 }
 
-// Batched-vs-scalar on every lane, for one method. When the scalar solve
-// throws for a lane, the batched lane must carry the identical message.
-void check_method(const std::vector<QbdBlocks>& lanes, RMethod method,
-                  const RSolveOptions& opts) {
+// Batched-vs-scalar on every lane. When the scalar solve throws for a
+// lane, the batched lane must carry the identical message.
+void check_lanes(const std::vector<QbdBlocks>& lanes,
+                 const RSolveOptions& opts) {
   const std::size_t width = lanes.size();
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w;
   BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(width), method, opts, w, res);
+  solve_r_logreduction_batch(blocks, LaneMask(width), opts, w, res);
 
   Matrix got;
   for (std::size_t l = 0; l < width; ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
     try {
       const RSolveResult want =
-          method == RMethod::kSubstitution
-              ? solve_r_substitution(lanes[l].a0, lanes[l].a1, lanes[l].a2,
-                                     opts)
-              : solve_r_logreduction(lanes[l].a0, lanes[l].a1, lanes[l].a2,
-                                     opts);
+          solve_r_logreduction(lanes[l].a0, lanes[l].a1, lanes[l].a2, opts);
       ASSERT_TRUE(res.ok(l)) << res.error[l];
       res.r.store_lane(l, got);
       EXPECT_EQ(gs::linalg::max_abs_diff(got, want.r), 0.0);
@@ -85,103 +81,7 @@ void check_method(const std::vector<QbdBlocks>& lanes, RMethod method,
 }
 
 TEST(BatchRSolve, LogreductionMatchesScalarPerLane) {
-  check_method(lane_blocks(3, 8), RMethod::kLogReduction, {});
-}
-
-TEST(BatchRSolve, SubstitutionMatchesScalarPerLane) {
-  check_method(lane_blocks(3, 4), RMethod::kSubstitution, {});
-}
-
-TEST(BatchRSolve, NewtonMatchesScalarPerLane) {
-  // The lock-step Newton solver (direct, no fallback merge) must
-  // reproduce the scalar Newton lane by lane: same bits, same outer
-  // iteration counts, same residual.
-  const std::vector<QbdBlocks> lanes = lane_blocks(3, 8);
-  const std::size_t width = lanes.size();
-  const BatchBlocks blocks = pack(lanes);
-  BatchWorkspace w;
-  BatchRSolveResult res;
-  solve_r_newton_batch(blocks, LaneMask(width), {}, w, res);
-  Matrix got;
-  for (std::size_t l = 0; l < width; ++l) {
-    SCOPED_TRACE("lane " + std::to_string(l));
-    const RSolveResult want =
-        solve_r_newton(lanes[l].a0, lanes[l].a1, lanes[l].a2, {});
-    ASSERT_TRUE(res.ok(l)) << res.error[l];
-    res.r.store_lane(l, got);
-    EXPECT_EQ(gs::linalg::max_abs_diff(got, want.r), 0.0);
-    EXPECT_EQ(res.iterations[l], want.iterations);
-    EXPECT_EQ(res.residual[l], want.residual);
-  }
-}
-
-TEST(BatchRSolve, NewtonFailedLaneFallsBackToLogReductionInBatch) {
-  // A near-saturated lane exhausts Newton's inner Sylvester sweep under a
-  // small budget while the light lane converges. The raw batched Newton
-  // must carry the exact scalar error text on the hard lane; the
-  // solve_r_batch dispatch must then replay that lane through the batched
-  // log reduction and hand back its bits — the batch mirror of
-  // qbd::solve's fallback.
-  RSolveOptions opts;
-  opts.max_iter = 200;
-  std::vector<QbdBlocks> lanes = {make_blocks(2, 0.2, 1.1),
-                                  make_blocks(2, 1.05, 1.1)};
-  const BatchBlocks blocks = pack(lanes);
-
-  std::string scalar_newton_error;
-  try {
-    solve_r_newton(lanes[1].a0, lanes[1].a1, lanes[1].a2, opts);
-    FAIL() << "scalar Newton should exhaust its inner sweep";
-  } catch (const gs::Error& e) {
-    scalar_newton_error = e.what();
-  }
-  EXPECT_NE(scalar_newton_error.find("inner Sylvester sweep"),
-            std::string::npos)
-      << scalar_newton_error;
-
-  BatchWorkspace w_raw;
-  BatchRSolveResult raw;
-  solve_r_newton_batch(blocks, LaneMask(2), opts, w_raw, raw);
-  EXPECT_TRUE(raw.ok(0)) << raw.error[0];
-  ASSERT_FALSE(raw.ok(1));
-  EXPECT_EQ(raw.error[1], scalar_newton_error);
-
-  BatchWorkspace w;
-  BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(2), RMethod::kNewton, opts, w, res);
-  ASSERT_TRUE(res.ok(0)) << res.error[0];
-  ASSERT_TRUE(res.ok(1)) << res.error[1];
-  Matrix got;
-  // Lane 0 keeps its Newton bits...
-  const RSolveResult nw =
-      solve_r_newton(lanes[0].a0, lanes[0].a1, lanes[0].a2, opts);
-  res.r.store_lane(0, got);
-  EXPECT_EQ(gs::linalg::max_abs_diff(got, nw.r), 0.0);
-  EXPECT_EQ(res.iterations[0], nw.iterations);
-  // ...and lane 1 carries the log-reduction replay, bitwise.
-  const RSolveResult lr =
-      solve_r_logreduction(lanes[1].a0, lanes[1].a1, lanes[1].a2, opts);
-  res.r.store_lane(1, got);
-  EXPECT_EQ(gs::linalg::max_abs_diff(got, lr.r), 0.0);
-  EXPECT_EQ(res.iterations[1], lr.iterations);
-  EXPECT_EQ(res.residual[1], lr.residual);
-}
-
-TEST(BatchRSolve, NewtonPublishesFallbackCounter) {
-  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
-  gs::obs::reset();
-  RSolveOptions opts;
-  opts.max_iter = 200;
-  std::vector<QbdBlocks> lanes = {make_blocks(2, 0.2, 1.1),
-                                  make_blocks(2, 1.05, 1.1)};
-  const BatchBlocks blocks = pack(lanes);
-  BatchWorkspace w;
-  BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(2), RMethod::kNewton, opts, w, res);
-  const gs::obs::Snapshot snap = gs::obs::snapshot();
-  EXPECT_EQ(snap.counter_value("qbd.rsolve.newton.count"), 2u);
-  EXPECT_EQ(snap.counter_value("qbd.rsolve.newton.fallback"), 1u);
-  gs::obs::configure({});
+  check_lanes(lane_blocks(3, 8), {});
 }
 
 TEST(BatchRSolve, StageTimersCoverTheBatchLoop) {
@@ -193,7 +93,7 @@ TEST(BatchRSolve, StageTimersCoverTheBatchLoop) {
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w;
   BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(4), RMethod::kLogReduction, {}, w, res);
+  solve_r_logreduction_batch(blocks, LaneMask(4), {}, w, res);
   const gs::obs::Snapshot snap = gs::obs::snapshot();
   for (const char* t :
        {"qbd.batch.pack", "qbd.batch.gemm", "qbd.batch.trsm",
@@ -206,34 +106,36 @@ TEST(BatchRSolve, StageTimersCoverTheBatchLoop) {
 }
 
 TEST(BatchRSolve, LanesRetireAtTheirOwnIteration) {
-  // Light vs heavy load: the substitution solver's linear convergence
-  // spreads the retirement points far apart.
+  // Light vs heavy load: the heavy lane needs more squarings, so the
+  // light one retires first.
   std::vector<QbdBlocks> lanes = {make_blocks(2, 0.2, 1.1),
                                   make_blocks(2, 0.9, 1.1)};
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w;
   BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(2), RMethod::kSubstitution, {}, w, res);
+  solve_r_logreduction_batch(blocks, LaneMask(2), {}, w, res);
   ASSERT_TRUE(res.ok(0));
   ASSERT_TRUE(res.ok(1));
   EXPECT_LT(res.iterations[0], res.iterations[1]);
 }
 
 TEST(BatchRSolve, ExhaustedLaneCarriesScalarErrorOthersFinish) {
-  // A cap the light lane beats and the near-saturated lane cannot.
-  RSolveOptions opts;
-  opts.max_iter = 200;
+  // A cap the light lane beats and the near-saturated lane cannot: the
+  // light lane's own iteration count.
   std::vector<QbdBlocks> lanes = {make_blocks(2, 0.2, 1.1),
                                   make_blocks(2, 1.05, 1.1)};
+  RSolveOptions opts;
+  opts.max_iter =
+      solve_r_logreduction(lanes[0].a0, lanes[0].a1, lanes[0].a2).iterations;
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w;
   BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(2), RMethod::kSubstitution, opts, w, res);
+  solve_r_logreduction_batch(blocks, LaneMask(2), opts, w, res);
   EXPECT_TRUE(res.ok(0)) << res.error[0];
   ASSERT_FALSE(res.ok(1));
   std::string scalar_error;
   try {
-    solve_r_substitution(lanes[1].a0, lanes[1].a1, lanes[1].a2, opts);
+    solve_r_logreduction(lanes[1].a0, lanes[1].a1, lanes[1].a2, opts);
     FAIL() << "scalar solve should exhaust its iteration cap";
   } catch (const gs::Error& e) {
     scalar_error = e.what();
@@ -246,12 +148,11 @@ TEST(BatchRSolve, MaskSubsetsMatchFullMaskBitwise) {
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w_full, w_sub;
   BatchRSolveResult full, sub;
-  solve_r_batch(blocks, LaneMask(4), RMethod::kLogReduction, {}, w_full,
-                full);
+  solve_r_logreduction_batch(blocks, LaneMask(4), {}, w_full, full);
   LaneMask mask(4, false);
   mask.set(0, true);
   mask.set(2, true);
-  solve_r_batch(blocks, mask, RMethod::kLogReduction, {}, w_sub, sub);
+  solve_r_logreduction_batch(blocks, mask, {}, w_sub, sub);
   Matrix a, b;
   for (const std::size_t l : {0u, 2u}) {
     ASSERT_TRUE(sub.ok(l));
@@ -269,7 +170,7 @@ TEST(BatchRSolve, PublishesBatchCounters) {
   const BatchBlocks blocks = pack(lanes);
   BatchWorkspace w;
   BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(4), RMethod::kLogReduction, {}, w, res);
+  solve_r_logreduction_batch(blocks, LaneMask(4), {}, w, res);
   const gs::obs::Snapshot snap = gs::obs::snapshot();
   EXPECT_EQ(snap.counter_value("qbd.batch.lanes"), 4u);
   // retired counts *early* retirements: every lane except the last one

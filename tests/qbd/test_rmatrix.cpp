@@ -10,9 +10,7 @@ namespace {
 
 using gs::linalg::Matrix;
 using gs::qbd::r_residual;
-using gs::qbd::solve_r_cyclic_reduction;
 using gs::qbd::solve_r_logreduction;
-using gs::qbd::solve_r_newton;
 using gs::qbd::solve_r_substitution;
 namespace qt = gs::qbd::testing;
 
@@ -123,74 +121,6 @@ TEST(RMatrix, LogReductionReportsExhaustedIterations) {
   }
 }
 
-TEST(RMatrix, NewtonAgreesWithAllThreeBackends) {
-  // Newton walks its own iterate sequence, so agreement is at tolerance
-  // (the defining equation pins the common limit), across the load range.
-  for (double rho : {0.2, 0.5, 0.8, 0.95}) {
-    SCOPED_TRACE("rho " + std::to_string(rho));
-    const auto proc = qt::me21(rho, 1.0);
-    const auto& blk = proc.blocks();
-    const auto nw = solve_r_newton(blk.a0, blk.a1, blk.a2);
-    const auto lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-    const auto ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
-    const auto cr = solve_r_cyclic_reduction(blk.a0, blk.a1, blk.a2);
-    EXPECT_LT(gs::linalg::max_abs_diff(nw.r, lr.r), 1e-8);
-    EXPECT_LT(gs::linalg::max_abs_diff(nw.r, ss.r), 1e-8);
-    EXPECT_LT(gs::linalg::max_abs_diff(nw.r, cr.r), 1e-8);
-    EXPECT_LT(nw.residual, 1e-10);
-  }
-}
-
-TEST(RMatrix, NewtonNeedsFarFewerIterationsThanSubstitution) {
-  // The point of the second-order backend: the outer step is quadratic,
-  // so the fixed-point iteration count collapses vs substitution.
-  const auto proc = qt::me21(0.9, 1.0);
-  const auto& blk = proc.blocks();
-  const auto nw = solve_r_newton(blk.a0, blk.a1, blk.a2);
-  const auto ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
-  EXPECT_LT(nw.iterations, 16);
-  EXPECT_GT(ss.iterations, 4 * nw.iterations);
-}
-
-TEST(RMatrix, NewtonTogglesAreBitwiseInvisible) {
-  // sparse / tiled route through kernels that are bitwise identical to
-  // the ones they replace, so every toggle combination gives the same R
-  // to the last bit — same contract the other backends honor.
-  const auto proc = qt::me21(0.7, 1.0);
-  const auto& blk = proc.blocks();
-  const auto base = solve_r_newton(blk.a0, blk.a1, blk.a2);
-  for (bool sparse : {false, true}) {
-    for (bool tiled : {false, true}) {
-      gs::qbd::RSolveOptions opts;
-      opts.sparse = sparse;
-      opts.tiled = tiled;
-      const auto got = solve_r_newton(blk.a0, blk.a1, blk.a2, opts);
-      EXPECT_EQ(gs::linalg::max_abs_diff(got.r, base.r), 0.0)
-          << "sparse=" << sparse << " tiled=" << tiled;
-      EXPECT_EQ(got.iterations, base.iterations);
-    }
-  }
-}
-
-TEST(RMatrix, NewtonInnerExhaustionNamesTheSylvesterSweep) {
-  // Near saturation the inner sweep contracts like sp(R) and exhausts a
-  // small budget first; the message must name the inner sweep (it is the
-  // cue qbd::solve keys its log-reduction fallback on).
-  const auto proc = qt::me21(0.95, 1.0);
-  const auto& blk = proc.blocks();
-  gs::qbd::RSolveOptions opts;
-  opts.max_iter = 60;
-  try {
-    solve_r_newton(blk.a0, blk.a1, blk.a2, opts);
-    FAIL() << "expected NumericalError on inner-sweep exhaustion";
-  } catch (const gs::NumericalError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("inner Sylvester sweep exhausted"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("max_iter=60"), std::string::npos) << what;
-  }
-}
-
 TEST(RMatrix, WorkspaceReuseGivesIdenticalResults) {
   // A Workspace carried across solves of different chains must never
   // change any bit of the answers.
@@ -210,11 +140,6 @@ TEST(RMatrix, WorkspaceReuseGivesIdenticalResults) {
         solve_r_substitution(blk.a0, blk.a1, blk.a2, {}, &ws);
     EXPECT_EQ(fresh_ss.iterations, reused_ss.iterations);
     EXPECT_EQ(gs::linalg::max_abs_diff(fresh_ss.r, reused_ss.r), 0.0);
-
-    const auto fresh_nw = solve_r_newton(blk.a0, blk.a1, blk.a2);
-    const auto reused_nw = solve_r_newton(blk.a0, blk.a1, blk.a2, {}, &ws);
-    EXPECT_EQ(fresh_nw.iterations, reused_nw.iterations);
-    EXPECT_EQ(gs::linalg::max_abs_diff(fresh_nw.r, reused_nw.r), 0.0);
   }
 }
 

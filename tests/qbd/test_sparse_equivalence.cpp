@@ -52,14 +52,11 @@ void check_process(const QbdProcess& proc, const std::string& name) {
   expect_r_identical(solve_r_logreduction(a0, a1, a2, sparse_on, &ws_on),
                      solve_r_logreduction(a0, a1, a2, sparse_off, &ws_off));
 
-  for (RMethod method : {RMethod::kLogReduction, RMethod::kSubstitution}) {
-    SolveOptions on;
-    on.r_method = method;
-    on.r_options = sparse_on;
-    SolveOptions off = on;
-    off.r_options = sparse_off;
-    expect_solutions_identical(solve(proc, on), solve(proc, off));
-  }
+  SolveOptions on;
+  on.r_options = sparse_on;
+  SolveOptions off = on;
+  off.r_options = sparse_off;
+  expect_solutions_identical(solve(proc, on), solve(proc, off));
 }
 
 TEST(SparseEquivalence, Mm1) { check_process(gs::qbd::testing::mm1(0.6, 1.0), "mm1"); }

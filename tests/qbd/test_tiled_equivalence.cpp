@@ -1,9 +1,7 @@
 // The tiled-GEMM toggle must be invisible in the numbers, exactly like
 // the sparse toggle: with and without RSolveOptions::tiled the
 // log-reduction solver (scalar and batched, at several widths) must
-// produce bitwise-identical results. Cyclic reduction is a *different*
-// algorithm — its own rounding path — so it is cross-checked against the
-// other two backends at tolerance, not bit for bit.
+// produce bitwise-identical results.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -130,109 +128,6 @@ TEST(TiledEquivalence, BatchedWidths) {
       EXPECT_EQ(r_on.iterations[l], scalar.iterations);
       EXPECT_EQ(r_on.residual[l], scalar.residual);
     }
-  }
-}
-
-void check_cyclic_reduction(const QbdProcess& proc, const std::string& name) {
-  SCOPED_TRACE(name);
-  const Matrix& a0 = proc.blocks().a0;
-  const Matrix& a1 = proc.blocks().a1;
-  const Matrix& a2 = proc.blocks().a2;
-
-  const RSolveResult cr = solve_r_cyclic_reduction(a0, a1, a2);
-  const RSolveResult lr = solve_r_logreduction(a0, a1, a2);
-  const RSolveResult ss = solve_r_substitution(a0, a1, a2);
-
-  // Three independent algorithms, one minimal nonnegative solution.
-  EXPECT_LT(max_abs_diff(cr.r, lr.r), 1e-9);
-  EXPECT_LT(max_abs_diff(cr.r, ss.r), 1e-8);
-  EXPECT_LT(max_abs_diff(cr.g, lr.g), 1e-9);
-  EXPECT_LT(cr.residual, 1e-10);
-  EXPECT_GT(cr.iterations, 0);
-
-  // The tiled toggle is bitwise-invisible for CR exactly as for the
-  // others (same grouped-vs-plain product argument).
-  RSolveOptions tiled_off;
-  tiled_off.tiled = false;
-  Workspace ws;
-  const RSolveResult cr_off =
-      solve_r_cyclic_reduction(a0, a1, a2, tiled_off, &ws);
-  EXPECT_EQ(cr.iterations, cr_off.iterations);
-  EXPECT_EQ(cr.residual, cr_off.residual);
-  EXPECT_EQ(max_abs_diff(cr.r, cr_off.r), 0.0);
-  EXPECT_EQ(max_abs_diff(cr.g, cr_off.g), 0.0);
-
-  // End-to-end through the solve() dispatch: the stationary numbers
-  // agree with the default backend at tolerance.
-  SolveOptions cr_opts;
-  cr_opts.r_method = RMethod::kCyclicReduction;
-  const QbdSolution sol_cr = solve(proc, cr_opts);
-  const QbdSolution sol_lr = solve(proc, SolveOptions{});
-  EXPECT_NEAR(sol_cr.mean_level(), sol_lr.mean_level(), 1e-9);
-  EXPECT_NEAR(sol_cr.spectral_radius_r(), sol_lr.spectral_radius_r(), 1e-9);
-}
-
-TEST(CyclicReduction, Mm1) {
-  check_cyclic_reduction(gs::qbd::testing::mm1(0.6, 1.0), "mm1");
-}
-
-TEST(CyclicReduction, Mmc) {
-  check_cyclic_reduction(gs::qbd::testing::mmc(2.1, 1.0, 3), "mmc");
-}
-
-TEST(CyclicReduction, Me21) {
-  check_cyclic_reduction(gs::qbd::testing::me21(0.7, 1.0), "me21");
-}
-
-TEST(CyclicReduction, MultiPhaseChain) {
-  const QbdBlocks blk = make_blocks(13, 0.5, 1.2);
-  const RSolveResult cr = solve_r_cyclic_reduction(blk.a0, blk.a1, blk.a2);
-  const RSolveResult lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-  EXPECT_LT(max_abs_diff(cr.r, lr.r), 1e-9);
-  EXPECT_LT(cr.residual, 1e-10);
-}
-
-TEST(CyclicReduction, BatchLanesMatchScalarExactly) {
-  // The batched dispatch runs CR per lane through the scalar solver, so
-  // the agreement here is bitwise by construction — pinned anyway.
-  const std::size_t d = 7;
-  const std::size_t width = 4;
-  BatchBlocks blocks;
-  blocks.ensure(d, width);
-  std::vector<QbdBlocks> lanes;
-  for (std::size_t l = 0; l < width; ++l) {
-    lanes.push_back(make_blocks(d, 0.25 + 0.1 * static_cast<double>(l), 1.3));
-    blocks.load_lane(l, lanes[l]);
-  }
-  BatchWorkspace w;
-  BatchRSolveResult res;
-  solve_r_batch(blocks, LaneMask(width), RMethod::kCyclicReduction,
-                RSolveOptions{}, w, res);
-  Matrix got;
-  for (std::size_t l = 0; l < width; ++l) {
-    SCOPED_TRACE("lane " + std::to_string(l));
-    ASSERT_TRUE(res.ok(l)) << res.error[l];
-    const RSolveResult scalar = solve_r_cyclic_reduction(
-        lanes[l].a0, lanes[l].a1, lanes[l].a2);
-    res.r.store_lane(l, got);
-    EXPECT_EQ(max_abs_diff(got, scalar.r), 0.0);
-    EXPECT_EQ(res.iterations[l], scalar.iterations);
-    EXPECT_EQ(res.residual[l], scalar.residual);
-  }
-}
-
-TEST(CyclicReduction, ExhaustionThrowsWithMethodName) {
-  const QbdProcess proc = gs::qbd::testing::me21(0.7, 1.0);
-  RSolveOptions opts;
-  opts.max_iter = 1;
-  opts.tol = 1e-300;
-  try {
-    solve_r_cyclic_reduction(proc.blocks().a0, proc.blocks().a1,
-                             proc.blocks().a2, opts);
-    FAIL() << "expected NumericalError";
-  } catch (const gs::NumericalError& e) {
-    EXPECT_NE(std::string(e.what()).find("cyclic reduction for R"),
-              std::string::npos);
   }
 }
 

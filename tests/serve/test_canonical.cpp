@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "phase/builders.hpp"
+#include "serve/service.hpp"
 #include "util/error.hpp"
 #include "workload/paper_configs.hpp"
 
@@ -16,6 +17,7 @@ using gs::gang::GangSolveOptions;
 using gs::gang::SystemParams;
 using gs::json::Json;
 using gs::serve::canonical_scenario;
+using gs::serve::EvalService;
 using gs::serve::options_from_json;
 using gs::serve::options_to_json;
 using gs::serve::params_from_json;
@@ -23,9 +25,14 @@ using gs::serve::params_to_json;
 using gs::serve::phase_from_json;
 using gs::serve::phase_to_json;
 using gs::serve::scenario_hash;
+using gs::serve::ServiceOptions;
 using gs::serve::structure_hash;
 using gs::workload::paper_system;
 using gs::workload::PaperKnobs;
+
+// scenario_hash of the paper's Figure 2 configuration with default
+// options, as persisted snapshots and tools/smoke_golden.ndjson carry it.
+constexpr const char* kFigure2Hash = "39dd79e7db7bf4f9";
 
 TEST(Canonical, PhaseRoundTripIsExact) {
   const auto ph = gs::phase::erlang(3, 1.7);
@@ -72,7 +79,8 @@ TEST(Canonical, OptionsRoundTripAndUnknownKeyRejected) {
   opts.tol = 1e-8;
   opts.max_iterations = 33;
   opts.eff_mode = gs::gang::EffQuantumMode::kExact;
-  opts.qbd.r_method = gs::qbd::RMethod::kSubstitution;
+  opts.qbd.r_options.tol = 1e-12;
+  opts.qbd.r_options.max_iter = 500;
   const GangSolveOptions back = options_from_json(options_to_json(opts));
   EXPECT_EQ(options_to_json(back).dump(), options_to_json(opts).dump());
 
@@ -148,6 +156,80 @@ TEST(Canonical, PinnedFigure2Hash) {
                                        {})));
   // Stability across processes/runs (FNV over canonical text is pure).
   EXPECT_EQ(h, scenario_hash(paper_system(), {}));
+}
+
+TEST(Canonical, LogreductionIsTheOnlyRAlgorithm) {
+  // Naming the one R algorithm and leaving the key out are the same
+  // scenario, and both hash exactly as they did while r_method still
+  // selected among four algorithms (the canonical form keeps the member).
+  const std::uint64_t absent = scenario_hash(paper_system(), {});
+  const std::uint64_t named = scenario_hash(
+      paper_system(),
+      options_from_json(Json::parse(R"({"qbd":{"r_method":"logreduction"}})")));
+  EXPECT_EQ(gs::json::hash_hex(absent), kFigure2Hash);
+  EXPECT_EQ(gs::json::hash_hex(named), kFigure2Hash);
+  EXPECT_NE(canonical_scenario(paper_system(), {})
+                .find(R"("r_method":"logreduction")"),
+            std::string::npos);
+
+  for (const char* method :
+       {"newton", "cyclic_reduction", "substitution", "log_reduction"}) {
+    SCOPED_TRACE(method);
+    Json qbd = Json::object();
+    qbd.set("r_method", method);
+    Json opts = Json::object();
+    opts.set("qbd", std::move(qbd));
+    try {
+      options_from_json(opts);
+      FAIL() << "expected InvalidArgument";
+    } catch (const gs::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("'logreduction'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Canonical, RemovedRAlgorithmIsAStructuredErrorOnEveryOp) {
+  EvalService service(ServiceOptions{/*num_threads=*/1, /*capacity=*/16,
+                                     /*warm_start=*/true,
+                                     /*deterministic=*/true});
+  const Json system = params_to_json(paper_system());
+  const char* ops[] = {"solve", "solve_batch", "sweep", "tune"};
+  for (const char* method : {"newton", "cyclic_reduction", "substitution"}) {
+    for (const char* op : ops) {
+      SCOPED_TRACE(std::string(op) + " with r_method " + method);
+      Json qbd = Json::object();
+      qbd.set("r_method", method);
+      Json options = Json::object();
+      options.set("qbd", std::move(qbd));
+      Json req = Json::object();
+      req.set("op", op);
+      if (std::string(op) == "solve_batch") {
+        Json item = Json::object();
+        item.set("system", system);
+        item.set("options", std::move(options));
+        Json items = Json::array();
+        items.push_back(std::move(item));
+        req.set("items", std::move(items));
+      } else {
+        req.set("system", system);
+        req.set("options", std::move(options));
+      }
+      if (std::string(op) == "sweep") {
+        req.set("vary", Json::parse(
+                            R"({"param":"quantum_mean","values":[1,2]})"));
+      }
+      const Json resp = Json::parse(service.handle_line(req.dump()));
+      const Json* error = resp.find("error");
+      ASSERT_NE(error, nullptr) << resp.dump();
+      EXPECT_EQ(error->at("type").as_string(), "invalid_argument");
+      EXPECT_NE(error->at("message").as_string().find("'logreduction'"),
+                std::string::npos)
+          << resp.dump();
+    }
+  }
+  EXPECT_EQ(service.stats().solves_executed, 0u);
 }
 
 TEST(Canonical, StructureHashIgnoresRatesButNotShapes) {

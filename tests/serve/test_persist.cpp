@@ -1,8 +1,8 @@
 // Cache persistence round-trip: a save_cache snapshot restored into a
 // fresh service reproduces cache hits (byte-identical responses), the
 // warm-start donor index, LRU order under capacity pressure, and the
-// per-entry hit counters. Lines from another solver revision load as
-// misses.
+// per-entry hit counters. Lines from another solver revision, or naming
+// an R algorithm that has since been removed, load as misses.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "json/json.hpp"
+#include "obs/obs.hpp"
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
 #include "util/error.hpp"
@@ -228,6 +229,49 @@ TEST(CachePersistence, OtherSolverRevisionIsSkippedCurrentOneLoads) {
   EXPECT_TRUE(Json::parse(restored.handle_line(solve_line(0.41)))
                   .at("cached")
                   .as_bool());
+}
+
+TEST(CachePersistence, RemovedRAlgorithmLineIsSkippedAsStale) {
+  // A snapshot written while r_method still selected the R algorithm:
+  // one default (log reduction) entry and one solved with "newton". The
+  // newton line must not stop a warm boot; it is skipped and counted.
+  std::ifstream in(GS_SERVE_TEST_DATA "/snapshot_removed_r_method.ndjson");
+  ASSERT_TRUE(in) << "missing checked-in snapshot";
+  std::string logreduction, newton;
+  ASSERT_TRUE(std::getline(in, logreduction));
+  ASSERT_TRUE(std::getline(in, newton));
+  ASSERT_NE(newton.find(R"("r_method":"newton")"), std::string::npos);
+
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  gs::obs::reset();
+  EvalService service(deterministic_options());
+  std::stringstream snapshot(logreduction + "\n" + newton + "\n");
+  std::size_t loaded = 0;
+  EXPECT_NO_THROW(loaded = service.load_cache(snapshot));
+  EXPECT_EQ(loaded, 1u);
+  EXPECT_EQ(service.cache().size(), 1u);
+  EXPECT_EQ(gs::obs::snapshot().counter_value("serve.cache.snapshot_stale"),
+            1u);
+  gs::obs::configure({});
+
+  // The surviving entry answers its scenario from cache, under the hash
+  // the snapshot's writer gave it.
+  const Json entry = Json::parse(logreduction);
+  Json req = Json::object();
+  req.set("op", "solve");
+  req.set("system", entry.at("scenario").at("system"));
+  const Json r = Json::parse(service.handle_line(req.dump()));
+  EXPECT_TRUE(r.at("cached").as_bool());
+  EXPECT_EQ(r.at("hash").as_string(),
+            gs::json::hash_hex(
+                gs::json::fnv1a64(entry.at("scenario").dump())));
+
+  // An r_method no solver ever had is malformed, not stale.
+  std::string bogus = newton;
+  const std::string named = R"("r_method":"newton")";
+  bogus.replace(bogus.find(named), named.size(), R"("r_method":"bogus")");
+  std::stringstream bad(bogus + "\n");
+  EXPECT_THROW(service.load_cache(bad), gs::Error);
 }
 
 }  // namespace
