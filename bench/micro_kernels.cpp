@@ -6,7 +6,6 @@
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang/solver.hpp"
-#include "linalg/batch.hpp"
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
 #include "phase/builders.hpp"
@@ -155,79 +154,6 @@ void BM_GemmGroupedSquaringPass(benchmark::State& state) {
                           static_cast<std::int64_t>(4 * 2 * n * n * n));
 }
 BENCHMARK(BM_GemmGroupedSquaringPass)->Arg(28)->Arg(64)->Arg(128);
-
-// Batched GEMM kernel-shape sweep mirroring the scalar one above: packed
-// lane-masked micro-kernel vs the unpacked tiled lane loop, at the lane
-// widths the batched dispatch actually runs (1 / 4 / 8) across the d
-// range of the QBD iterates. Items processed counts all lanes, so
-// items/s comparisons across widths show the SoA payoff directly.
-void BM_BatchGemmPacked(benchmark::State& state) {
-  const auto w = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  gs::linalg::BatchMatrix a, b, out;
-  a.ensure(n, n, w);
-  b.ensure(n, n, w);
-  for (std::size_t l = 0; l < w; ++l) {
-    a.load_lane(l, random_dd_matrix(n, 2 * l + 1));
-    b.load_lane(l, random_dd_matrix(n, 2 * l + 2));
-  }
-  const gs::linalg::LaneMask mask(w);
-  gs::linalg::BatchGemmPackA pa;
-  gs::linalg::BatchGemmPackB pb;
-  for (auto _ : state) {
-    pa.pack(a, mask);
-    pb.pack(b);
-    gs::linalg::batch_gemm_packed_into(out, pa, pb, mask);
-    benchmark::DoNotOptimize(out.lanes(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * n * n * n * w));
-}
-BENCHMARK(BM_BatchGemmPacked)
-    ->Args({1, 16})
-    ->Args({1, 32})
-    ->Args({1, 64})
-    ->Args({1, 128})
-    ->Args({4, 16})
-    ->Args({4, 32})
-    ->Args({4, 64})
-    ->Args({4, 128})
-    ->Args({8, 16})
-    ->Args({8, 32})
-    ->Args({8, 64})
-    ->Args({8, 128});
-
-void BM_BatchGemmUnpacked(benchmark::State& state) {
-  const auto w = static_cast<std::size_t>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  gs::linalg::BatchMatrix a, b, out;
-  a.ensure(n, n, w);
-  b.ensure(n, n, w);
-  for (std::size_t l = 0; l < w; ++l) {
-    a.load_lane(l, random_dd_matrix(n, 2 * l + 1));
-    b.load_lane(l, random_dd_matrix(n, 2 * l + 2));
-  }
-  const gs::linalg::LaneMask mask(w);
-  for (auto _ : state) {
-    gs::linalg::batch_multiply_tiled_into(out, a, b, mask);
-    benchmark::DoNotOptimize(out.lanes(0, 0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * n * n * n * w));
-}
-BENCHMARK(BM_BatchGemmUnpacked)
-    ->Args({1, 16})
-    ->Args({1, 32})
-    ->Args({1, 64})
-    ->Args({1, 128})
-    ->Args({4, 16})
-    ->Args({4, 32})
-    ->Args({4, 64})
-    ->Args({4, 128})
-    ->Args({8, 16})
-    ->Args({8, 32})
-    ->Args({8, 64})
-    ->Args({8, 128});
 
 void BM_LuSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

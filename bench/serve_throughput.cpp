@@ -1,7 +1,7 @@
 // Service-layer timings through the full NDJSON path (serialize, hash,
 // cache, solve): cold vs cached vs warm-started solve latency on the
-// paper's Figure 2 system, and batched sweep throughput at 1, 4, and 8
-// service threads. The claims the serve/ subsystem makes are checked
+// paper's Figure 2 system, and sweep throughput with the service pool at
+// 1, 4, and 8 threads. The claims the serve/ subsystem makes are checked
 // in-bench and recorded in BENCH_serve.json (to argv[1] or the working
 // directory):
 //   - a cache hit skips the solver entirely,

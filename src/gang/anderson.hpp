@@ -18,9 +18,8 @@
 // only through its mean, so a system admitted under heavy traffic stays
 // admitted.
 //
-// Plain scalar arithmetic in a fixed order: the scalar solver and every
-// lane of the lock-step batched solver run the same instance code on the
-// same inputs, so accelerated lanes stay bitwise identical to scalar.
+// Plain scalar arithmetic in a fixed order, so an accelerated solve is
+// bitwise reproducible at any thread count.
 #pragma once
 
 #include <cstddef>

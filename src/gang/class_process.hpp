@@ -29,7 +29,6 @@
 
 #include "gang/params.hpp"
 #include "gang/service_config.hpp"
-#include "linalg/batch.hpp"
 #include "qbd/solver.hpp"
 
 namespace gs::gang {
@@ -77,25 +76,10 @@ struct EffectiveQuantum {
   PhaseType fitted(int max_order = 8) const;
 };
 
-/// Per-lane outcome of ClassProcess::effective_quantum_batch. A lane
-/// either carries the quantum it extracted (error empty) or the exact
-/// what() string the scalar path would have thrown, with `numerical`
-/// distinguishing gs::NumericalError (retryable — the caller's ladder
-/// replays the lane scalar) from other gs::Error (permanent).
-struct EffQuantumBatchResult {
-  std::vector<EffectiveQuantum> quantum;  ///< per-lane result (lane-indexed)
-  std::vector<std::string> error;         ///< per-lane failure, empty = ok
-  std::vector<unsigned char> numerical;   ///< failure was a NumericalError
-  /// Lane solved without error (only meaningful for masked-in lanes).
-  bool ok(std::size_t lane) const { return error[lane].empty(); }
-  /// Clear to `width` empty-result lanes.
-  void reset(std::size_t width);
-};
-
 // The paper's per-class model (Section 4 / Figure 1 generalized): owns
 // the class-p QBD chain, its state indexing, and every extraction the
 // fixed point needs — serving fraction, arrival view, and the Theorem
-// 4.3 effective-quantum law (scalar and lanes-abreast batched forms).
+// 4.3 effective-quantum law.
 class ClassProcess {
  public:
   /// Build the QBD for class p given the away-period distribution F_p.
@@ -166,34 +150,13 @@ class ClassProcess {
                                      const TruncationOptions& trunc = {},
                                      bool want_exact = false) const;
 
-  /// Batched effective-quantum refit: extract the quantum for the active
-  /// lanes of a lock-step batch in one pass — per-lane tail scans pick
-  /// each lane's truncation depth, the censored chains are assembled per
-  /// lane in scalar order and packed into BatchMatrix levels, and the two
-  /// moment solves run as a lane-masked batched block-tridiagonal sweep
-  /// over the BatchLu/batch_gemm kernels (per-lane depths handled by
-  /// masking). Per active lane the result is bitwise identical to
-  /// effective_quantum on that lane's inputs; saturated lanes take the
-  /// scalar Theorem 4.1 branch and lanes requesting the exact PH (or with
-  /// a structure mismatch) fall back to the scalar path wholesale. procs
-  /// and sols hold one pointer per lane (active lanes must be non-null,
-  /// all procs the same class structure). Feeds the
-  /// gang.batch.effq.{tails,moments} stage timers.
-  static void effective_quantum_batch(const ClassProcess* const* procs,
-                                      const qbd::QbdSolution* const* sols,
-                                      const linalg::LaneMask& lanes,
-                                      const TruncationOptions& trunc,
-                                      bool want_exact,
-                                      EffQuantumBatchResult& out);
-
  private:
   void build();
   /// Where build() assembles the blocks: the caller's workspace when one
   /// was given, own storage otherwise.
   qbd::QbdBlocks& stage() { return ws_ ? ws_->blocks : own_stage_; }
 
-  // Shared stages of the effective-quantum extraction (used verbatim by
-  // both the scalar path and the batched refit, so the two cannot drift).
+  // Stages of the effective-quantum extraction.
   struct TruncScan {
     std::size_t l_max = 0;    // truncation depth the scan settled on
     double cap_tail = 0.0;    // tail mass at that depth

@@ -16,7 +16,6 @@
 // discounts each class's slice by its idle probability.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -134,30 +133,6 @@ ClassResult solve_class_heavy_traffic(const SystemParams& params,
                                       std::size_t p,
                                       const qbd::SolveOptions& opts = {});
 
-class GangSolver;
-
-/// One scenario of a batched solve: the solver to run and, optionally,
-/// the final_slices of a nearby solved scenario to warm-start from
-/// (exactly GangSolver::solve_warm's contract). Non-owning — both
-/// pointers must outlive the solve_batch call.
-struct BatchItem {
-  const GangSolver* solver = nullptr;  ///< scenario to solve (required)
-  /// Warm-start slices, or null for a cold solve.
-  const std::vector<PhaseType>* warm_slices = nullptr;
-};
-
-/// What one batched scenario produced. Either `report` is valid and
-/// `error` empty, or `error` carries the message the scalar solve threw
-/// for this scenario (unstable system, singular chain, ...). `batched`
-/// says whether the scenario completed on the lock-step path; a lane
-/// that fell back was re-run through the scalar solver, so its report
-/// and error are the scalar ones by construction either way.
-struct BatchOutcome {
-  SolveReport report;       ///< the scalar-identical solve report
-  std::string error;        ///< scalar error message; empty on success
-  bool batched = false;     ///< completed on the lock-step path
-};
-
 /// The paper's model, solved: owns a (params, options) pair and runs
 /// the Section-4.3 fixed point on demand. Immutable after construction;
 /// solve()/solve_warm() are const and safe to call concurrently from
@@ -186,24 +161,6 @@ class GangSolver {
   /// back to the cold solve() when the warm iteration is unstable.
   SolveReport solve_warm(const std::vector<PhaseType>& slices) const;
 
-  /// Which lock-step group this solver belongs to: scenarios with equal
-  /// keys share chain shapes *and* every answer-affecting option, so
-  /// they can be solved lanes-abreast. Hashes the structural integers
-  /// plus the semantic option fields (tolerances, methods, caps) —
-  /// never the rates, and never num_threads/pool.
-  std::uint64_t batch_key() const;
-
-  /// Solve many scenarios, running same-key groups in lock-step on
-  /// structure-of-arrays data, at most `max_width` lanes abreast
-  /// (clamped to linalg::kMaxBatchLanes). Every outcome is bitwise
-  /// identical to the scalar solve()/solve_warm() of its item: lanes
-  /// retire from the lock-step independently as they converge, and any
-  /// lane the batch cannot finish (unstable, singular, mismatched
-  /// shapes) is re-run through the scalar path, errors and fallback
-  /// retries included. Outcomes are indexed like `items`.
-  static std::vector<BatchOutcome> solve_batch(
-      const std::vector<BatchItem>& items, std::size_t max_width = 8);
-
  private:
   std::vector<PhaseType> initial_slices(InitMode mode) const;
   // Whether a fixed-point run takes the Anderson-accelerated update
@@ -212,9 +169,6 @@ class GangSolver {
   bool accelerates(bool optimistic) const;
   SolveReport run(const std::vector<PhaseType>& init_slices,
                   bool accelerate) const;
-  static void run_chunk(const std::vector<BatchItem>& items,
-                        const std::vector<std::size_t>& idxs,
-                        std::vector<BatchOutcome>& out);
 
   SystemParams params_;
   GangSolveOptions options_;

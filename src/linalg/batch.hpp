@@ -1,34 +1,24 @@
-// Structure-of-arrays batches of same-shaped dense matrices, and the
-// lane-masked kernels that solve W scenarios in lock-step.
+// Structure-of-arrays batches of same-shaped dense matrices and the
+// packed, lane-masked GEMM over them.
 //
-// The gang model's evaluation surfaces (figure sweeps, warm-chained
-// fills, coalesced daemon requests) solve hundreds of QBD chains whose
-// matrices share one shape and sparsity structure and differ only in
-// values. A BatchMatrix stores W such matrices lane-major — entry (i, j)
+// A BatchMatrix stores W matrices of one shape lane-major — entry (i, j)
 // holds its W lane values contiguously — so the per-entry work of the
-// scalar kernels becomes a W-wide vector operation over consecutive
-// doubles instead of W scalar passes over tiny matrices.
+// scalar tiled GEMM (linalg/gemm.hpp) becomes a W-wide vector operation
+// over consecutive doubles. The solvers themselves run scalar; this
+// kernel is kept as the measured reference for the machine's multiply
+// throughput (the benchmark's packed-GEMM peak).
 //
-// Bitwise discipline (the contract every kernel here obeys): for each
-// lane, the arithmetic performed is the scalar kernel's arithmetic in the
-// scalar kernel's order, so extracting lane l of any batched result gives
-// exactly the bits the scalar call on lane l's inputs produces. Two
-// deliberate, value-preserving deviations:
-//  * batch_multiply_into skips an (i, k) term only when it is zero in
-//    every active lane (the scalar kernel skips per lane). Including a
-//    lane's 0.0 * b term adds +-0.0 to an accumulator that starts at +0.0
-//    and therefore never holds -0.0, which is a bitwise no-op — provided
-//    the operands are finite, the same precondition linalg/sparse.hpp
-//    documents for the CSR kernels.
-//  * BatchLu::solve_into always runs the dense sweeps; the scalar
-//    solve_into has no sparse path, so this is the same algorithm.
-//    BatchLu::solve_right_into, whose scalar counterpart *does* switch on
-//    the factor's fill, replicates the scalar decision per lane.
-// A retired lane (mask off) is never read or written: its storage keeps
-// the bits it converged to.
-//
-// The batched gang/QBD equivalence tests pin this contract end to end on
-// the paper's Figure 2-5 configurations at widths 1/2/4/8.
+// Bitwise discipline: for each lane, the arithmetic performed is the
+// scalar kernel's arithmetic in the scalar kernel's order, so extracting
+// lane l of a result gives exactly the bits the scalar multiply on lane
+// l's inputs produces. The one deliberate, value-preserving deviation:
+// the A-side pack drops a k-slice only when it is zero in every active
+// lane (the scalar pack drops per lane). Including a lane's 0.0 * b term
+// adds +-0.0 to an accumulator that starts at +0.0 and therefore never
+// holds -0.0, which is a bitwise no-op — provided the operands are
+// finite, the same precondition linalg/sparse.hpp documents for the CSR
+// kernels. A masked-out lane is never written: its storage keeps its
+// bits.
 #pragma once
 
 #include <cstddef>
@@ -62,25 +52,9 @@ class LaneMask {
       if (v == 0) return false;
     return !on_.empty();
   }
-  bool any() const {
-    for (const unsigned char v : on_)
-      if (v != 0) return true;
-    return false;
-  }
-  std::size_t count() const {
-    std::size_t n = 0;
-    for (const unsigned char v : on_) n += v != 0 ? 1 : 0;
-    return n;
-  }
 
  private:
   std::vector<unsigned char> on_;
-};
-
-/// Work the lane masking saved, accumulated by the kernels that can skip
-/// lanes (feeds the qbd.batch.masked_flops counter).
-struct BatchKernelStats {
-  std::uint64_t masked_flops = 0;
 };
 
 /// W same-shaped dense matrices in lane-major SoA storage: the W lane
@@ -93,7 +67,6 @@ class BatchMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t width() const { return width_; }
-  bool empty() const { return rows_ == 0 || cols_ == 0 || width_ == 0; }
 
   double& operator()(std::size_t r, std::size_t c, std::size_t lane) {
     return data_[(r * cols_ + c) * width_ + lane];
@@ -108,8 +81,6 @@ class BatchMatrix {
   const double* lanes(std::size_t r, std::size_t c) const {
     return data_.data() + (r * cols_ + c) * width_;
   }
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
 
   /// Reshape to (rows, cols, width). A no-op when the shape already
   /// matches (every lane keeps its bits — the workspace reuse path);
@@ -121,45 +92,12 @@ class BatchMatrix {
   /// Gather lane `lane` into a scalar matrix, reusing dst's storage.
   void store_lane(std::size_t lane, Matrix& dst) const;
 
-  /// max|entry| of one lane — the scalar Matrix::max_abs of that lane.
-  double lane_max_abs(std::size_t lane) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::size_t width_ = 0;
   std::vector<double> data_;
 };
-
-/// max|a - b| over one lane (shapes must match) — the batched form of
-/// linalg::max_abs_diff for per-lane convergence tests.
-double lane_max_abs_diff(const BatchMatrix& a, const BatchMatrix& b,
-                         std::size_t lane);
-
-/// out = a b on the active lanes, in the scalar multiply kernel's
-/// per-lane accumulation order (ascending k). An (i, k) term that is zero
-/// in every active lane is skipped entirely (the lanes of a batch share
-/// sparsity structure, so the scalar kernel's zero-skip survives
-/// batching); `stats` counts the flops that skip saved. Inputs must hold
-/// finite values in the active lanes. `out` must not alias an input.
-void batch_multiply_into(BatchMatrix& out, const BatchMatrix& a,
-                         const BatchMatrix& b, const LaneMask& active,
-                         BatchKernelStats* stats = nullptr);
-
-/// Register-tiled variant of batch_multiply_into: kGemmMr x kGemmNr
-/// output tiles accumulate in a stack buffer over the full depth (one
-/// store per output element instead of one read-modify-write per k),
-/// lanes innermost as everywhere in this header. Per active lane the
-/// result is bitwise identical to batch_multiply_into — ascending-k
-/// accumulation from +0.0, zero terms included as +-0.0 no-ops (the
-/// finite-operands precondition again). Inactive lanes are *computed*
-/// into the stack tile but never stored, the same "arithmetic on
-/// whatever bits a retired lane holds is harmless because it is dropped"
-/// reasoning BatchLu already relies on; their storage keeps its bits.
-/// There is no stats parameter: masked_flops counts work the masked
-/// kernel skipped, and this kernel skips nothing.
-void batch_multiply_tiled_into(BatchMatrix& out, const BatchMatrix& a,
-                               const BatchMatrix& b, const LaneMask& active);
 
 /// The left operand of a batched GEMM, repacked into kGemmMr-row panels
 /// of W-wide lane vectors: panel p holds rows [p*MR, p*MR + MR) k-major,
@@ -168,9 +106,9 @@ void batch_multiply_tiled_into(BatchMatrix& out, const BatchMatrix& a,
 /// scalar GemmPackA's sparsity awareness under the batch contract: a
 /// k-slice is dropped only when its MR values are zero in *every active
 /// lane* (the per-lane scalar pack drops per-lane; the extra retained
-/// terms are +-0.0 no-ops for the lanes that hold a zero — the same
-/// finite-operands argument batch_multiply_into documents). Edge rows
-/// are zero-padded; inactive lanes are packed as-is (their products are
+/// terms are +-0.0 no-ops for the lanes that hold a zero — the
+/// finite-operands argument of the file comment). Edge rows are
+/// zero-padded; inactive lanes are packed as-is (their products are
 /// computed but never stored). Buffers are reusable across repacks.
 class BatchGemmPackA {
  public:
@@ -227,115 +165,13 @@ class BatchGemmPackB {
 };
 
 /// out = (unpacked a) * (unpacked b) on the active lanes from
-/// already-packed operands: per active lane, bitwise identical to
-/// batch_multiply_into (and therefore to the scalar multiply) on the
-/// matrices the packs came from. Inactive lanes are computed into the
-/// stack tile but never stored. The packs' depths and widths must agree;
-/// `active` must be (a subset of) the mask the A pack was built with —
-/// a slice dropped at pack time must still be all-zero on every lane
-/// the multiply stores.
+/// already-packed operands: per active lane, bitwise identical to the
+/// scalar multiply on the matrices the packs came from. Inactive lanes
+/// are computed into the stack tile but never stored. The packs' depths
+/// and widths must agree; `active` must be (a subset of) the mask the A
+/// pack was built with — a slice dropped at pack time must still be
+/// all-zero on every lane the multiply stores.
 void batch_gemm_packed_into(BatchMatrix& out, const BatchGemmPackA& a,
                             const BatchGemmPackB& b, const LaneMask& active);
-
-/// One product of a grouped batched pass: out = a * b over shared packs.
-/// Non-owning; everything must outlive the batch_gemm_grouped call.
-struct BatchGemmOp {
-  BatchMatrix* out = nullptr;
-  const BatchGemmPackA* a = nullptr;
-  const BatchGemmPackB* b = nullptr;
-};
-
-/// Run `count` products whose operands share packs under one lane mask
-/// (pack once, multiply many — one batched log-reduction squaring pass
-/// is four products over two packed iterates). Outputs must be distinct
-/// and must not alias any batch a pack was built from.
-void batch_gemm_grouped(const BatchGemmOp* ops, std::size_t count,
-                        const LaneMask& active);
-
-/// Compile-time identity of the batched micro-kernel
-/// ("batch_tiled_packed_<MR>x<NR>"), recorded in BENCH_batch.json so the
-/// artifact names the kernel it measured.
-const char* batch_gemm_kernel_variant();
-
-/// out += b on the active lanes.
-void batch_add(BatchMatrix& out, const BatchMatrix& b, const LaneMask& active);
-/// out -= b on the active lanes — the scalar Matrix::operator-=.
-void batch_sub(BatchMatrix& out, const BatchMatrix& b, const LaneMask& active);
-/// out = src on the active lanes (reshapes out when empty).
-void batch_copy(BatchMatrix& out, const BatchMatrix& src,
-                const LaneMask& active);
-/// out = s * src on the active lanes — the scalar `out = src; out *= s`.
-void batch_scaled_copy(BatchMatrix& out, const BatchMatrix& src, double s,
-                       const LaneMask& active);
-/// out *= s on the active lanes.
-void batch_scale(BatchMatrix& out, double s, const LaneMask& active);
-/// out = 0 on the active lanes.
-void batch_zero(BatchMatrix& out, std::size_t rows, std::size_t cols,
-                const LaneMask& active);
-/// out = I - u on the active lanes (the log-reduction I-U assembly).
-void batch_identity_minus(BatchMatrix& out, const BatchMatrix& u,
-                          const LaneMask& active);
-
-/// W independent LU factorizations with per-lane partial pivoting,
-/// replicating linalg::Lu lane by lane: per-lane pivot search, row
-/// swaps, and the m == 0 elimination skip. Where the scalar constructor
-/// throws on a singular matrix, a lane is flagged instead (singular())
-/// and drops out of the remaining factorization and solves — lock-step
-/// batches must not lose the healthy lanes to one bad one.
-class BatchLu {
- public:
-  /// Factor the active lanes of `a` (square). Lanes outside `active`
-  /// keep whatever factor they held (callers re-factor per use).
-  void factor(const BatchMatrix& a, const LaneMask& active,
-              double pivot_tol = 1e-13);
-
-  std::size_t size() const { return n_; }
-  std::size_t width() const { return width_; }
-  /// Lane flagged singular by the last factor() (scalar Lu would throw).
-  bool singular(std::size_t lane) const { return singular_[lane] != 0; }
-
-  /// Solve A X = B on the active lanes — per lane, the exact arithmetic
-  /// of Lu::solve_into. Like the scalar blocked_rhs path, the sweeps
-  /// advance kBatchLuRhsBlock right-hand-side columns per factor read
-  /// (each lane's per-column operation sequence is untouched — columns
-  /// are independent systems — so blocking changes traffic, not bits).
-  /// Active lanes must not be singular.
-  void solve_into(const BatchMatrix& b, BatchMatrix& x,
-                  const LaneMask& active) const;
-
-  /// Solve X A = B on the active lanes — per lane, the exact arithmetic
-  /// of Lu::solve_right_into, including the scalar decision to run the
-  /// sparse-factor sweeps when a lane's factor kept at most half its
-  /// off-diagonal entries. The per-lane factor pattern is built once at
-  /// factor() time (not per call), and the sweeps advance
-  /// kBatchLuRhsBlock rows of B per factor read — rows are independent
-  /// systems, so like solve_into the blocking is bitwise-invisible.
-  /// Active lanes must not be singular.
-  void solve_right_into(const BatchMatrix& b, BatchMatrix& x,
-                        const LaneMask& active) const;
-
- private:
-  std::size_t n_ = 0;
-  std::size_t width_ = 0;
-  BatchMatrix lu_;                       // packed per-lane L\U factors
-  std::vector<std::size_t> perm_;        // perm_[i*width + lane]
-  std::vector<unsigned char> singular_;  // per-lane singularity flag
-  // Factor-time caches for the solve sweeps: the per-lane sparse-factor
-  // decision, the factor diagonal gathered lane-major (diag_[l*n + j] —
-  // the right-division sweeps read it n times per row), and the per-lane
-  // compressed off-diagonal pattern (ptr_[l*(n+1) + r] indexes idx_/
-  // val_; built only for lanes whose factor is sparse enough).
-  std::vector<unsigned char> fs_;
-  std::vector<double> diag_;
-  std::vector<std::size_t> up_ptr_, lo_ptr_;
-  std::vector<std::uint32_t> up_idx_, lo_idx_;
-  std::vector<double> up_val_, lo_val_;
-  // Per-call scratch (sized on use): the blocked substitution panels.
-  mutable std::vector<double> y_, z_;
-};
-
-/// Right-hand sides advanced per factor read by the blocked BatchLu
-/// sweeps (the batch twin of the scalar kLuRhsBlock).
-constexpr std::size_t kBatchLuRhsBlock = 8;
 
 }  // namespace gs::linalg

@@ -131,27 +131,6 @@ class Span {
   std::vector<TraceArg> args_;
 };
 
-/// Metrics-only scoped timer for hot inner stages: feeds the timer metric
-/// `name` on destruction when metrics are on, and is otherwise completely
-/// unarmed (no clock read, no trace event — use Span when the region
-/// should also appear in traces). Cheap enough to sit inside per-batch
-/// stage loops.
-class StageTimer {
- public:
-  explicit StageTimer(const char* name)
-      : name_(name), on_(metrics_enabled()), start_(on_ ? now_ns() : 0) {}
-  ~StageTimer() {
-    if (on_) time_ns(name_, now_ns() - start_);
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  const char* name_;
-  bool on_;
-  std::uint64_t start_;
-};
-
 // -- snapshots -------------------------------------------------------------
 
 struct CounterValue {

@@ -14,7 +14,6 @@ struct WorkspaceArena::Entry {
   bool busy = false;
   std::uint64_t stamp = 0;  ///< last-borrowed tick, for LRU recycling
   std::vector<Workspace> slots;
-  std::vector<BatchWorkspace> batch_slots;
 };
 
 namespace {
@@ -56,38 +55,14 @@ std::size_t WorkspaceArena::Lease::size() const {
   return entry_ == nullptr ? 0 : entry_->slots.size();
 }
 
-WorkspaceArena::BatchLease& WorkspaceArena::BatchLease::operator=(
-    BatchLease&& other) noexcept {
-  if (this != &other) {
-    if (entry_ != nullptr) entry_->busy = false;
-    entry_ = other.entry_;
-    other.entry_ = nullptr;
-  }
-  return *this;
-}
-
-WorkspaceArena::BatchLease::~BatchLease() {
-  if (entry_ != nullptr) entry_->busy = false;
-}
-
-BatchWorkspace& WorkspaceArena::BatchLease::operator[](std::size_t i) {
-  GS_ASSERT(entry_ != nullptr && i < entry_->batch_slots.size());
-  return entry_->batch_slots[i];
-}
-
-std::size_t WorkspaceArena::BatchLease::size() const {
-  return entry_ == nullptr ? 0 : entry_->batch_slots.size();
-}
-
-namespace {
-
-// Shared acquisition for scalar and batch borrows: hit on this thread's
-// free entry for the key, else recycle the LRU free entry (evicting the
-// warm scratch it cached for its old key) or grow a fresh one.
-WorkspaceArena::Entry* acquire(std::uint64_t key) {
+WorkspaceArena::Lease WorkspaceArena::borrow(std::uint64_t key,
+                                             std::size_t count) {
+  // Hit on this thread's free entry for the key, else recycle the LRU
+  // free entry (evicting the warm scratch it cached for its old key) or
+  // grow a fresh one.
   ThreadArena& a = arena();
-  WorkspaceArena::Entry* match = nullptr;
-  WorkspaceArena::Entry* lru_free = nullptr;
+  Entry* match = nullptr;
+  Entry* lru_free = nullptr;
   for (auto& e : a.entries) {
     if (e->busy) continue;
     if (e->key == key) {
@@ -97,47 +72,31 @@ WorkspaceArena::Entry* acquire(std::uint64_t key) {
     if (lru_free == nullptr || e->stamp < lru_free->stamp) lru_free = e.get();
   }
   obs::count("qbd.arena.borrow");
-  WorkspaceArena::Entry* chosen = match;
+  Entry* chosen = match;
   if (chosen != nullptr) {
     obs::count("qbd.arena.hit");
   } else {
-    if (a.entries.size() >= WorkspaceArena::kMaxEntries &&
-        lru_free != nullptr) {
+    if (a.entries.size() >= kMaxEntries && lru_free != nullptr) {
       // Recycle the stalest free entry: its scratch shapes belong to a
       // different structure, but the solvers reshape on use, so only the
       // warm-capacity benefit is lost, never correctness. The old key's
       // cached scratch is gone, though — that is an eviction, and the
-      // counter is how batch-workspace pressure shows up in `stats`.
+      // counter is how workspace pressure shows up in `stats`.
       obs::count("qbd.arena.recycle");
       obs::count("qbd.arena.evict");
       chosen = lru_free;
       chosen->key = key;
     } else {
       obs::count("qbd.arena.fresh");
-      a.entries.push_back(std::make_unique<WorkspaceArena::Entry>());
+      a.entries.push_back(std::make_unique<Entry>());
       chosen = a.entries.back().get();
       chosen->key = key;
     }
   }
   chosen->busy = true;
   chosen->stamp = ++a.clock;
-  return chosen;
-}
-
-}  // namespace
-
-WorkspaceArena::Lease WorkspaceArena::borrow(std::uint64_t key,
-                                             std::size_t count) {
-  Entry* chosen = acquire(key);
   if (chosen->slots.size() < count) chosen->slots.resize(count);
   return Lease(chosen);
-}
-
-WorkspaceArena::BatchLease WorkspaceArena::borrow_batch(std::uint64_t key,
-                                                        std::size_t count) {
-  Entry* chosen = acquire(key);
-  if (chosen->batch_slots.size() < count) chosen->batch_slots.resize(count);
-  return BatchLease(chosen);
 }
 
 std::size_t WorkspaceArena::thread_entries() { return arena().entries.size(); }

@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "qbd/batch.hpp"
 #include "qbd/rmatrix.hpp"
 
 namespace gs::qbd {
@@ -60,39 +59,12 @@ class WorkspaceArena {
     Entry* entry_;
   };
 
-  /// RAII handle on `count` BatchWorkspaces (the lock-step solvers'
-  /// scratch), leased from the same entry table as scalar leases — a
-  /// gang batch solve borrows one slot per class. Same rules as Lease.
-  class BatchLease {
-   public:
-    BatchLease(BatchLease&& other) noexcept : entry_(other.entry_) {
-      other.entry_ = nullptr;
-    }
-    BatchLease& operator=(BatchLease&& other) noexcept;
-    BatchLease(const BatchLease&) = delete;
-    BatchLease& operator=(const BatchLease&) = delete;
-    ~BatchLease();
-
-    BatchWorkspace& operator[](std::size_t i);
-    std::size_t size() const;
-
-   private:
-    friend class WorkspaceArena;
-    explicit BatchLease(Entry* entry) : entry_(entry) {}
-    Entry* entry_;
-  };
-
   /// Borrow `count` workspaces keyed by `key` (a structure hash of the
   /// shapes about to be solved). Returns the calling thread's existing
   /// free entry for the key when one exists (its workspaces still hold
   /// the grown scratch of the previous same-shaped solve), otherwise a
   /// recycled or fresh entry.
   static Lease borrow(std::uint64_t key, std::size_t count);
-
-  /// Borrow `count` batch workspaces keyed by `key`. Callers mix the
-  /// batch width into the key so scalar and batched solves of one
-  /// structure keep separate warm entries.
-  static BatchLease borrow_batch(std::uint64_t key, std::size_t count);
 
   /// Number of entries held by the calling thread's arena (for tests).
   static std::size_t thread_entries();

@@ -122,9 +122,9 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts = {},
                   Workspace* ws = nullptr);
 
 /// The boundary stage of solve() for a caller that already has R in hand
-/// — the batched R solvers compute R for W chains in lock-step and then
-/// finish each lane through this: spectral-radius admission, the finite
-/// balance system, and normalization, bit-for-bit the tail of solve().
+/// (an R computed by another algorithm, or a stage-by-stage replay):
+/// spectral-radius admission, the finite balance system, and
+/// normalization, bit-for-bit the tail of solve().
 /// Skips the drift check (the R computation already vouched for it).
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
                          const SolveOptions& opts = {},

@@ -58,6 +58,17 @@ Json report_to_json(const gang::SolveReport& r) {
   return out;
 }
 
+/// A request that still sets the lane width of the removed cross-scenario
+/// batching gets a structured invalid_argument saying so, rather than
+/// the generic unknown-field error.
+void reject_lane_width(const Json& req) {
+  constexpr const char* kKey = "batch_width";
+  if (req.find(kKey) != nullptr)
+    throw InvalidArgument(std::string("'") + kKey +
+                          "' is not available: lane batching was removed; "
+                          "every scenario solves on its own");
+}
+
 /// The vary targets of a sweep: rebuild the system with one distribution
 /// rescaled (PhaseType::scaled keeps the shape/SCV and moves the mean —
 /// the same convention the paper's figures and the tuner use).
@@ -278,14 +289,10 @@ json::Json EvalService::do_solve_batch(const Json& req) {
   GS_CHECK(!arr.empty(), "solve_batch needs at least one item");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.batch_lanes += arr.size();
+    stats_.batch_items += arr.size();
   }
 
-  std::size_t batch_width = 8;
-  if (const Json* w = req.find("batch_width")) {
-    GS_CHECK(w->as_int() >= 1, "batch_width must be >= 1");
-    batch_width = static_cast<std::size_t>(w->as_int());
-  }
+  reject_lane_width(req);
 
   // Parse and hash every item before solving anything: a malformed item
   // is one structured error for the whole request (matching 'solve'),
@@ -313,9 +320,9 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     shape[i] = structure_hash(params[i], opts[i]);
   }
 
-  // Cache hits answer their item directly; the rest become lock-step
-  // lanes. Donor slices are copied out under the lock so the batched
-  // solve itself runs unlocked (and no insert can invalidate them).
+  // Cache hits answer their item directly; the rest are solved below.
+  // Donor slices are copied out under the lock so the solves themselves
+  // run unlocked (and no insert can invalidate them).
   std::vector<Json> results(arr.size());
   std::vector<std::size_t> miss;
   std::vector<std::vector<phase::PhaseType>> donors;
@@ -352,22 +359,26 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     }
   }
 
+  // Misses solve one by one in item order; an item whose solve throws
+  // carries the error string and the rest still solve. (Bad solver
+  // options still fail the whole request, from the constructors.)
   const auto start = std::chrono::steady_clock::now();
-  std::vector<gang::BatchOutcome> outcomes;
-  if (!miss.empty()) {
-    std::vector<gang::GangSolver> solvers;
-    solvers.reserve(miss.size());
-    for (const std::size_t i : miss) solvers.emplace_back(params[i], opts[i]);
-    std::vector<gang::BatchItem> lanes;
-    lanes.reserve(miss.size());
-    for (std::size_t t = 0; t < miss.size(); ++t)
-      lanes.push_back(
-          {&solvers[t], donors[t].empty() ? nullptr : &donors[t]});
-    outcomes = gang::GangSolver::solve_batch(lanes, batch_width);
+  std::vector<gang::GangSolver> solvers;
+  solvers.reserve(miss.size());
+  for (const std::size_t i : miss) solvers.emplace_back(params[i], opts[i]);
+  std::vector<gang::SolveReport> reports(miss.size());
+  std::vector<std::string> errors(miss.size());
+  for (std::size_t t = 0; t < miss.size(); ++t) {
+    try {
+      reports[t] = donors[t].empty() ? solvers[t].solve()
+                                     : solvers[t].solve_warm(donors[t]);
+    } catch (const Error& e) {
+      errors[t] = e.what();
+    }
   }
   const double ms = elapsed_ms(start);
 
-  // Per-lane cache fills, in item order — exactly the entries a sequence
+  // Per-item cache fills, in item order — exactly the entries a sequence
   // of 'solve' requests would have created.
   std::lock_guard<std::mutex> lock(mu_);
   stats_.solve_ms_total += ms;
@@ -375,23 +386,22 @@ json::Json EvalService::do_solve_batch(const Json& req) {
   for (std::size_t t = 0; t < miss.size(); ++t) {
     const std::size_t i = miss[t];
     Json& out = results[i];
-    gang::BatchOutcome& oc = outcomes[t];
+    gang::SolveReport& report = reports[t];
     out.set("cached", false);
-    out.set("batched", oc.batched);
-    if (!oc.error.empty()) {
-      out.set("error", oc.error);
+    if (!errors[t].empty()) {
+      out.set("error", errors[t]);
       continue;
     }
     ++stats_.solves_executed;
     stats_.fixed_point_iterations +=
-        static_cast<std::uint64_t>(oc.report.iterations);
-    if (oc.report.used_warm_start) ++stats_.warm_starts;
-    out.set("warm_started", oc.report.used_warm_start);
-    out.set("iterations", oc.report.iterations);
-    out.set("converged", oc.report.converged);
-    out.set("used_optimistic_init", oc.report.used_optimistic_init);
-    out.set("result", report_to_json(oc.report));
-    cache_.insert(full[i], std::move(canon[i]), std::move(oc.report));
+        static_cast<std::uint64_t>(report.iterations);
+    if (report.used_warm_start) ++stats_.warm_starts;
+    out.set("warm_started", report.used_warm_start);
+    out.set("iterations", report.iterations);
+    out.set("converged", report.converged);
+    out.set("used_optimistic_init", report.used_optimistic_init);
+    out.set("result", report_to_json(report));
+    cache_.insert(full[i], std::move(canon[i]), std::move(report));
     warm_index_[shape[i]] = full[i];
   }
 
@@ -404,20 +414,19 @@ json::Json EvalService::do_solve_batch(const Json& req) {
 }
 
 json::Json EvalService::do_sweep(const Json& req) {
-  // Strict key set. The dispatch-tuning fields added here (chain_stride,
-  // batch_width) change speed, never answers — a silent typo would look
-  // like a correct but slow request, so unknown keys are an error with a
-  // nearest-match hint instead.
+  // Strict key set. The dispatch-tuning field chain_stride changes speed,
+  // never answers — a silent typo would look like a correct but slow
+  // request, so unknown keys are an error with a nearest-match hint
+  // instead.
+  reject_lane_width(req);
   for (const auto& m : req.as_object()) {
     const std::string& k = m.key;
     if (k == "op" || k == "id" || k == "system" || k == "options" ||
-        k == "vary" || k == "warm_start" || k == "chain_stride" ||
-        k == "batch_width")
+        k == "vary" || k == "warm_start" || k == "chain_stride")
       continue;
     std::string msg = "unknown sweep field '" + k + "'";
     if (const auto hint = util::did_you_mean(
-            k, {"system", "options", "vary", "warm_start", "chain_stride",
-                "batch_width"}))
+            k, {"system", "options", "vary", "warm_start", "chain_stride"}))
       msg += " (did you mean '" + *hint + "'?)";
     throw InvalidArgument(msg);
   }
@@ -451,15 +460,11 @@ json::Json EvalService::do_sweep(const Json& req) {
   sweep_opts.warm_chain = options_.warm_start;
   if (const Json* w = req.find("warm_start"))
     sweep_opts.warm_chain = w->as_bool();
-  // Anchor spacing of the warm chain and lock-step lane count, exposed
-  // per request (defaults are the SweepOptions defaults).
+  // Anchor spacing of the warm chain, exposed per request (default: the
+  // SweepOptions default).
   if (const Json* s = req.find("chain_stride")) {
     GS_CHECK(s->as_int() >= 1, "chain_stride must be >= 1");
     sweep_opts.chain_stride = static_cast<std::size_t>(s->as_int());
-  }
-  if (const Json* w = req.find("batch_width")) {
-    GS_CHECK(w->as_int() >= 1, "batch_width must be >= 1");
-    sweep_opts.batch_width = static_cast<std::size_t>(w->as_int());
   }
 
   const auto start = std::chrono::steady_clock::now();
@@ -641,7 +646,7 @@ std::string EvalService::summary() const {
   std::ostringstream os;
   os << "gangd summary: " << stats_.requests << " requests ("
      << stats_.solve_requests << " solve, " << stats_.batch_requests
-     << " solve_batch/" << stats_.batch_lanes << " lanes, "
+     << " solve_batch/" << stats_.batch_items << " items, "
      << stats_.sweep_requests << " sweep, " << stats_.tune_requests
      << " tune, " << stats_.stats_requests << " stats), " << stats_.errors
      << " errors; "

@@ -1,4 +1,4 @@
-// The batched gang-model evaluation service behind gangd.
+// The gang-model evaluation service behind gangd.
 //
 // One EvalService owns the result cache, the warm-start index, and the
 // request counters. Requests and responses are JSON objects (one NDJSON
@@ -8,15 +8,14 @@
 //               LRU cache on a scenario-hash hit; on a miss, warm-started
 //               from the most recent solve with the same structure hash.
 //   solve_batch — many scenarios in one request. Cache hits answer per
-//               item; the misses run through gang::GangSolver::solve_batch,
-//               so same-shaped items solve lanes-abreast on the lock-step
-//               path (bitwise identical to per-item solves), and every
-//               lane fills the cache and warm index as if solved alone.
+//               item; the misses solve one by one in item order (each
+//               exactly as a 'solve' would, donor warm start included),
+//               and every item fills the cache and warm index as if
+//               solved alone.
 //   sweep     — a batch of solves over a varied parameter, fanned out on
 //               the service's ThreadPool (row order and results bitwise
-//               identical to sequential). Same-shaped points dispatch
-//               through the lock-step batch path (workload::sweep);
-//               requests tune it via 'batch_width' and 'chain_stride'.
+//               identical to sequential; workload::sweep). Requests set
+//               the warm chain's anchor spacing via 'chain_stride'.
 //   tune      — quantum optimization (gang::tuner) over a scenario.
 //   stats     — counters, cache state, latency aggregates.
 //   shutdown  — acknowledge and mark the service for termination.
@@ -86,7 +85,7 @@ struct ServiceStats {
   std::uint64_t errors = 0;
   std::uint64_t solve_requests = 0;
   std::uint64_t batch_requests = 0;  ///< solve_batch ops received
-  std::uint64_t batch_lanes = 0;     ///< items across those ops
+  std::uint64_t batch_items = 0;     ///< items across those ops
   std::uint64_t sweep_requests = 0;
   std::uint64_t tune_requests = 0;
   std::uint64_t stats_requests = 0;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 
-#include "linalg/batch.hpp"
 #include "obs/obs.hpp"
 #include "sim/gang_simulator.hpp"
 #include "util/error.hpp"
@@ -60,85 +58,6 @@ std::vector<gang::PhaseType> solve_point(
   return slices;
 }
 
-// Batched dispatch for a wave of points: group the wave by batch key
-// (first-seen order), chunk each group to batch_width, and run the
-// chunks' lock-step solves across the pool — every chunk owns disjoint
-// output rows. Row contents are bitwise identical to calling solve_point
-// per index (the solve_batch contract); only the dispatch shape differs.
-// seeds[t] (when the wave has seeds) is index t's warm start, exactly as
-// solve_point's `seed`. Fills slices_out[t] when non-null (anchors).
-void solve_wave_batched(
-    const std::vector<std::size_t>& idx, std::vector<SweepPoint>& out,
-    const std::vector<double>& xs,
-    const std::function<gang::SystemParams(double)>& make_system,
-    const SweepOptions& opts, util::ThreadPool& pool,
-    const util::ParallelOptions& lanes,
-    const std::vector<const std::vector<gang::PhaseType>*>& seeds,
-    std::vector<std::vector<gang::PhaseType>>* slices_out) {
-  // Scenario construction stays sequential (it is cheap next to a solve)
-  // so make_system never needs to be re-entrant below num_threads == 1.
-  std::vector<gang::SystemParams> systems;
-  systems.reserve(idx.size());
-  for (const std::size_t i : idx) systems.push_back(make_system(xs[i]));
-  std::vector<gang::GangSolver> solvers;
-  solvers.reserve(idx.size());
-  for (gang::SystemParams& sys : systems)
-    solvers.emplace_back(sys, opts.solver);
-
-  // The chunk plan is a pure function of the wave's batch keys in wave
-  // order — never of thread count — so batched sweeps stay deterministic.
-  const std::size_t width =
-      std::min(opts.batch_width, linalg::kMaxBatchLanes);
-  std::vector<std::vector<std::size_t>> chunks;  // positions into idx
-  std::unordered_map<std::uint64_t, std::size_t> open;  // key -> chunk
-  for (std::size_t t = 0; t < idx.size(); ++t) {
-    const std::uint64_t key = solvers[t].batch_key();
-    const auto it = open.find(key);
-    if (it == open.end() || chunks[it->second].size() >= width) {
-      open[key] = chunks.size();
-      chunks.emplace_back();
-      chunks.back().push_back(t);
-    } else {
-      chunks[it->second].push_back(t);
-    }
-  }
-
-  pool.parallel_for(chunks.size(), [&](std::size_t c) {
-    std::vector<gang::BatchItem> items;
-    items.reserve(chunks[c].size());
-    for (const std::size_t t : chunks[c])
-      items.push_back({&solvers[t], seeds.empty() ? nullptr : seeds[t]});
-    const std::vector<gang::BatchOutcome> got =
-        gang::GangSolver::solve_batch(items, width);
-    for (std::size_t j = 0; j < chunks[c].size(); ++j) {
-      const std::size_t t = chunks[c][j];
-      SweepPoint& point = out[idx[t]];
-      point.x = xs[idx[t]];
-      obs::count("sweep.points");
-      if (got[j].batched) obs::count("sweep.batched");
-      if (!got[j].error.empty()) {
-        obs::count("sweep.errors");
-        point.error = got[j].error;
-        continue;
-      }
-      const gang::SolveReport& rep = got[j].report;
-      point.iterations = rep.iterations;
-      point.converged = rep.converged;
-      point.warm_started = rep.used_warm_start;
-      if (point.warm_started) obs::count("sweep.warm_started");
-      for (const auto& r : rep.per_class)
-        point.model_n.push_back(r.mean_jobs);
-      if (slices_out != nullptr) (*slices_out)[t] = rep.final_slices;
-    }
-  }, lanes);
-
-  if (opts.sim_horizon > 0.0) {
-    pool.parallel_for(idx.size(), [&](std::size_t t) {
-      simulate_point(out[idx[t]], systems[t], opts);
-    }, lanes);
-  }
-}
-
 }  // namespace
 
 std::vector<SweepPoint> sweep(
@@ -153,21 +72,12 @@ std::vector<SweepPoint> sweep(
   const util::ParallelOptions lanes{
       static_cast<std::size_t>(std::max(1, opts.num_threads)), /*grain=*/1};
 
-  const bool batched = opts.batch_width > 1;
-  span.arg("batched", static_cast<std::int64_t>(batched));
-  const std::size_t stride = std::max<std::size_t>(2, opts.chain_stride);
+  const std::size_t stride = std::max<std::size_t>(1, opts.chain_stride);
   if (!opts.warm_chain || xs.size() <= 2) {
     // Cold sweep: each task owns exactly one output row; errors stay
     // per-point, so one unstable x never disturbs its neighbours (the
     // paper's sweeps cross stability boundaries on purpose).
     span.arg("mode", "cold");
-    if (batched) {
-      std::vector<std::size_t> all(xs.size());
-      for (std::size_t i = 0; i < xs.size(); ++i) all[i] = i;
-      solve_wave_batched(all, out, xs, make_system, opts, pool, lanes,
-                         /*seeds=*/{}, /*slices_out=*/nullptr);
-      return out;
-    }
     pool.parallel_for(xs.size(), [&](std::size_t i) {
       solve_point(out[i], xs[i], make_system, opts, nullptr,
                   /*keep_slices=*/false);
@@ -187,18 +97,11 @@ std::vector<SweepPoint> sweep(
   obs::count("sweep.anchors", num_anchors);
   obs::count("sweep.fills", n - num_anchors);
   std::vector<std::vector<gang::PhaseType>> anchor_slices(num_anchors);
-  if (batched) {
-    std::vector<std::size_t> anchors(num_anchors);
-    for (std::size_t k = 0; k < num_anchors; ++k) anchors[k] = k * stride;
-    solve_wave_batched(anchors, out, xs, make_system, opts, pool, lanes,
-                       /*seeds=*/{}, &anchor_slices);
-  } else {
-    pool.parallel_for(num_anchors, [&](std::size_t k) {
-      const std::size_t i = k * stride;
-      anchor_slices[k] = solve_point(out[i], xs[i], make_system, opts,
-                                     nullptr, /*keep_slices=*/true);
-    }, lanes);
-  }
+  pool.parallel_for(num_anchors, [&](std::size_t k) {
+    const std::size_t i = k * stride;
+    anchor_slices[k] = solve_point(out[i], xs[i], make_system, opts, nullptr,
+                                   /*keep_slices=*/true);
+  }, lanes);
 
   std::vector<std::size_t> fill;
   fill.reserve(n - num_anchors);
@@ -216,13 +119,6 @@ std::vector<SweepPoint> sweep(
       k = after;
     return anchor_slices[k].empty() ? nullptr : &anchor_slices[k];
   };
-  if (batched) {
-    std::vector<const std::vector<gang::PhaseType>*> seeds(fill.size());
-    for (std::size_t t = 0; t < fill.size(); ++t) seeds[t] = seed_for(fill[t]);
-    solve_wave_batched(fill, out, xs, make_system, opts, pool, lanes, seeds,
-                       /*slices_out=*/nullptr);
-    return out;
-  }
   pool.parallel_for(fill.size(), [&](std::size_t t) {
     const std::size_t i = fill[t];
     solve_point(out[i], xs[i], make_system, opts, seed_for(i),

@@ -75,23 +75,10 @@ struct SweepOptions {
   /// sweep. Off by default: the figure benches pin the paper's cold
   /// numbers; the service and throughput benches switch it on.
   bool warm_chain = false;
-  /// Distance between cold anchors when warm_chain is set. Sweeps with
-  /// <= 2 points never chain (nothing to amortize).
+  /// Distance between cold anchors when warm_chain is set; 1 (or 0)
+  /// makes every point an anchor, i.e. the cold sweep. Sweeps with <= 2
+  /// points never chain (nothing to amortize).
   std::size_t chain_stride = 8;
-  /// Lanes of the lock-step batched solver (gang::GangSolver::solve_batch):
-  /// points whose scenarios share a batch key solve lanes-abreast on
-  /// structure-of-arrays data, at most this many at a time. Every stage of
-  /// the fixed point runs lane-parallel — the R solves, the
-  /// boundary/stationary solves (qbd::solve_boundary_batch), and the
-  /// effective-quantum refits (gang::ClassProcess::effective_quantum_batch)
-  /// — so sweep throughput scales with width end to end rather than being
-  /// Amdahl-capped by scalar per-lane stages. Composes with both axes
-  /// above — chunks of points fan out across the pool when num_threads >
-  /// 1, and under warm_chain the anchors solve batched-cold and the fills
-  /// batched-warm. Bitwise identical to the scalar path at any width (the
-  /// solve_batch contract), so this changes speed and nothing else. <= 1
-  /// runs the exact scalar dispatch.
-  std::size_t batch_width = 8;
 };
 
 /// Evaluate `make_system(x)` at each x; unstable points are recorded, not

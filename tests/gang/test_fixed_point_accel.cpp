@@ -3,13 +3,9 @@
 // lands on the same fixed point as a tight-tolerance solve, leaves a
 // state a warm restart accepts at once, and keeps the plain update (and
 // its verdicts) where the safeguards say it must.
-//
-// Solves go through GangSolver::solve_batch at GS_BATCH_WIDTH lanes when
-// CI exports it (unset: width 8), so the suite also runs per matrix leg.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,12 +21,6 @@ namespace {
 
 using namespace gs;
 using namespace gs::gang;
-
-std::size_t width_under_test() {
-  if (const char* env = std::getenv("GS_BATCH_WIDTH"); env != nullptr)
-    return static_cast<std::size_t>(std::stoul(env));
-  return 8;
-}
 
 SystemParams quantum_system(double arrival_rate, double quantum_mean) {
   workload::PaperKnobs knobs;
@@ -72,14 +62,6 @@ std::vector<Scenario> figure_scenarios() {
   return out;
 }
 
-std::vector<BatchOutcome> solve_all(const std::vector<GangSolver>& solvers,
-                                    const std::vector<PhaseType>* const* warm) {
-  std::vector<BatchItem> items;
-  for (std::size_t i = 0; i < solvers.size(); ++i)
-    items.push_back({&solvers[i], warm != nullptr ? warm[i] : nullptr});
-  return GangSolver::solve_batch(items, width_under_test());
-}
-
 TEST(FixedPointAcceleration, Figure2GridConvergesWithinDefaultCap) {
   // The canonical 64-point grid of quantum means over [0.25, 4]. The
   // plain update stopped at max_iterations on the 29 points above 2.29.
@@ -88,8 +70,7 @@ TEST(FixedPointAcceleration, Figure2GridConvergesWithinDefaultCap) {
   for (std::size_t i = 0; i < kPoints; ++i)
     xs.push_back(0.25 + 3.75 * static_cast<double>(i) /
                             static_cast<double>(kPoints - 1));
-  workload::SweepOptions opts;
-  opts.batch_width = width_under_test();
+  const workload::SweepOptions opts;
   const std::vector<workload::SweepPoint> points = workload::sweep(
       xs, [](double q) { return quantum_system(0.4, q); }, opts);
   ASSERT_EQ(points.size(), kPoints);
@@ -109,16 +90,12 @@ TEST(FixedPointAcceleration, DefaultTolAnswersMatchTightTolSolve) {
   GangSolveOptions tight = base;
   tight.tol = 1e-12;
   tight.max_iterations = 200;
-  std::vector<GangSolver> solvers;
-  for (const Scenario& s : scenarios) solvers.emplace_back(s.params, base);
-  const std::vector<BatchOutcome> got = solve_all(solvers, nullptr);
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    SCOPED_TRACE(scenarios[i].name);
-    ASSERT_TRUE(got[i].error.empty()) << got[i].error;
-    const SolveReport& rep = got[i].report;
+  for (const Scenario& s : scenarios) {
+    SCOPED_TRACE(s.name);
+    const SolveReport rep = GangSolver(s.params, base).solve();
     ASSERT_FALSE(rep.used_optimistic_init);
     EXPECT_TRUE(rep.converged);
-    const SolveReport ref = GangSolver(scenarios[i].params, tight).solve();
+    const SolveReport ref = GangSolver(s.params, tight).solve();
     ASSERT_TRUE(ref.converged);
     for (std::size_t p = 0; p < rep.per_class.size(); ++p) {
       EXPECT_NEAR(rep.per_class[p].mean_jobs, ref.per_class[p].mean_jobs,
@@ -138,24 +115,14 @@ TEST(FixedPointAcceleration, WarmRestartFromFinalSlicesStopsAtOnce) {
   for (const double q : {1.0, 4.0})
     scenarios.push_back({"fig3 q=" + std::to_string(q),
                          quantum_system(0.9, q)});
-  const GangSolveOptions options{};
-  std::vector<GangSolver> solvers;
-  for (const Scenario& s : scenarios) solvers.emplace_back(s.params, options);
-  std::vector<SolveReport> cold;
-  for (const GangSolver& s : solvers) cold.push_back(s.solve());
-
-  std::vector<const std::vector<PhaseType>*> seeds;
-  for (const SolveReport& r : cold) seeds.push_back(&r.final_slices);
-  const std::vector<BatchOutcome> batched = solve_all(solvers, seeds.data());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    SCOPED_TRACE(scenarios[i].name);
-    const SolveReport warm = solvers[i].solve_warm(cold[i].final_slices);
+  for (const Scenario& s : scenarios) {
+    SCOPED_TRACE(s.name);
+    const GangSolver solver(s.params);
+    const SolveReport cold = solver.solve();
+    const SolveReport warm = solver.solve_warm(cold.final_slices);
     EXPECT_TRUE(warm.used_warm_start);
     EXPECT_TRUE(warm.converged);
     EXPECT_LE(warm.iterations, 2);
-    ASSERT_TRUE(batched[i].error.empty()) << batched[i].error;
-    EXPECT_LE(batched[i].report.iterations, 2);
-    EXPECT_TRUE(batched[i].report.converged);
   }
 }
 
@@ -165,17 +132,10 @@ TEST(FixedPointAcceleration, OptimisticInitKeepsPlainUpdateAndVerdict) {
   // keeps the plain update: its verdict (the cap, unconverged) and its
   // iteration count are those of the plain iteration.
   const GangSolveOptions options{};
-  const std::vector<GangSolver> solvers{GangSolver(figure4_system(2.0),
-                                                   options)};
-  const SolveReport scalar = solvers[0].solve();
-  EXPECT_TRUE(scalar.used_optimistic_init);
-  EXPECT_FALSE(scalar.converged);
-  EXPECT_EQ(scalar.iterations, options.max_iterations);
-  const std::vector<BatchOutcome> got = solve_all(solvers, nullptr);
-  ASSERT_TRUE(got[0].error.empty()) << got[0].error;
-  EXPECT_TRUE(got[0].report.used_optimistic_init);
-  EXPECT_FALSE(got[0].report.converged);
-  EXPECT_EQ(got[0].report.iterations, options.max_iterations);
+  const SolveReport rep = GangSolver(figure4_system(2.0), options).solve();
+  EXPECT_TRUE(rep.used_optimistic_init);
+  EXPECT_FALSE(rep.converged);
+  EXPECT_EQ(rep.iterations, options.max_iterations);
 
   // The same system with the optimistic initialization requested up
   // front runs the plain update too, so it stops at the same cap.

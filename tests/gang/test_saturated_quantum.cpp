@@ -4,13 +4,9 @@
 // instead of being computed from a hard-censored (biased-short) chain.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang_test_util.hpp"
-#include "linalg/batch.hpp"
 #include "qbd/solver.hpp"
 
 namespace {
@@ -76,86 +72,6 @@ TEST(SaturatedQuantum, ExactModeReturnsDefectiveFullQuantum) {
   ASSERT_TRUE(eq.exact.has_value());
   EXPECT_NEAR(eq.exact->atom_at_zero(), eq.atom, 1e-9);
   EXPECT_NEAR(eq.exact->moment(1), eq.m1, 1e-9);
-}
-
-TEST(SaturatedQuantum, BatchedLanesMatchScalarBitwise) {
-  // Same-shaped lanes spanning moderate load through near-saturation
-  // under a tight cap: the hot lanes take the saturated-tail branch
-  // (cap_tail > saturated_tail), the cool lanes the censored-chain
-  // moments, all inside one batch call. Every lane must reproduce the
-  // scalar extraction bit for bit — including the fallback lanes, whose
-  // batched path is required to divert to the identical scalar
-  // saturated_quantum computation.
-  const std::vector<double> rhos = {0.5, 0.9, 0.97, 0.985};
-  std::vector<SystemParams> systems;
-  std::vector<std::unique_ptr<ClassProcess>> procs;
-  std::vector<std::unique_ptr<gs::qbd::QbdSolution>> sols;
-  std::vector<const ClassProcess*> pp;
-  std::vector<const gs::qbd::QbdSolution*> sp;
-  for (double rho : rhos) {
-    systems.push_back(gt::single_class_whole_machine(rho, 1.0, 2.0, 0.01));
-    const SystemParams& sys = systems.back();
-    procs.push_back(std::make_unique<ClassProcess>(
-        sys, 0, away_period_heavy_traffic(sys, 0)));
-    sols.push_back(std::make_unique<gs::qbd::QbdSolution>(
-        gs::qbd::solve(procs.back()->process())));
-    pp.push_back(procs.back().get());
-    sp.push_back(sols.back().get());
-  }
-
-  TruncationOptions tight;
-  tight.max_levels = 50;  // saturates the rho >= 0.97 lanes
-  EffQuantumBatchResult res;
-  ClassProcess::effective_quantum_batch(pp.data(), sp.data(),
-                                        gs::linalg::LaneMask(pp.size()),
-                                        tight, /*want_exact=*/false, res);
-
-  bool saw_saturated = false, saw_censored = false;
-  for (std::size_t l = 0; l < pp.size(); ++l) {
-    SCOPED_TRACE("lane " + std::to_string(l));
-    ASSERT_TRUE(res.ok(l)) << res.error[l];
-    const EffectiveQuantum want = pp[l]->effective_quantum(*sp[l], tight);
-    EXPECT_EQ(res.quantum[l].atom, want.atom);
-    EXPECT_EQ(res.quantum[l].m1, want.m1);
-    EXPECT_EQ(res.quantum[l].m2, want.m2);
-    EXPECT_EQ(res.quantum[l].truncation_levels, want.truncation_levels);
-    // Classify which branch the lane took via the full-quantum signature.
-    const auto& full = systems[l].cls(0).quantum;
-    if (want.m1 == (1.0 - want.atom) * full.moment(1))
-      saw_saturated = true;
-    else
-      saw_censored = true;
-  }
-  // The batch genuinely exercised both branches.
-  EXPECT_TRUE(saw_saturated);
-  EXPECT_TRUE(saw_censored);
-}
-
-TEST(SaturatedQuantum, BatchedExactModeMatchesScalar) {
-  // want_exact routes every lane through the scalar extraction (the
-  // exact PH law has no lane-major form); the batch wrapper must still
-  // hand back the identical bits, saturated branch included.
-  const SystemParams sys = gt::single_class_whole_machine(0.985, 1.0, 2.0,
-                                                          0.01);
-  ClassProcess proc(sys, 0, away_period_heavy_traffic(sys, 0));
-  const auto sol = gs::qbd::solve(proc.process());
-  TruncationOptions tight;
-  tight.max_levels = 50;
-
-  const ClassProcess* pp[] = {&proc};
-  const gs::qbd::QbdSolution* sp[] = {&sol};
-  EffQuantumBatchResult res;
-  ClassProcess::effective_quantum_batch(pp, sp, gs::linalg::LaneMask(1),
-                                        tight, /*want_exact=*/true, res);
-  ASSERT_TRUE(res.ok(0)) << res.error[0];
-  const EffectiveQuantum want =
-      proc.effective_quantum(sol, tight, /*want_exact=*/true);
-  EXPECT_EQ(res.quantum[0].atom, want.atom);
-  EXPECT_EQ(res.quantum[0].m1, want.m1);
-  EXPECT_EQ(res.quantum[0].m2, want.m2);
-  ASSERT_TRUE(res.quantum[0].exact.has_value());
-  EXPECT_EQ(res.quantum[0].exact->moment(1), want.exact->moment(1));
-  EXPECT_EQ(res.quantum[0].exact->atom_at_zero(), want.exact->atom_at_zero());
 }
 
 TEST(SaturatedQuantum, NormalOperationUnaffected) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "gang/solver.hpp"
 #include "util/error.hpp"
@@ -96,6 +98,52 @@ TEST(WarmStart, UnstableWarmSlicesFallBackToCold) {
   const SolveReport warm = solver.solve_warm(donor.final_slices);
   EXPECT_TRUE(warm.converged);
   EXPECT_LE(max_abs_dn(cold, warm), 1e-4);
+}
+
+TEST(WarmStart, StarvedRBudgetWalksTheRetryLadder) {
+  // A 6-iteration log-reduction budget fails the R solve (NumericalError)
+  // of the heavier chains, so across lambda = 0.4..0.9 the cold solve
+  // ends on every rung of its retry ladder: solved from the heavy-traffic
+  // start, solved on the optimistic retry, or thrown. A warm start from a
+  // light-load donor either answers warm or ends exactly as the cold
+  // solve does, error text included.
+  GangSolveOptions options;
+  options.qbd.r_options.max_iter = 6;
+  PaperKnobs light;
+  light.arrival_rate = 0.1;
+  const SolveReport donor = GangSolver(paper_system(light)).solve();
+  int solved = 0, optimistic = 0, failed = 0;
+  for (int i = 0; i < 6; ++i) {
+    PaperKnobs k;
+    k.arrival_rate = 0.4 + 0.1 * i;
+    SCOPED_TRACE("lambda " + std::to_string(k.arrival_rate));
+    const GangSolver solver(paper_system(k), options);
+    std::optional<SolveReport> cold;
+    std::string cold_error;
+    try {
+      cold = solver.solve();
+      ++(cold->used_optimistic_init ? optimistic : solved);
+    } catch (const gs::NumericalError& e) {
+      cold_error = e.what();
+      ++failed;
+      EXPECT_NE(cold_error.find("logarithmic reduction for R"),
+                std::string::npos)
+          << cold_error;
+    }
+    try {
+      const SolveReport warm = solver.solve_warm(donor.final_slices);
+      if (warm.used_warm_start) continue;
+      ASSERT_TRUE(cold.has_value()) << "cold threw: " << cold_error;
+      EXPECT_EQ(warm.iterations, cold->iterations);
+      EXPECT_EQ(warm.used_optimistic_init, cold->used_optimistic_init);
+      EXPECT_EQ(max_abs_dn(warm, *cold), 0.0);
+    } catch (const gs::NumericalError& e) {
+      EXPECT_EQ(std::string(e.what()), cold_error);
+    }
+  }
+  EXPECT_GT(solved, 0);
+  EXPECT_GT(optimistic, 0);
+  EXPECT_GT(failed, 0);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// BatchMatrix / BatchLu contract tests: lane-major round trips, the
-// masked kernels' bitwise equality with the scalar kernels lane by lane,
-// the guarantee that masked-out lanes keep their bits, and the per-lane
-// singularity flag that replaces the scalar Lu throw.
+// BatchMatrix contract tests: lane-major round trips, the packed batched
+// GEMM's bitwise equality with the scalar multiplies lane by lane, and
+// the guarantee that masked-out lanes keep their bits.
 #include "linalg/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
 namespace {
@@ -44,15 +42,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, ValueStream& vs,
   return m;
 }
 
-// A well-conditioned square matrix (diagonally dominant) per lane.
-Matrix random_dominant(std::size_t n, ValueStream& vs,
-                       double zero_fraction = 0.0) {
-  Matrix m = random_matrix(n, n, vs, zero_fraction);
-  for (std::size_t i = 0; i < n; ++i)
-    m(i, i) += static_cast<double>(n) + 2.0;
-  return m;
-}
-
 BatchMatrix pack(const std::vector<Matrix>& lanes) {
   BatchMatrix b(lanes[0].rows(), lanes[0].cols(), lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) b.load_lane(l, lanes[l]);
@@ -79,83 +68,10 @@ TEST(BatchMatrix, EnsureKeepsBitsOnShapeMatchAndZerosOnReshape) {
   b.ensure(4, 4, 2);  // no-op
   EXPECT_EQ(b(2, 3, 1), pinned);
   b.ensure(5, 4, 2);  // reshape zero-fills every lane
-  for (std::size_t l = 0; l < 2; ++l) EXPECT_EQ(b.lane_max_abs(l), 0.0);
-}
-
-TEST(BatchMatrix, MultiplyMatchesScalarPerLane) {
-  ValueStream vs(3);
-  // Different sparsity per lane on purpose: the shared-zero skip must be
-  // value-preserving even when only some lanes hold a zero.
-  std::vector<Matrix> as, bs;
-  for (std::size_t l = 0; l < 8; ++l) {
-    as.push_back(random_matrix(5, 4, vs, /*zero_fraction=*/0.4));
-    bs.push_back(random_matrix(4, 6, vs, /*zero_fraction=*/0.4));
-  }
-  const BatchMatrix a = pack(as), b = pack(bs);
-  BatchMatrix out;
-  BatchKernelStats stats;
-  batch_multiply_into(out, a, b, LaneMask(8), &stats);
-
-  Matrix got, want;
-  for (std::size_t l = 0; l < 8; ++l) {
-    out.store_lane(l, got);
-    multiply_into(want, as[l], bs[l]);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "lane " << l;
-  }
-}
-
-TEST(BatchMatrix, MaskedLanesKeepTheirBits) {
-  ValueStream vs(4);
-  std::vector<Matrix> as = {random_matrix(3, 3, vs), random_matrix(3, 3, vs)};
-  std::vector<Matrix> bs = {random_matrix(3, 3, vs), random_matrix(3, 3, vs)};
-  const BatchMatrix a = pack(as), b = pack(bs);
-
-  // Pre-fill the output, then run every masked kernel with lane 1 off.
-  BatchMatrix out = pack({random_matrix(3, 3, vs), random_matrix(3, 3, vs)});
-  Matrix frozen;
-  out.store_lane(1, frozen);
-  LaneMask only0(2);
-  only0.set(1, false);
-
-  BatchKernelStats stats;
-  batch_multiply_into(out, a, b, only0, &stats);
-  batch_add(out, b, only0);
-  batch_scale(out, 0.5, only0);
-  batch_identity_minus(out, a, only0);
-  batch_zero(out, 3, 3, only0);
-  batch_scaled_copy(out, a, -1.0, only0);
-  batch_copy(out, b, only0);
-
-  Matrix after;
-  out.store_lane(1, after);
-  EXPECT_EQ(max_abs_diff(after, frozen), 0.0);
-  // ... while lane 0 went through the whole pipeline (last op: copy of b).
-  Matrix lane0;
-  out.store_lane(0, lane0);
-  EXPECT_EQ(max_abs_diff(lane0, bs[0]), 0.0);
-}
-
-TEST(BatchMatrix, MaskedMultiplyCountsSavedFlops) {
-  ValueStream vs(5);
-  const BatchMatrix a = pack({random_matrix(4, 4, vs), random_matrix(4, 4, vs)});
-  const BatchMatrix b = pack({random_matrix(4, 4, vs), random_matrix(4, 4, vs)});
-  BatchMatrix out;
-  LaneMask half(2);
-  half.set(1, false);
-  BatchKernelStats stats;
-  batch_multiply_into(out, a, b, half, &stats);
-  // One masked lane over a dense 4x4x4 product: 2 flops per (i,k,j) term.
-  EXPECT_EQ(stats.masked_flops, 2u * 4u * 4u * 4u);
-}
-
-TEST(BatchMatrix, LaneMaxAbsDiffMatchesScalar) {
-  ValueStream vs(6);
-  std::vector<Matrix> as = {random_matrix(3, 4, vs), random_matrix(3, 4, vs)};
-  std::vector<Matrix> bs = {random_matrix(3, 4, vs), random_matrix(3, 4, vs)};
-  const BatchMatrix a = pack(as), b = pack(bs);
+  Matrix lane;
   for (std::size_t l = 0; l < 2; ++l) {
-    EXPECT_EQ(lane_max_abs_diff(a, b, l), max_abs_diff(as[l], bs[l]));
-    EXPECT_EQ(a.lane_max_abs(l), as[l].max_abs());
+    b.store_lane(l, lane);
+    EXPECT_EQ(lane.max_abs(), 0.0);
   }
 }
 
@@ -204,149 +120,6 @@ TEST(BatchMatrix, PackedGemmMaskedLanesKeepTheirBits) {
   Matrix after;
   out.store_lane(1, after);
   EXPECT_EQ(max_abs_diff(after, frozen), 0.0);
-}
-
-TEST(BatchMatrix, PackedGemmGroupedMatchesSingleCalls) {
-  ValueStream vs(23);
-  std::vector<Matrix> hs, ls;
-  for (std::size_t l = 0; l < 4; ++l) {
-    hs.push_back(random_matrix(10, 10, vs, /*zero_fraction=*/0.4));
-    ls.push_back(random_matrix(10, 10, vs, /*zero_fraction=*/0.4));
-  }
-  const BatchMatrix h = pack(hs), l = pack(ls);
-  const LaneMask mask(4);
-  BatchGemmPackA ha, la;
-  BatchGemmPackB hb, lb;
-  ha.pack(h, mask);
-  la.pack(l, mask);
-  hb.pack(h);
-  lb.pack(l);
-  // The log-reduction squaring shape: four products over two packs.
-  BatchMatrix u, lh, hh, ll;
-  const BatchGemmOp ops[4] = {
-      {&u, &ha, &lb}, {&lh, &la, &hb}, {&hh, &ha, &hb}, {&ll, &la, &lb}};
-  batch_gemm_grouped(ops, 4, mask);
-  BatchMatrix want;
-  batch_gemm_packed_into(want, ha, lb, mask);
-  for (std::size_t lane = 0; lane < 4; ++lane)
-    EXPECT_EQ(lane_max_abs_diff(u, want, lane), 0.0) << lane;
-  batch_multiply_into(want, l, h, mask);
-  for (std::size_t lane = 0; lane < 4; ++lane)
-    EXPECT_EQ(lane_max_abs_diff(lh, want, lane), 0.0) << lane;
-  batch_multiply_into(want, h, h, mask);
-  for (std::size_t lane = 0; lane < 4; ++lane)
-    EXPECT_EQ(lane_max_abs_diff(hh, want, lane), 0.0) << lane;
-  batch_multiply_into(want, l, l, mask);
-  for (std::size_t lane = 0; lane < 4; ++lane)
-    EXPECT_EQ(lane_max_abs_diff(ll, want, lane), 0.0) << lane;
-}
-
-TEST(BatchLu, BlockedSolvesMatchScalarOnWideRhs) {
-  // Right-hand sides wider than the RB=8 block with a ragged edge, and a
-  // lane mix that forces both the sparse-factor and dense-factor sweeps
-  // through the factor-time pattern cache.
-  ValueStream vs(24);
-  std::vector<Matrix> as;
-  as.push_back(random_dominant(9, vs, /*zero_fraction=*/0.8));  // sparse factor
-  as.push_back(random_dominant(9, vs));                         // dense factor
-  as.push_back(random_dominant(9, vs, /*zero_fraction=*/0.5));
-  const BatchMatrix a = pack(as);
-  std::vector<Matrix> bs;
-  for (std::size_t l = 0; l < 3; ++l) bs.push_back(random_matrix(9, 21, vs));
-  const BatchMatrix b = pack(bs);
-  std::vector<Matrix> rs;
-  for (std::size_t l = 0; l < 3; ++l) rs.push_back(random_matrix(21, 9, vs));
-  const BatchMatrix rb = pack(rs);
-
-  BatchLu blu;
-  blu.factor(a, LaneMask(3));
-  BatchMatrix x, xr;
-  blu.solve_into(b, x, LaneMask(3));
-  blu.solve_right_into(rb, xr, LaneMask(3));
-
-  Matrix got, want;
-  for (std::size_t l = 0; l < 3; ++l) {
-    ASSERT_FALSE(blu.singular(l));
-    const Lu lu(as[l]);
-    x.store_lane(l, got);
-    lu.solve_into(bs[l], want);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "solve_into lane " << l;
-    xr.store_lane(l, got);
-    lu.solve_right_into(rs[l], want);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "solve_right_into lane " << l;
-  }
-  // Repeated right-division against one factor — the substitution-loop
-  // usage the pattern cache exists for — must stay pinned.
-  blu.solve_right_into(rb, xr, LaneMask(3));
-  for (std::size_t l = 0; l < 3; ++l) {
-    const Lu lu(as[l]);
-    xr.store_lane(l, got);
-    lu.solve_right_into(rs[l], want);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "re-solve lane " << l;
-  }
-}
-
-TEST(BatchLu, FactorAndSolvesMatchScalarPerLane) {
-  ValueStream vs(7);
-  std::vector<Matrix> as;
-  for (std::size_t l = 0; l < 4; ++l)
-    as.push_back(random_dominant(6, vs, /*zero_fraction=*/0.3));
-  const BatchMatrix a = pack(as);
-  ValueStream vs2(8);
-  std::vector<Matrix> bs;
-  for (std::size_t l = 0; l < 4; ++l)
-    bs.push_back(random_matrix(6, 6, vs2));
-  const BatchMatrix b = pack(bs);
-
-  BatchLu blu;
-  blu.factor(a, LaneMask(4));
-  BatchMatrix x;
-  x.ensure(6, 6, 4);
-  blu.solve_into(b, x, LaneMask(4));
-  BatchMatrix xr;
-  xr.ensure(6, 6, 4);
-  blu.solve_right_into(b, xr, LaneMask(4));
-
-  Matrix got, want;
-  for (std::size_t l = 0; l < 4; ++l) {
-    EXPECT_FALSE(blu.singular(l));
-    const Lu lu(as[l]);
-    x.store_lane(l, got);
-    lu.solve_into(bs[l], want);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "solve_into lane " << l;
-    xr.store_lane(l, got);
-    lu.solve_right_into(bs[l], want);
-    EXPECT_EQ(max_abs_diff(got, want), 0.0) << "solve_right_into lane " << l;
-  }
-}
-
-TEST(BatchLu, SingularLaneIsFlaggedAndOthersSolveOn) {
-  ValueStream vs(9);
-  Matrix good = random_dominant(4, vs);
-  Matrix singular(4, 4);  // rank 1: row i = (i+1) * row 0
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      singular(i, j) = static_cast<double>(i + 1) * static_cast<double>(j + 2);
-  const BatchMatrix a = pack({good, singular});
-
-  BatchLu blu;
-  blu.factor(a, LaneMask(2));
-  EXPECT_FALSE(blu.singular(0));
-  EXPECT_TRUE(blu.singular(1));
-
-  const Matrix rhs = random_matrix(4, 2, vs);
-  BatchMatrix b(4, 2, 2);
-  b.load_lane(0, rhs);
-  LaneMask only0(2);
-  only0.set(1, false);
-  BatchMatrix x;
-  x.ensure(4, 2, 2);
-  blu.solve_into(b, x, only0);
-
-  Matrix got, want;
-  x.store_lane(0, got);
-  Lu(good).solve_into(rhs, want);
-  EXPECT_EQ(max_abs_diff(got, want), 0.0);
 }
 
 }  // namespace

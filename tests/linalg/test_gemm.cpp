@@ -1,5 +1,5 @@
 // The tiled GEMM kernels must be invisible in the numbers: packed,
-// unpacked, grouped, and batched variants all have to reproduce
+// unpacked, and grouped variants all have to reproduce
 // multiply_into bit for bit (gemm.hpp documents why the included +-0.0
 // terms cannot move a bit), across square, rectangular, and odd shapes
 // that exercise every edge-tile path of the 4x8 micro-kernel.
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/batch.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -163,90 +162,6 @@ TEST(Gemm, RejectsShapeMismatch) {
 
 TEST(Gemm, KernelVariantIsNamed) {
   EXPECT_STREQ(gemm_kernel_variant(), "tiled_packed_4x8");
-}
-
-BatchMatrix to_batch(const std::vector<Matrix>& lanes) {
-  BatchMatrix b(lanes[0].rows(), lanes[0].cols(), lanes.size());
-  for (std::size_t l = 0; l < lanes.size(); ++l) b.load_lane(l, lanes[l]);
-  return b;
-}
-
-TEST(Gemm, BatchTiledMatchesBatchAndScalar) {
-  for (std::size_t width : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    SCOPED_TRACE("width=" + std::to_string(width));
-    std::vector<Matrix> as, bs;
-    for (std::size_t l = 0; l < width; ++l) {
-      as.push_back(random_matrix(21, 13, 60 + l));
-      bs.push_back(random_sparse(13, 29, 80 + l));
-    }
-    const BatchMatrix a = to_batch(as);
-    const BatchMatrix b = to_batch(bs);
-    const LaneMask all(width, true);
-
-    BatchMatrix out_tiled, out_ref;
-    batch_multiply_tiled_into(out_tiled, a, b, all);
-    batch_multiply_into(out_ref, a, b, all);
-
-    Matrix lane_t, lane_r, scalar;
-    for (std::size_t l = 0; l < width; ++l) {
-      out_tiled.store_lane(l, lane_t);
-      out_ref.store_lane(l, lane_r);
-      EXPECT_EQ(max_abs_diff(lane_t, lane_r), 0.0);
-      multiply_into(scalar, as[l], bs[l]);
-      EXPECT_EQ(max_abs_diff(lane_t, scalar), 0.0);
-    }
-  }
-}
-
-TEST(Gemm, BatchTiledLeavesInactiveLanesUntouched) {
-  const std::size_t width = 4;
-  std::vector<Matrix> as, bs;
-  for (std::size_t l = 0; l < width; ++l) {
-    as.push_back(random_matrix(9, 9, 200 + l));
-    bs.push_back(random_matrix(9, 9, 300 + l));
-  }
-  const BatchMatrix a = to_batch(as);
-  const BatchMatrix b = to_batch(bs);
-
-  // Pre-populate the output and retire lanes 1 and 3: their bits must
-  // survive the masked store exactly.
-  BatchMatrix out;
-  LaneMask all(width, true);
-  batch_multiply_into(out, a, b, all);
-  std::vector<Matrix> frozen(width);
-  for (std::size_t l = 0; l < width; ++l) out.store_lane(l, frozen[l]);
-
-  LaneMask mask(width, true);
-  mask.set(1, false);
-  mask.set(3, false);
-  // New inputs: active lanes recompute, inactive lanes keep old bits.
-  std::vector<Matrix> as2 = as, bs2 = bs;
-  as2[0] = random_matrix(9, 9, 400);
-  as2[2] = random_matrix(9, 9, 401);
-  const BatchMatrix a2 = to_batch(as2);
-  batch_multiply_tiled_into(out, a2, b, mask);
-
-  Matrix lane, ref;
-  for (std::size_t l = 0; l < width; ++l) {
-    SCOPED_TRACE("lane " + std::to_string(l));
-    out.store_lane(l, lane);
-    if (mask[l]) {
-      multiply_into(ref, as2[l], bs2[l]);
-      EXPECT_EQ(max_abs_diff(lane, ref), 0.0);
-    } else {
-      EXPECT_EQ(max_abs_diff(lane, frozen[l]), 0.0);
-    }
-  }
-}
-
-TEST(Gemm, BatchTiledRejectsAliasAndMismatch) {
-  BatchMatrix a(4, 4, 2), b(5, 4, 2), out;
-  const LaneMask all(2, true);
-  EXPECT_THROW(batch_multiply_tiled_into(out, a, b, all),
-               gs::InvalidArgument);
-  BatchMatrix sq(4, 4, 2);
-  EXPECT_THROW(batch_multiply_tiled_into(sq, sq, sq, all),
-               gs::InvalidArgument);
 }
 
 }  // namespace

@@ -113,35 +113,6 @@ TEST(WorkspaceArena, ArenasAreThreadLocal) {
   EXPECT_EQ(WorkspaceArena::thread_entries(), 1u);
 }
 
-TEST(WorkspaceArena, BatchLeaseReusesGrownScratchAcrossBorrows) {
-  WorkspaceArena::clear_thread();
-  {
-    WorkspaceArena::BatchLease lease =
-        WorkspaceArena::borrow_batch(0x5151u, 2);
-    EXPECT_EQ(lease.size(), 2u);
-    lease[0].blocks.ensure(4, 8);  // grow lane-major scratch
-  }
-  {
-    WorkspaceArena::BatchLease lease =
-        WorkspaceArena::borrow_batch(0x5151u, 2);
-    EXPECT_EQ(lease[0].blocks.size(), 4u);
-    EXPECT_EQ(lease[0].blocks.width(), 8u);
-  }
-  EXPECT_EQ(WorkspaceArena::thread_entries(), 1u);
-}
-
-TEST(WorkspaceArena, BatchAndScalarLeasesOfOneKeyCoexist) {
-  WorkspaceArena::clear_thread();
-  // Same key, different kinds: the entry carries both slot arrays, so a
-  // solver can hold its batch scratch and per-lane scalar scratch from
-  // distinct entries (the solver mixes a kind tag into the key; here we
-  // pin that even an identical key is safe while leased).
-  WorkspaceArena::BatchLease batch = WorkspaceArena::borrow_batch(0x77u, 1);
-  WorkspaceArena::Lease scalar = WorkspaceArena::borrow(0x77u, 3);
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_EQ(scalar.size(), 3u);
-}
-
 TEST(WorkspaceArena, RecyclingPublishesEvictCounter) {
   gs::obs::configure({/*metrics=*/true, /*trace=*/false});
   WorkspaceArena::clear_thread();

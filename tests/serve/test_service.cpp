@@ -342,8 +342,8 @@ std::vector<gs::gang::SystemParams> perturbed_systems(
 }
 
 TEST(Service, SolveBatchMatchesPerItemSolvesBitwise) {
-  // Same-shaped items ride the lock-step path; every per-item result
-  // must be the bytes a sequence of individual solves would have sent.
+  // Every per-item result must be the bytes a sequence of individual
+  // solves would have sent.
   // Warm starts are off on both sides so each item solves cold either
   // way (otherwise the sequential service would warm item 2 from item 1
   // while the batch solves all three cold).
@@ -367,19 +367,19 @@ TEST(Service, SolveBatchMatchesPerItemSolvesBitwise) {
     SCOPED_TRACE("item " + std::to_string(i));
     const Json& got = results[i];
     EXPECT_FALSE(got.at("cached").as_bool());
-    EXPECT_TRUE(got.at("batched").as_bool());
+    EXPECT_EQ(got.find("batched"), nullptr);
     EXPECT_EQ(got.at("hash").as_string(), want[i].at("hash").as_string());
     EXPECT_EQ(got.at("iterations").as_int(),
               want[i].at("iterations").as_int());
     EXPECT_EQ(got.at("result").dump(), want[i].at("result").dump());
   }
   EXPECT_EQ(service.stats().batch_requests, 1u);
-  EXPECT_EQ(service.stats().batch_lanes, 3u);
+  EXPECT_EQ(service.stats().batch_items, 3u);
   EXPECT_EQ(service.stats().solves_executed, 3u);
 }
 
 TEST(Service, SolveBatchFillsCachePerLane) {
-  // Every lane of a batch caches as if solved alone: individual repeats
+  // Every item of a batch caches as if solved alone: individual repeats
   // hit, and a repeat of the whole batch is answered entirely from cache.
   EvalService service;
   const auto systems = perturbed_systems({0.3, 0.35, 0.4});
@@ -438,7 +438,7 @@ TEST(Service, SolveBatchWarmStartsFromPriorSolveBitwise) {
 }
 
 TEST(Service, SolveBatchUnstableItemGetsErrorStringOthersSucceed) {
-  // One unstable lane must not poison the batch: its item carries the
+  // One unstable item must not poison the batch: its item carries the
   // scalar error string, the others answer, and the daemon stays up.
   EvalService service;
   const auto systems = perturbed_systems({0.3, 2.0, 0.4});
@@ -455,7 +455,7 @@ TEST(Service, SolveBatchUnstableItemGetsErrorStringOthersSucceed) {
 
   const Json ok =
       Json::parse(service.handle_line(solve_request(systems[0]).dump()));
-  EXPECT_TRUE(ok.at("cached").as_bool());  // healthy lanes filled the cache
+  EXPECT_TRUE(ok.at("cached").as_bool());  // healthy items filled the cache
 }
 
 TEST(Service, SolveBatchMalformedItemIsOneStructuredError) {
@@ -506,7 +506,7 @@ TEST(Service, SweepUnknownKeyGetsDidYouMeanHint) {
       << resp.dump();
 }
 
-TEST(Service, SweepAcceptsChainStrideAndBatchWidthWithoutChangingRows) {
+TEST(Service, SweepAcceptsChainStrideWithoutMovingFixedPoints) {
   const auto make_req = [] {
     Json req = Json::object();
     req.set("op", "sweep");
@@ -525,14 +525,6 @@ TEST(Service, SweepAcceptsChainStrideAndBatchWidthWithoutChangingRows) {
       Json::parse(plain_service.handle_line(make_req().dump()));
   ASSERT_EQ(plain.find("error"), nullptr) << plain.dump();
 
-  // batch_width only changes dispatch shape: rows stay bitwise equal.
-  Json wide_req = make_req();
-  wide_req.set("batch_width", 4);
-  EvalService wide_service;
-  const Json wide = Json::parse(wide_service.handle_line(wide_req.dump()));
-  ASSERT_EQ(wide.find("error"), nullptr) << wide.dump();
-  EXPECT_EQ(wide.at("points").dump(), plain.at("points").dump());
-
   // chain_stride moves the warm-chain anchors, so warm-started rows take
   // a different iteration path to the same fixed point (within tol) —
   // accepted, answered, and numerically equivalent rather than bitwise.
@@ -550,10 +542,39 @@ TEST(Service, SweepAcceptsChainStrideAndBatchWidthWithoutChangingRows) {
                 b[i].at("total_mean_jobs").as_double(), 1e-4);
 
   Json bad = make_req();
-  bad.set("batch_width", 0);
+  bad.set("chain_stride", 0);
   EvalService bad_service;
   const Json err = Json::parse(bad_service.handle_line(bad.dump()));
   ASSERT_NE(err.find("error"), nullptr);
+}
+
+TEST(Service, BatchWidthIsRejectedOnSweepAndSolveBatch) {
+  // Lane batching is gone; a request that still names its width gets a
+  // structured invalid_argument saying so, on both ops that took it.
+  Json sweep_req = Json::object();
+  sweep_req.set("op", "sweep");
+  sweep_req.set("system", gs::serve::params_to_json(paper_system()));
+  Json vary = Json::object();
+  vary.set("param", "quantum_mean");
+  Json values = Json::array();
+  values.push_back(1.0);
+  vary.set("values", std::move(values));
+  sweep_req.set("vary", std::move(vary));
+  sweep_req.set("batch_width", 4);
+  Json batch_req = batch_request(perturbed_systems({0.3}));
+  batch_req.set("batch_width", 4);
+  for (const Json& req : {sweep_req, batch_req}) {
+    SCOPED_TRACE(req.at("op").as_string());
+    EvalService service;
+    const Json resp = Json::parse(service.handle_line(req.dump()));
+    ASSERT_NE(resp.find("error"), nullptr) << resp.dump();
+    EXPECT_EQ(resp.at("error").at("type").as_string(), "invalid_argument");
+    EXPECT_NE(resp.at("error").at("message").as_string().find(
+                  "lane batching was removed"),
+              std::string::npos)
+        << resp.dump();
+    EXPECT_EQ(service.stats().solves_executed, 0u);
+  }
 }
 
 TEST(Service, StatsCountsSolveBatchOp) {
@@ -561,7 +582,7 @@ TEST(Service, StatsCountsSolveBatchOp) {
   service.handle_line(batch_request(perturbed_systems({0.3, 0.35})).dump());
   const Json stats = Json::parse(service.handle_line(R"({"op":"stats"})"));
   EXPECT_EQ(stats.at("ops").at("solve_batch").as_int(), 1);
-  EXPECT_NE(service.summary().find("1 solve_batch/2 lanes"),
+  EXPECT_NE(service.summary().find("1 solve_batch/2 items"),
             std::string::npos)
       << service.summary();
 }

@@ -185,4 +185,25 @@ TEST(SweepWarmChain, TwoPointSweepsNeverChain) {
   expect_identical(c, w);
 }
 
+TEST(SweepWarmChain, StrideOneMakesEveryPointAColdAnchor) {
+  // chain_stride = 1 puts an anchor on every point, so the chained sweep
+  // is the cold sweep: no point warm-starts and every row matches bit for
+  // bit.
+  const auto make = [](double quantum) {
+    PaperKnobs knobs;
+    knobs.quantum_mean = quantum;
+    return paper_system(knobs);
+  };
+  const auto xs = linspace(0.5, 2.0, 5);
+
+  SweepOptions chained;
+  chained.warm_chain = true;
+  chained.chain_stride = 1;
+  const auto w = sweep(xs, make, chained);
+  for (const SweepPoint& pt : w) EXPECT_FALSE(pt.warm_started) << pt.x;
+
+  const auto c = sweep(xs, make, SweepOptions{});
+  expect_identical(c, w);
+}
+
 }  // namespace

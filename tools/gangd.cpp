@@ -1,4 +1,4 @@
-// gangd: the batched gang-model evaluation daemon.
+// gangd: the gang-model evaluation daemon.
 //
 // Reads NDJSON requests (one JSON object per line) and answers one JSON
 // response per line. With --port=0 (the default) the transport is
@@ -41,7 +41,8 @@ bool file_exists(const std::string& path) {
 int main(int argc, char** argv) {
   gs::util::Cli cli("gangd",
                     "NDJSON evaluation service for the gang-scheduling "
-                    "model (ops: solve, sweep, tune, stats, shutdown)");
+                    "model (ops: solve, solve_batch, sweep, tune, stats, "
+                    "shutdown)");
   cli.add_flag("threads", "1",
                "concurrency inside a request (sweep points, per-class "
                "chains); results are bitwise identical at any value");
