@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nShape check: lending idle partitions helps at every load and "
       "most where queues are long but slices often under-fill (improvement "
-      "grows to ~50%+ at high rho) — quantifying why the authors' SP2 "
+      "grows to ~50%%+ at high rho) — quantifying why the authors' SP2 "
       "implementation made switches local rather than system-wide "
       "(Section 6).\n");
   return 0;

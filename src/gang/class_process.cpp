@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/block_tridiag.hpp"
 #include "linalg/lu.hpp"
+#include "obs/obs.hpp"
 #include "phase/builders.hpp"
 #include "phase/fitting.hpp"
 #include "util/error.hpp"
@@ -506,9 +506,9 @@ std::size_t ClassProcess::serving_index(std::size_t level, std::size_t j_a,
   return (j_a * cfgs_.count(std::min(level, c_)) + cfg_idx) * m_q_ + k;
 }
 
-void ClassProcess::assemble_censored_chain(
-    std::size_t l_max, std::vector<Matrix>& diag, std::vector<Matrix>& upper,
-    std::vector<Matrix>& lower) const {
+void ClassProcess::serving_row(std::size_t level, bool censored,
+                               Matrix& lower, Matrix& diag,
+                               Matrix& upper) const {
   const Matrix& sa = arrival_.generator();
   const Vector& sa0 = arrival_.exit_rates();
   const Vector& alpha_a = arrival_.alpha();
@@ -517,101 +517,93 @@ void ClassProcess::assemble_censored_chain(
   const Vector& beta = service_.alpha();
   const Matrix& sg = quantum_.generator();
 
-  auto sdim = [&](std::size_t i) { return serving_dim(i); };
-  auto sidx = [&](std::size_t i, std::size_t ja, std::size_t cfg_idx,
-                  std::size_t k) { return serving_index(i, ja, cfg_idx, k); };
+  const std::size_t i = level;
+  auto sidx = [&](std::size_t lvl, std::size_t ja, std::size_t cfg_idx,
+                  std::size_t k) { return serving_index(lvl, ja, cfg_idx, k); };
 
-  // Assemble the block-tridiagonal sub-generator T over serving states:
-  // diag[i-1], upper (arrivals), lower (completions staying busy).
-  diag.clear();
-  upper.clear();
-  lower.clear();
-  diag.reserve(l_max);
-  upper.reserve(l_max - 1);
-  lower.reserve(l_max - 1);
-  for (std::size_t i = 1; i <= l_max; ++i) {
-    diag.emplace_back(sdim(i), sdim(i));
-    if (i < l_max) {
-      upper.emplace_back(sdim(i), sdim(i + 1));
-      lower.emplace_back(sdim(i + 1), sdim(i));
-    }
+  // Block row i of T: diag, upper (arrivals), lower (completions staying
+  // busy).
+  diag.assign_zero(serving_dim(i), serving_dim(i));
+  if (censored) {
+    upper.assign_zero(0, 0);
+  } else {
+    upper.assign_zero(serving_dim(i), serving_dim(i + 1));
+  }
+  if (i == 1) {
+    lower.assign_zero(0, 0);
+  } else {
+    lower.assign_zero(serving_dim(i), serving_dim(i - 1));
   }
 
-  for (std::size_t i = 1; i <= l_max; ++i) {
-    const std::size_t s = std::min(i, c_);
-    Matrix& dblk = diag[i - 1];
-    for (std::size_t ja = 0; ja < m_a_; ++ja) {
-      for (const Config& cfg : cfgs_.configs(s)) {
-        const std::size_t cfg_idx = cfgs_.index_of(cfg);
-        for (std::size_t k = 0; k < m_q_; ++k) {
-          const std::size_t from = sidx(i, ja, cfg_idx, k);
-          double out = 0.0;
-          // Arrival-phase internals.
-          for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
-            if (ja2 == ja) continue;
-            dblk(from, sidx(i, ja2, cfg_idx, k)) += sa(ja, ja2);
-            out += sa(ja, ja2);
-          }
-          // Arrivals: censored at the truncation boundary.
-          if (i < l_max) {
-            for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
-              const double base = sa0[ja] * alpha_a[ja2];
-              if (base == 0.0) continue;
-              if (i < c_) {
-                for (std::size_t n = 0; n < m_b_; ++n) {
-                  if (beta[n] == 0.0) continue;
-                  const Config up_cfg = cfgs_.with_added(cfg, n);
-                  upper[i - 1](from, sidx(i + 1, ja2,
-                                          cfgs_.index_of(up_cfg), k)) +=
-                      base * beta[n];
-                }
-              } else {
-                upper[i - 1](from, sidx(i + 1, ja2, cfg_idx, k)) += base;
-              }
-              out += base;
-            }
-          }
-          // Service moves and completions.
-          for (std::size_t n = 0; n < m_b_; ++n) {
-            if (cfg[n] == 0) continue;
-            const double jobs = static_cast<double>(cfg[n]);
-            for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
-              if (n2 == n) continue;
-              const double rate = jobs * sb(n, n2);
-              if (rate == 0.0) continue;
-              const Config moved = cfgs_.with_moved(cfg, n, n2);
-              dblk(from, sidx(i, ja, cfgs_.index_of(moved), k)) += rate;
-              out += rate;
-            }
-            const double crate = jobs * sb0[n];
-            if (crate == 0.0) continue;
-            out += crate;  // absorption when i == 1, down otherwise
-            if (i == 1) continue;
-            if (i <= c_) {
-              const Config down_cfg = cfgs_.with_removed(cfg, n);
-              lower[i - 2](from,
-                           sidx(i - 1, ja, cfgs_.index_of(down_cfg), k)) +=
-                  crate;
-            } else {
-              for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
-                if (beta[n2] == 0.0) continue;
-                const Config refilled =
-                    cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
-                lower[i - 2](from,
-                             sidx(i - 1, ja, cfgs_.index_of(refilled), k)) +=
-                    crate * beta[n2];
-              }
-            }
-          }
-          // Quantum internals and expiry (expiry absorbs).
-          for (std::size_t k2 = 0; k2 < m_q_; ++k2) {
-            if (k2 == k) continue;
-            dblk(from, sidx(i, ja, cfg_idx, k2)) += sg(k, k2);
-            out += sg(k, k2);
-          }
-          out += quantum_.exit_rates()[k];
-          dblk(from, from) -= out;
+  const std::size_t s = std::min(i, c_);
+  for (std::size_t ja = 0; ja < m_a_; ++ja) {
+    for (const Config& cfg : cfgs_.configs(s)) {
+      const std::size_t cfg_idx = cfgs_.index_of(cfg);
+      for (std::size_t k = 0; k < m_q_; ++k) {
+        const std::size_t from = sidx(i, ja, cfg_idx, k);
+        double out = 0.0;
+        // Arrival-phase internals.
+        for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
+          if (ja2 == ja) continue;
+          diag(from, sidx(i, ja2, cfg_idx, k)) += sa(ja, ja2);
+          out += sa(ja, ja2);
         }
+        // Arrivals: censored at the truncation boundary.
+        if (!censored) {
+          for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
+            const double base = sa0[ja] * alpha_a[ja2];
+            if (base == 0.0) continue;
+            if (i < c_) {
+              for (std::size_t n = 0; n < m_b_; ++n) {
+                if (beta[n] == 0.0) continue;
+                const Config up_cfg = cfgs_.with_added(cfg, n);
+                upper(from, sidx(i + 1, ja2, cfgs_.index_of(up_cfg), k)) +=
+                    base * beta[n];
+              }
+            } else {
+              upper(from, sidx(i + 1, ja2, cfg_idx, k)) += base;
+            }
+            out += base;
+          }
+        }
+        // Service moves and completions.
+        for (std::size_t n = 0; n < m_b_; ++n) {
+          if (cfg[n] == 0) continue;
+          const double jobs = static_cast<double>(cfg[n]);
+          for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
+            if (n2 == n) continue;
+            const double rate = jobs * sb(n, n2);
+            if (rate == 0.0) continue;
+            const Config moved = cfgs_.with_moved(cfg, n, n2);
+            diag(from, sidx(i, ja, cfgs_.index_of(moved), k)) += rate;
+            out += rate;
+          }
+          const double crate = jobs * sb0[n];
+          if (crate == 0.0) continue;
+          out += crate;  // absorption when i == 1, down otherwise
+          if (i == 1) continue;
+          if (i <= c_) {
+            const Config down_cfg = cfgs_.with_removed(cfg, n);
+            lower(from, sidx(i - 1, ja, cfgs_.index_of(down_cfg), k)) +=
+                crate;
+          } else {
+            for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
+              if (beta[n2] == 0.0) continue;
+              const Config refilled =
+                  cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
+              lower(from, sidx(i - 1, ja, cfgs_.index_of(refilled), k)) +=
+                  crate * beta[n2];
+            }
+          }
+        }
+        // Quantum internals and expiry (expiry absorbs).
+        for (std::size_t k2 = 0; k2 < m_q_; ++k2) {
+          if (k2 == k) continue;
+          diag(from, sidx(i, ja, cfg_idx, k2)) += sg(k, k2);
+          out += sg(k, k2);
+        }
+        out += quantum_.exit_rates()[k];
+        diag(from, from) -= out;
       }
     }
   }
@@ -669,7 +661,8 @@ double ClassProcess::slice_start_vector(const qbd::QbdSolution& sol,
 
 EffectiveQuantum ClassProcess::effective_quantum(
     const qbd::QbdSolution& sol, const TruncationOptions& trunc,
-    bool want_exact) const {
+    bool want_exact) {
+  obs::count("gang.effq.calls");
   const TruncScan scan = truncation_scan(sol, trunc);
   const std::size_t l_max = scan.l_max;
   if (scan.cap_tail > trunc.saturated_tail) {
@@ -677,9 +670,6 @@ EffectiveQuantum ClassProcess::effective_quantum(
                " at the level cap); using the full quantum");
     return saturated_quantum(sol, l_max, want_exact);
   }
-
-  std::vector<Matrix> diag, upper, lower;
-  assemble_censored_chain(l_max, diag, upper, lower);
 
   Vector xi;
   const double atom_flow = slice_start_vector(sol, l_max, xi);
@@ -695,28 +685,39 @@ EffectiveQuantum ClassProcess::effective_quantum(
   out.atom = atom_flow / total_flow;
   out.truncation_levels = l_max;
 
-  // Moments via two block-tridiagonal solves with -T.
-  std::vector<Matrix> ndiag = diag, nupper = upper, nlower = lower;
-  for (auto& m : ndiag) m *= -1.0;
-  for (auto& m : nupper) m *= -1.0;
-  for (auto& m : nlower) m *= -1.0;
-  const Vector v1 =
-      linalg::block_tridiag_solve(ndiag, nupper, nlower,
-                                  linalg::ones(total_dim));
+  // Eliminate -T's uncensored levels up to the cut (only the levels no
+  // earlier call reached), then factor the censored last level alone.
+  Matrix lower, diag, upper;
+  const std::size_t factored = serving_factor_.levels();
+  while (serving_factor_.levels() < l_max) {
+    serving_row(serving_factor_.levels() + 1, /*censored=*/false, lower, diag,
+                upper);
+    lower *= -1.0;
+    diag *= -1.0;
+    upper *= -1.0;
+    serving_factor_.push(lower, diag, upper);
+  }
+  obs::count("gang.effq.levels_factored", serving_factor_.levels() - factored);
+  serving_row(l_max, /*censored=*/true, lower, diag, upper);
+  diag *= -1.0;
+  const linalg::BlockTridiagFactor::Truncated neg_t =
+      serving_factor_.truncate(l_max, diag);
+
+  // Moments via two solves with -T: E[T~^k] = k! xi (-T)^{-k} e.
+  const Vector v1 = neg_t.solve(linalg::ones(total_dim));
   out.m1 = linalg::dot(xi, v1);
-  const Vector v2 = linalg::block_tridiag_solve(ndiag, nupper, nlower, v1);
+  const Vector v2 = neg_t.solve(v1);
   out.m2 = 2.0 * linalg::dot(xi, v2);
 
   if (want_exact) {
     Matrix t(total_dim, total_dim);
     std::size_t roff = 0;
-    for (std::size_t i = 0; i < l_max; ++i) {
-      t.insert_block(roff, roff, diag[i]);
-      if (i + 1 < l_max) {
-        t.insert_block(roff, roff + diag[i].rows(), upper[i]);
-        t.insert_block(roff + diag[i].rows(), roff, lower[i]);
-      }
-      roff += diag[i].rows();
+    for (std::size_t i = 1; i <= l_max; ++i) {
+      serving_row(i, /*censored=*/i == l_max, lower, diag, upper);
+      t.insert_block(roff, roff, diag);
+      if (i < l_max) t.insert_block(roff, roff + diag.rows(), upper);
+      if (i > 1) t.insert_block(roff, roff - lower.cols(), lower);
+      roff += diag.rows();
     }
     out.exact.emplace(xi, std::move(t));
   }

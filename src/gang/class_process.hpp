@@ -29,6 +29,7 @@
 
 #include "gang/params.hpp"
 #include "gang/service_config.hpp"
+#include "linalg/block_tridiag.hpp"
 #include "qbd/solver.hpp"
 
 namespace gs::gang {
@@ -146,9 +147,14 @@ class ClassProcess {
   ArrivalView arrival_view(const qbd::QbdSolution& sol) const;
 
   /// Theorem 4.3: extract the effective-quantum law from the solved chain.
+  /// The serving-state generator T depends on the arrival, service and
+  /// quantum laws and c_p but never on the away period, so its block
+  /// elimination is kept for the object's life (across update_away) and
+  /// only grown when a call truncates deeper than any before. Not safe to
+  /// call concurrently on one object.
   EffectiveQuantum effective_quantum(const qbd::QbdSolution& sol,
                                      const TruncationOptions& trunc = {},
-                                     bool want_exact = false) const;
+                                     bool want_exact = false);
 
  private:
   void build();
@@ -174,12 +180,12 @@ class ClassProcess {
   std::size_t serving_dim(std::size_t level) const;
   std::size_t serving_index(std::size_t level, std::size_t j_a,
                             std::size_t cfg_idx, std::size_t k) const;
-  // Assemble the censored block-tridiagonal sub-generator T over serving
-  // states for levels 1..l_max.
-  void assemble_censored_chain(std::size_t l_max,
-                               std::vector<linalg::Matrix>& diag,
-                               std::vector<linalg::Matrix>& upper,
-                               std::vector<linalg::Matrix>& lower) const;
+  // Assemble block row `level` (>= 1) of the serving-state sub-generator
+  // T: `lower` to level-1 (empty at level 1), `diag`, and `upper` to
+  // level+1. A censored row is the truncation's last level: its arrivals
+  // are dropped from the out-rate and it has no upper block.
+  void serving_row(std::size_t level, bool censored, linalg::Matrix& lower,
+                   linalg::Matrix& diag, linalg::Matrix& upper) const;
   // Fill the unnormalized slice-start vector xi (sized for l_max levels)
   // and return the level-0 atom flow.
   double slice_start_vector(const qbd::QbdSolution& sol, std::size_t l_max,
@@ -196,6 +202,9 @@ class ClassProcess {
   qbd::Workspace* ws_ = nullptr;
   qbd::QbdBlocks own_stage_;
   std::optional<qbd::QbdProcess> process_;
+  // Block elimination of -T over the uncensored serving levels 1..k,
+  // grown on demand by effective_quantum.
+  linalg::BlockTridiagFactor serving_factor_;
 };
 
 }  // namespace gs::gang

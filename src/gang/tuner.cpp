@@ -25,6 +25,10 @@ SystemParams with_quanta(const SystemParams& base,
 }
 
 struct Evaluator {
+  Evaluator(const SystemParams& base, const TuneObjective& objective,
+            const TuneOptions& options)
+      : base(base), objective(objective), options(options) {}
+
   const SystemParams& base;
   const TuneObjective& objective;
   const TuneOptions& options;

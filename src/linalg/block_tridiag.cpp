@@ -1,10 +1,8 @@
 #include "linalg/block_tridiag.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "linalg/lu.hpp"
-#include "linalg/sparse.hpp"
 #include "util/error.hpp"
 
 namespace gs::linalg {
@@ -33,11 +31,6 @@ void validate(const std::vector<Matrix>& diag,
   GS_CHECK(b.size() == total, "rhs length mismatch");
 }
 
-Vector segment(const Vector& v, std::size_t off, std::size_t n) {
-  return Vector(v.begin() + static_cast<std::ptrdiff_t>(off),
-                v.begin() + static_cast<std::ptrdiff_t>(off + n));
-}
-
 // Compress a block when at least half its entries are zero — the arrival
 // and completion off-diagonals of the serving-state chain are O(rows)
 // dense. A non-finite entry disables compression for the block: the
@@ -57,90 +50,127 @@ std::optional<SparseMatrix> try_compress(const Matrix& m) {
 
 }  // namespace
 
+void BlockTridiagFactor::OffDiag::assign(const Matrix& m) {
+  csr = try_compress(m);
+  if (!csr) dense = m;
+}
+
+void BlockTridiagFactor::OffDiag::multiply(Vector& out,
+                                           const Vector& x) const {
+  if (csr) {
+    multiply_into(out, *csr, x);
+  } else {
+    out = dense * x;
+  }
+}
+
+void BlockTridiagFactor::push(const Matrix& lower, const Matrix& diag,
+                              const Matrix& upper) {
+  GS_CHECK(diag.is_square(), "diagonal blocks must be square");
+  GS_CHECK(upper.empty() || upper.rows() == diag.rows(),
+           "upper block shape mismatch");
+  // Everything is computed into locals first: a singular pivot throws
+  // before the factor changes.
+  Row row;
+  row.dim = diag.rows();
+  Matrix dprime = diag;
+  std::optional<Lu> pivot;
+  if (rows_.empty()) {
+    GS_CHECK(lower.empty(), "the first block row has no lower block");
+  } else {
+    const Row& prev = rows_.back();
+    GS_CHECK(pending_upper_.rows() == prev.dim &&
+                 pending_upper_.cols() == diag.rows(),
+             "upper block shape mismatch");
+    GS_CHECK(lower.rows() == diag.rows() && lower.cols() == prev.dim,
+             "lower block shape mismatch");
+    row.offset = prev.offset + prev.dim;
+    // D'_i = D_i - L_{i-1} D'^{-1}_{i-1} U_{i-1}.
+    pivot.emplace(pending_);
+    const Matrix dinv_u = pivot->solve(pending_upper_);
+    row.lower.assign(lower);
+    if (row.lower.csr) {
+      multiply_into(row.schur, *row.lower.csr, dinv_u);
+    } else {
+      multiply_into(row.schur, lower, dinv_u);
+    }
+    dprime -= row.schur;
+  }
+  row.upper.assign(upper);
+  if (pivot) pivots_.push_back(std::move(*pivot));
+  rows_.push_back(std::move(row));
+  pending_ = std::move(dprime);
+  pending_upper_ = upper;
+}
+
+BlockTridiagFactor::Truncated BlockTridiagFactor::truncate(
+    std::size_t n, const Matrix& last_diag) const {
+  GS_CHECK(n >= 1 && n <= rows_.size(),
+           "truncation depth exceeds the factored prefix");
+  const Row& row = rows_[n - 1];
+  GS_CHECK(last_diag.rows() == row.dim && last_diag.cols() == row.dim,
+           "replacement diagonal block shape mismatch");
+  if (n == 1) return Truncated(*this, n, Lu(last_diag));
+  Matrix dprime = last_diag;
+  dprime -= row.schur;
+  return Truncated(*this, n, Lu(dprime));
+}
+
+std::size_t BlockTridiagFactor::Truncated::size() const {
+  const Row& last = f_->rows_[n_ - 1];
+  return last.offset + last.dim;
+}
+
+Vector BlockTridiagFactor::Truncated::solve(const Vector& b) const {
+  GS_CHECK(b.size() == size(), "rhs length mismatch");
+  const std::vector<Row>& rows = f_->rows_;
+  const std::vector<Lu>& pivots = f_->pivots_;
+  Vector x = b;
+  Vector seg, t;
+  auto load = [&](std::size_t i) {
+    const auto first = x.begin() + static_cast<std::ptrdiff_t>(rows[i].offset);
+    seg.assign(first, first + static_cast<std::ptrdiff_t>(rows[i].dim));
+  };
+  auto store = [&](std::size_t i, const Vector& v) {
+    std::copy(v.begin(), v.end(),
+              x.begin() + static_cast<std::ptrdiff_t>(rows[i].offset));
+  };
+
+  // Forward sweep, in place: y_{i+1} = b_{i+1} - L_i D'^{-1}_i y_i.
+  for (std::size_t i = 0; i + 1 < n_; ++i) {
+    load(i);
+    const Vector dinv_y = pivots[i].solve(seg);
+    rows[i + 1].lower.multiply(t, dinv_y);
+    double* y = x.data() + rows[i + 1].offset;
+    for (std::size_t r = 0; r < t.size(); ++r) y[r] -= t[r];
+  }
+
+  // Back substitution: x_{n-1} = D'^{-1}_{n-1} y_{n-1};
+  // x_i = D'^{-1}_i (y_i - U_i x_{i+1}).
+  load(n_ - 1);
+  store(n_ - 1, last_.solve(seg));
+  for (std::size_t i = n_ - 1; i-- > 0;) {
+    load(i + 1);
+    rows[i].upper.multiply(t, seg);
+    load(i);
+    for (std::size_t r = 0; r < seg.size(); ++r) seg[r] -= t[r];
+    store(i, pivots[i].solve(seg));
+  }
+  return x;
+}
+
 Vector block_tridiag_solve(const std::vector<Matrix>& diag,
                            const std::vector<Matrix>& upper,
                            const std::vector<Matrix>& lower,
                            const Vector& b) {
   validate(diag, upper, lower, b);
   const std::size_t n = diag.size();
-
-  std::vector<std::optional<SparseMatrix>> lower_csr(lower.size());
-  std::vector<std::optional<SparseMatrix>> upper_csr(upper.size());
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    lower_csr[i] = try_compress(lower[i]);
-    upper_csr[i] = try_compress(upper[i]);
-  }
-
-  // Forward elimination: D'_i = D_i - L_{i-1} D'^{-1}_{i-1} U_{i-1},
-  // y_i = b_i - L_{i-1} D'^{-1}_{i-1} y_{i-1}.
-  std::vector<Lu> factored;
-  factored.reserve(n);
-  std::vector<Vector> y(n);
-  std::vector<Matrix> dinv_u(n);  // D'^{-1}_i U_i, needed for back-subst.
-
-  Matrix dprime = diag[0];
-  Matrix l_dinv_u;        // L_i D'^{-1}_i U_i scratch
-  Vector correction;      // L_i D'^{-1}_i y_i scratch
-  std::size_t off = 0;
-  y[0] = segment(b, off, diag[0].rows());
-  off += diag[0].rows();
-  for (std::size_t i = 0;; ++i) {
-    factored.emplace_back(dprime);
-    if (i + 1 == n) break;
-    dinv_u[i] = factored[i].solve(upper[i]);
-    const Vector dinv_y = factored[i].solve(y[i]);
-    if (lower_csr[i]) {
-      multiply_into(l_dinv_u, *lower_csr[i], dinv_u[i]);
-      multiply_into(correction, *lower_csr[i], dinv_y);
-    } else {
-      multiply_into(l_dinv_u, lower[i], dinv_u[i]);
-      correction = lower[i] * dinv_y;
-    }
-    dprime = diag[i + 1];
-    dprime -= l_dinv_u;
-    y[i + 1] = segment(b, off, diag[i + 1].rows());
-    off += diag[i + 1].rows();
-    for (std::size_t r = 0; r < y[i + 1].size(); ++r)
-      y[i + 1][r] -= correction[r];
-  }
-
-  // Back substitution: x_n = D'^{-1}_n y_n; x_i = D'^{-1}_i (y_i - U_i x_{i+1}).
-  std::vector<Vector> x(n);
-  x[n - 1] = factored[n - 1].solve(y[n - 1]);
-  Vector up;
-  for (std::size_t ii = n - 1; ii-- > 0;) {
-    Vector rhs = y[ii];
-    if (upper_csr[ii]) {
-      multiply_into(up, *upper_csr[ii], x[ii + 1]);
-    } else {
-      up = upper[ii] * x[ii + 1];
-    }
-    for (std::size_t r = 0; r < rhs.size(); ++r) rhs[r] -= up[r];
-    x[ii] = factored[ii].solve(rhs);
-  }
-
-  Vector out;
-  out.reserve(b.size());
-  for (const auto& seg : x) out.insert(out.end(), seg.begin(), seg.end());
-  return out;
-}
-
-Vector block_tridiag_solve_left(const std::vector<Matrix>& diag,
-                                const std::vector<Matrix>& upper,
-                                const std::vector<Matrix>& lower,
-                                const Vector& b) {
-  // x M = b  <=>  M^T x^T = b^T: transpose every block and swap the
-  // off-diagonal roles.
-  std::vector<Matrix> dt, ut, lt;
-  dt.reserve(diag.size());
-  ut.reserve(upper.size());
-  lt.reserve(lower.size());
-  for (const auto& m : diag) dt.push_back(m.transpose());
-  for (std::size_t i = 0; i + 1 < diag.size(); ++i) {
-    ut.push_back(lower[i].transpose());
-    lt.push_back(upper[i].transpose());
-  }
-  return block_tridiag_solve(dt, ut, lt, b);
+  const Matrix none;
+  BlockTridiagFactor f;
+  for (std::size_t i = 0; i < n; ++i)
+    f.push(i == 0 ? none : lower[i - 1], diag[i],
+           i + 1 < n ? upper[i] : none);
+  return f.truncate(n, diag[n - 1]).solve(b);
 }
 
 }  // namespace gs::linalg

@@ -3,11 +3,15 @@
 // atom at zero when the queue is empty at the slice's start.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang_test_util.hpp"
+#include "phase/builders.hpp"
 #include "qbd/solver.hpp"
 
 namespace {
@@ -118,6 +122,71 @@ TEST(EffectiveQuantum, TighterEpsDeepensTruncation) {
   EXPECT_LT(a.truncation_levels, b.truncation_levels);
   // Moments barely move: truncation error is controlled.
   EXPECT_NEAR(a.m1, b.m1, 1e-4 * (1.0 + b.m1));
+}
+
+// ClassProcess keeps the block elimination of its serving-state chain
+// across update_away calls (T does not depend on the away period). Reuse
+// must not change a single bit: every extraction equals a freshly built
+// process's, while the truncation depth rises, falls and repeats — so the
+// kept prefix is cut both shorter than and exactly at its grown depth.
+void expect_reuse_matches_fresh(const SystemParams& sys, std::size_t p,
+                                bool want_exact) {
+  namespace ph = gs::phase;
+  const std::vector<PhaseType> aways = {
+      ph::erlang(2, 0.5), ph::erlang(2, 4.0), ph::exponential(1.0 / 1.5),
+      ph::erlang(2, 4.0), ph::erlang(3, 0.8), ph::erlang(2, 4.0)};
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ClassProcess reused(sys, p, aways[0]);
+  std::vector<std::size_t> depth;
+  for (std::size_t k = 0; k < aways.size(); ++k) {
+    SCOPED_TRACE("away period " + std::to_string(k));
+    if (k > 0) reused.update_away(aways[k]);
+    const EffectiveQuantum a = reused.effective_quantum(
+        gs::qbd::solve(reused.process()), {}, want_exact);
+    ClassProcess fresh(sys, p, aways[k]);
+    const EffectiveQuantum b = fresh.effective_quantum(
+        gs::qbd::solve(fresh.process()), {}, want_exact);
+    EXPECT_EQ(bits(a.m1), bits(b.m1));
+    EXPECT_EQ(bits(a.m2), bits(b.m2));
+    EXPECT_EQ(bits(a.atom), bits(b.atom));
+    EXPECT_EQ(a.truncation_levels, b.truncation_levels);
+    ASSERT_EQ(a.exact.has_value(), want_exact);
+    ASSERT_EQ(b.exact.has_value(), want_exact);
+    if (want_exact) {
+      const gs::linalg::Matrix& ta = a.exact->generator();
+      const gs::linalg::Matrix& tb = b.exact->generator();
+      ASSERT_EQ(ta.rows(), tb.rows());
+      EXPECT_EQ(gs::linalg::max_abs_diff(ta, tb), 0.0);
+      ASSERT_EQ(a.exact->alpha().size(), b.exact->alpha().size());
+      for (std::size_t i = 0; i < a.exact->alpha().size(); ++i)
+        EXPECT_EQ(bits(a.exact->alpha()[i]), bits(b.exact->alpha()[i]));
+    }
+    depth.push_back(a.truncation_levels);
+  }
+  EXPECT_GT(depth[1], depth[0]);  // rise
+  EXPECT_LT(depth[2], depth[1]);  // fall
+  EXPECT_EQ(depth[3], depth[1]);  // repeat the grown depth
+  EXPECT_LT(depth[4], depth[3]);
+  EXPECT_EQ(depth[5], depth[1]);
+}
+
+TEST(EffectiveQuantum, ReusedFactorMatchesFreshMomentMatched) {
+  const SystemParams sys = gt::paper_system(0.4, 1.0);
+  expect_reuse_matches_fresh(sys, 0, /*want_exact=*/false);
+  expect_reuse_matches_fresh(sys, 3, /*want_exact=*/false);
+  // Phase-type service: several configurations per level.
+  ClassParams c{gs::phase::exponential(0.2),
+                gs::phase::hyperexponential({0.3, 0.7}, {0.5, 2.0}),
+                gs::phase::erlang(2, 1.0), gs::phase::exponential(100.0), 1,
+                "h2"};
+  expect_reuse_matches_fresh(SystemParams(2, {c}), 0, /*want_exact=*/false);
+}
+
+TEST(EffectiveQuantum, ReusedFactorMatchesFreshExact) {
+  const SystemParams sys = gt::paper_system(0.4, 1.0);
+  expect_reuse_matches_fresh(sys, 0, /*want_exact=*/true);
+  expect_reuse_matches_fresh(gt::two_class_small(0.3, 0.3), 0,
+                             /*want_exact=*/true);
 }
 
 }  // namespace

@@ -83,7 +83,9 @@ TEST_P(PhaseFamily, MinimumWithItselfHalvesExponentialOnly) {
   const PhaseType p = representative(GetParam());
   const PhaseType m = minimum(p, p);
   EXPECT_LT(m.mean(), p.mean());
-  if (GetParam() == 0) EXPECT_NEAR(m.mean(), p.mean() / 2.0, 1e-12);
+  if (GetParam() == 0) {
+    EXPECT_NEAR(m.mean(), p.mean() / 2.0, 1e-12);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Representatives, PhaseFamily,

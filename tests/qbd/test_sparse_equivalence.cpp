@@ -21,8 +21,9 @@ void expect_r_identical(const RSolveResult& s, const RSolveResult& d) {
   EXPECT_EQ(s.iterations, d.iterations);
   EXPECT_EQ(s.residual, d.residual);
   EXPECT_EQ(max_abs_diff(s.r, d.r), 0.0);
-  if (s.g.rows() > 0 || d.g.rows() > 0)
+  if (s.g.rows() > 0 || d.g.rows() > 0) {
     EXPECT_EQ(max_abs_diff(s.g, d.g), 0.0);
+  }
 }
 
 void expect_solutions_identical(const QbdSolution& s, const QbdSolution& d) {

@@ -20,8 +20,9 @@ void expect_r_identical(const RSolveResult& a, const RSolveResult& b) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.residual, b.residual);
   EXPECT_EQ(max_abs_diff(a.r, b.r), 0.0);
-  if (a.g.rows() > 0 || b.g.rows() > 0)
+  if (a.g.rows() > 0 || b.g.rows() > 0) {
     EXPECT_EQ(max_abs_diff(a.g, b.g), 0.0);
+  }
 }
 
 void expect_solutions_identical(const QbdSolution& a, const QbdSolution& b) {
