@@ -94,7 +94,8 @@ void ClassProcess::build() {
   const Vector& sf0 = away_.exit_rates();
   const Vector& phi = away_.alpha();
 
-  // Offsets of boundary-interior levels 0..c-1 within the aggregated D.
+  // Offsets of boundary-interior levels 0..c-1 in the flat out-rate
+  // accumulator.
   std::vector<std::size_t> off(c_, 0);
   for (std::size_t i = 1; i < c_; ++i) off[i] = off[i - 1] + level_dim(i - 1);
   const std::size_t D = c_ == 0 ? 0 : off[c_ - 1] + level_dim(c_ - 1);
@@ -103,9 +104,14 @@ void ClassProcess::build() {
   // Assemble into the staging blocks (workspace-backed when available):
   // assign_zero keeps the allocations across fixed-point rebuilds.
   qbd::QbdBlocks& blk = stage();
-  blk.b00.assign_zero(D, D);
-  blk.b01.assign_zero(D, d);
-  blk.b10.assign_zero(d, D);
+  blk.diag.resize(c_);
+  blk.up.resize(c_);
+  blk.down.resize(c_);
+  for (std::size_t i = 0; i < c_; ++i) {
+    blk.diag[i].assign_zero(level_dim(i), level_dim(i));
+    blk.up[i].assign_zero(level_dim(i), level_dim(i + 1));
+    blk.down[i].assign_zero(level_dim(i + 1), level_dim(i));
+  }
   blk.b11.assign_zero(d, d);
   blk.a0.assign_zero(d, d);
   blk.a1.assign_zero(d, d);
@@ -117,17 +123,20 @@ void ClassProcess::build() {
   Vector out_boundary(D, 0.0);
   Vector out_b(d, 0.0);
 
-  // Route a transition from boundary-interior level i.
+  // Route a transition from boundary-interior level i to level j, which
+  // is always i-1, i or i+1 (level c's block when j == c).
   auto add_from_boundary = [&](std::size_t i, std::size_t idx_from,
                                std::size_t j, std::size_t idx_to,
                                double rate) {
     if (rate == 0.0) return;
     out_boundary[off[i] + idx_from] += rate;
-    if (j < c_) {
-      blk.b00(off[i] + idx_from, off[j] + idx_to) += rate;
+    if (j == i) {
+      blk.diag[i](idx_from, idx_to) += rate;
+    } else if (j == i + 1) {
+      blk.up[i](idx_from, idx_to) += rate;
     } else {
-      GS_ASSERT(j == c_);
-      blk.b01(off[i] + idx_from, idx_to) += rate;
+      GS_ASSERT(j + 1 == i);
+      blk.down[j](idx_from, idx_to) += rate;
     }
   };
 
@@ -266,9 +275,10 @@ void ClassProcess::build() {
   }
 
   // Level c (the last boundary level) and the repeating template. A single
-  // enumeration of level-c states yields B11/B10/A0 directly; the
-  // repeating A1 equals B11 (identical within-level dynamics) and A2 is
-  // the completion-with-refill variant of the down transitions.
+  // enumeration of level-c states yields B11, the last down block L_{c-1}
+  // and A0 directly; the repeating A1 equals B11 (identical within-level
+  // dynamics) and A2 is the completion-with-refill variant of the down
+  // transitions.
   for (std::size_t ja = 0; ja < m_a_; ++ja) {
     for (const Config& cfg : cfgs_.configs(c_)) {
       for (std::size_t k = 0; k < w_; ++k) {
@@ -283,11 +293,8 @@ void ClassProcess::build() {
               } else if (lvl == c_ + 1) {
                 blk.a0(from, idx) += rate;
               } else {
-                // Down to level c-1: `idx` is level-local; placing it at
-                // the level's aggregated-boundary offset directly saves
-                // the former shift pass (off[c-1] is 0 when c == 1).
                 GS_ASSERT(lvl + 1 == c_);
-                blk.b10(from, off[c_ - 1] + idx) += rate;
+                blk.down[c_ - 1](from, idx) += rate;
               }
             });
       }
@@ -320,7 +327,9 @@ void ClassProcess::build() {
   // Diagonals: subtract total out-rates. The repeating levels have the
   // same total out-rate as level c (completion totals are independent of
   // whether the freed partition is refilled).
-  for (std::size_t s = 0; s < D; ++s) blk.b00(s, s) -= out_boundary[s];
+  for (std::size_t i = 0; i < c_; ++i)
+    for (std::size_t s = 0; s < level_dim(i); ++s)
+      blk.diag[i](s, s) -= out_boundary[off[i] + s];
   for (std::size_t s = 0; s < d; ++s) {
     blk.b11(s, s) -= out_b[s];
     blk.a1(s, s) -= out_b[s];
@@ -334,11 +343,7 @@ void ClassProcess::build() {
       process_->boundary_size() == D) {
     process_->revalue(blk);
   } else {
-    std::vector<std::size_t> boundary_dims;
-    boundary_dims.reserve(c_);
-    for (std::size_t i = 0; i < c_; ++i)
-      boundary_dims.push_back(level_dim(i));
-    process_.emplace(blk, std::move(boundary_dims));
+    process_.emplace(blk);
   }
 }
 

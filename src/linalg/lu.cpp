@@ -8,12 +8,15 @@
 
 namespace gs::linalg {
 
-Lu::Lu(const Matrix& a, double pivot_tol) {
+Lu::Lu(const Matrix& a, double pivot_tol) { factor(a, pivot_tol); }
+
+void Lu::factor(const Matrix& a, double pivot_tol) {
   GS_CHECK(a.is_square(), "LU needs a square matrix");
   n_ = a.rows();
   lu_ = a;
   perm_.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) perm_[i] = i;
+  perm_sign_ = 1;
   const double scale = std::max(a.max_abs(), 1.0);
 
   for (std::size_t k = 0; k < n_; ++k) {
@@ -54,9 +57,13 @@ Lu::Lu(const Matrix& a, double pivot_tol) {
     for (std::size_t c = 0; c < n_; ++c)
       if (c != r && lu_(r, c) != 0.0) ++nnz;
   factor_sparse_ = n_ > 0 && 2 * nnz <= n_ * (n_ - 1);
+  upper_ptr_.assign(1, 0);
+  lower_ptr_.assign(1, 0);
+  upper_idx_.clear();
+  lower_idx_.clear();
+  upper_val_.clear();
+  lower_val_.clear();
   if (factor_sparse_) {
-    upper_ptr_.assign(1, 0);
-    lower_ptr_.assign(1, 0);
     for (std::size_t r = 0; r < n_; ++r) {
       for (std::size_t c = r + 1; c < n_; ++c)
         if (lu_(r, c) != 0.0) {

@@ -13,9 +13,20 @@ namespace gs::linalg {
 
 class Lu {
  public:
+  /// Empty 0x0 factor, to be filled by factor().
+  Lu() = default;
+
   /// Factor PA = LU. Throws gs::NumericalError if A is singular to working
   /// precision (pivot below `pivot_tol` * max|A|).
   explicit Lu(const Matrix& a, double pivot_tol = 1e-13);
+
+  /// Refactor in place for a new matrix, reusing this object's storage
+  /// (no allocation once it has grown to the largest size seen) — for
+  /// callers that factor same-shaped pivots over and over. Same
+  /// arithmetic, bit for bit, as the constructor, and the same
+  /// gs::NumericalError on a singular `a`; the factor is then unusable
+  /// until the next successful call.
+  void factor(const Matrix& a, double pivot_tol = 1e-13);
 
   std::size_t size() const { return n_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "linalg/gth.hpp"
 #include "markov/scc.hpp"
@@ -10,19 +9,30 @@
 
 namespace gs::qbd {
 
-QbdProcess::QbdProcess(QbdBlocks blocks,
-                       std::vector<std::size_t> boundary_level_dims)
-    : blocks_(std::move(blocks)), boundary_dims_(std::move(boundary_level_dims)) {
+namespace {
+
+bool same_shape(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols();
+}
+
+bool same_shapes(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_shape(a[i], b[i])) return false;
+  return true;
+}
+
+}  // namespace
+
+QbdProcess::QbdProcess(QbdBlocks blocks) : blocks_(std::move(blocks)) {
   validate();
+  for (const Matrix& m : blocks_.diag) boundary_size_ += m.rows();
 }
 
 void QbdProcess::revalue(const QbdBlocks& blocks) {
-  auto same_shape = [](const Matrix& a, const Matrix& b) {
-    return a.rows() == b.rows() && a.cols() == b.cols();
-  };
-  GS_CHECK(same_shape(blocks.b00, blocks_.b00) &&
-               same_shape(blocks.b01, blocks_.b01) &&
-               same_shape(blocks.b10, blocks_.b10) &&
+  GS_CHECK(same_shapes(blocks.diag, blocks_.diag) &&
+               same_shapes(blocks.up, blocks_.up) &&
+               same_shapes(blocks.down, blocks_.down) &&
                same_shape(blocks.b11, blocks_.b11) &&
                same_shape(blocks.a0, blocks_.a0) &&
                same_shape(blocks.a1, blocks_.a1) &&
@@ -44,43 +54,56 @@ void QbdProcess::validate() const {
   GS_CHECK(blocks_.b11.rows() == d && blocks_.b11.cols() == d,
            "QBD level-b block B11 must be d x d");
 
-  const std::size_t D =
-      std::accumulate(boundary_dims_.begin(), boundary_dims_.end(),
-                      std::size_t{0});
-  GS_CHECK(blocks_.b00.rows() == D && blocks_.b00.cols() == D,
-           "QBD boundary block B00 must match the boundary level dims");
-  GS_CHECK(blocks_.b01.rows() == D && blocks_.b01.cols() == d,
-           "QBD block B01 must be D x d");
-  GS_CHECK(blocks_.b10.rows() == d && blocks_.b10.cols() == D,
-           "QBD block B10 must be d x D");
+  const std::size_t b = blocks_.diag.size();
+  GS_CHECK(blocks_.up.size() == b && blocks_.down.size() == b,
+           "QBD boundary needs one diagonal, up and down block per "
+           "boundary-interior level");
+  // n_i per level; level b has the repeating dimension.
+  auto dim = [&](std::size_t i) {
+    return i < b ? blocks_.diag[i].rows() : d;
+  };
+  for (std::size_t i = 0; i < b; ++i) {
+    GS_CHECK(blocks_.diag[i].rows() > 0 && blocks_.diag[i].is_square(),
+             "QBD boundary diagonal blocks must be square and non-empty");
+    GS_CHECK(blocks_.up[i].rows() == dim(i) &&
+                 blocks_.up[i].cols() == dim(i + 1),
+             "QBD boundary up block i must be n_i x n_{i+1}");
+    GS_CHECK(blocks_.down[i].rows() == dim(i + 1) &&
+                 blocks_.down[i].cols() == dim(i),
+             "QBD boundary down block i must be n_{i+1} x n_i");
+  }
 
   // Row-sum validation (generator rows must vanish).
-  const double scale = std::max(
-      {blocks_.b00.max_abs(), blocks_.b11.max_abs(), blocks_.a0.max_abs(),
-       blocks_.a1.max_abs(), blocks_.a2.max_abs(), 1.0});
+  double scale = std::max({blocks_.b11.max_abs(), blocks_.a0.max_abs(),
+                           blocks_.a1.max_abs(), blocks_.a2.max_abs(), 1.0});
+  for (const Matrix& m : blocks_.diag) scale = std::max(scale, m.max_abs());
   const double tol = 1e-8 * scale;
 
-  const Vector r00 = blocks_.b00.row_sums();
-  const Vector r01 = blocks_.b01.row_sums();
-  for (std::size_t i = 0; i < D; ++i)
-    GS_CHECK(std::fabs(r00[i] + r01[i]) <= tol,
-             "QBD boundary row sums must vanish");
-
-  const Vector r10 = blocks_.b10.row_sums();
-  const Vector r11 = blocks_.b11.row_sums();
-  const Vector ra0 = blocks_.a0.row_sums();
-  for (std::size_t i = 0; i < d; ++i)
-    GS_CHECK(std::fabs(r10[i] + r11[i] + ra0[i]) <= tol,
-             "QBD level-b row sums must vanish");
-
-  const Vector ra1 = blocks_.a1.row_sums();
-  const Vector ra2 = blocks_.a2.row_sums();
-  for (std::size_t i = 0; i < d; ++i)
-    GS_CHECK(std::fabs(ra0[i] + ra1[i] + ra2[i]) <= tol,
+  // Row i of the level's row sums, accumulated block by block.
+  auto row_sum = [](const Matrix& m, std::size_t r) {
+    const double* row = m.data() + r * m.cols();
+    double acc = 0.0;
+    for (std::size_t c = 0; c < m.cols(); ++c) acc += row[c];
+    return acc;
+  };
+  for (std::size_t i = 0; i < b; ++i)
+    for (std::size_t r = 0; r < dim(i); ++r) {
+      double acc = row_sum(blocks_.diag[i], r) + row_sum(blocks_.up[i], r);
+      if (i > 0) acc += row_sum(blocks_.down[i - 1], r);
+      GS_CHECK(std::fabs(acc) <= tol, "QBD boundary row sums must vanish");
+    }
+  for (std::size_t r = 0; r < d; ++r) {
+    double acc = row_sum(blocks_.b11, r) + row_sum(blocks_.a0, r);
+    if (b > 0) acc += row_sum(blocks_.down[b - 1], r);
+    GS_CHECK(std::fabs(acc) <= tol, "QBD level-b row sums must vanish");
+  }
+  for (std::size_t r = 0; r < d; ++r)
+    GS_CHECK(std::fabs(row_sum(blocks_.a0, r) + row_sum(blocks_.a1, r) +
+                       row_sum(blocks_.a2, r)) <= tol,
              "QBD repeating row sums must vanish");
 
-  // Off-diagonal non-negativity of every block (the diagonal lives in B00,
-  // B11, A1 only).
+  // Off-diagonal non-negativity of every block (the diagonal lives in the
+  // D_i, B11 and A1 only).
   auto check_nonneg = [&](const Matrix& m, bool has_diag, const char* name) {
     for (std::size_t i = 0; i < m.rows(); ++i)
       for (std::size_t j = 0; j < m.cols(); ++j) {
@@ -90,9 +113,11 @@ void QbdProcess::validate() const {
                      " has a negative off-diagonal entry");
       }
   };
-  check_nonneg(blocks_.b00, true, "B00");
-  check_nonneg(blocks_.b01, false, "B01");
-  check_nonneg(blocks_.b10, false, "B10");
+  for (std::size_t i = 0; i < b; ++i) {
+    check_nonneg(blocks_.diag[i], true, "D_i");
+    check_nonneg(blocks_.up[i], false, "U_i");
+    check_nonneg(blocks_.down[i], false, "L_i");
+  }
   check_nonneg(blocks_.b11, true, "B11");
   check_nonneg(blocks_.a0, false, "A0");
   check_nonneg(blocks_.a1, true, "A1");
@@ -112,13 +137,19 @@ QbdProcess::Drift QbdProcess::drift() const {
 }
 
 Matrix QbdProcess::corner(std::size_t repeating_levels) const {
+  const std::size_t b = boundary_levels();
   const std::size_t D = boundary_size();
   const std::size_t d = repeating_size();
   const std::size_t n = D + d * (1 + repeating_levels);
   Matrix q(n, n);
-  q.insert_block(0, 0, blocks_.b00);
-  q.insert_block(0, D, blocks_.b01);
-  q.insert_block(D, 0, blocks_.b10);
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < b; ++i) {
+    const std::size_t ni = blocks_.diag[i].rows();
+    q.insert_block(off, off, blocks_.diag[i]);
+    q.insert_block(off, off + ni, blocks_.up[i]);
+    q.insert_block(off + ni, off, blocks_.down[i]);
+    off += ni;
+  }
   q.insert_block(D, D, blocks_.b11);
   for (std::size_t k = 0; k <= repeating_levels; ++k) {
     const std::size_t r0 = D + k * d;

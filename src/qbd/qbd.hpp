@@ -3,17 +3,22 @@
 //
 // The generator is block-tridiagonal in the *level* (for the gang model:
 // the number of class-p jobs in the system). Levels 0..b-1 form the
-// boundary interior (their state spaces may differ level to level; we keep
-// them aggregated in one D x D block), level b is the last boundary level
-// whose within-level space already matches the repeating portion, and from
-// level b+1 onward the process repeats with blocks A0 (up), A1 (local),
-// A2 (down):
+// boundary interior (their state spaces may differ level to level), level
+// b is the last boundary level whose within-level space already matches
+// the repeating portion, and from level b+1 onward the process repeats
+// with blocks A0 (up), A1 (local), A2 (down):
 //
-//        [ B00  B01              ]
-//    Q = [ B10  B11  A0          ]
-//        [      A2   A1  A0      ]
-//        [           A2  A1  A0  ]
-//        [               ...     ]
+//        [ D0  U0                        ]
+//        [ L0  D1  U1                    ]
+//    Q = [     ..  ..  U_{b-1}           ]
+//        [         L_{b-1}  B11  A0      ]
+//        [                  A2   A1  A0  ]
+//        [                       ..  ..  ]
+//
+// QbdBlocks stores exactly these blocks, one per level, so the structure
+// is a property of the type: no transition can skip a level. The solver
+// works level by level and never assembles the boundary as one matrix;
+// corner() does, for the irreducibility check and the tests.
 #pragma once
 
 #include <vector>
@@ -25,10 +30,13 @@ namespace gs::qbd {
 using linalg::Matrix;
 using linalg::Vector;
 
+/// The generator's blocks, level by level. With b = diag.size() boundary-
+/// interior levels of n_0..n_{b-1} states (n_i = diag[i].rows()) and
+/// n_b = d states per level from b on:
 struct QbdBlocks {
-  Matrix b00;  ///< boundary-interior -> boundary-interior (D x D)
-  Matrix b01;  ///< boundary-interior -> level b            (D x d)
-  Matrix b10;  ///< level b -> boundary-interior            (d x D)
+  std::vector<Matrix> diag;  ///< level i -> i, i < b          (n_i x n_i)
+  std::vector<Matrix> up;    ///< level i -> i+1, i < b        (n_i x n_{i+1})
+  std::vector<Matrix> down;  ///< level i+1 -> i, i < b        (n_{i+1} x n_i)
   Matrix b11;  ///< within level b                          (d x d)
   Matrix a0;   ///< level n -> n+1, n >= b                  (d x d)
   Matrix a1;   ///< within level n, n >= b+1                (d x d)
@@ -37,32 +45,31 @@ struct QbdBlocks {
 
 class QbdProcess {
  public:
-  /// `boundary_level_dims` gives the state-count of each boundary-interior
-  /// level 0..b-1 (their sum must equal D = b00.rows()); it may be empty
-  /// (b = 0, no boundary interior). Validates the block shapes and that
+  /// Validates the block shapes (diag, up and down all of length b and
+  /// chained level to level; b = 0 means no boundary interior) and that
   /// every generator row sums to zero:
-  ///   boundary rows:  B00 e + B01 e = 0
-  ///   level-b rows:   B10 e + B11 e + A0 e = 0
+  ///   level i < b:    L_{i-1} e + D_i e + U_i e = 0
+  ///   level b:        L_{b-1} e + B11 e + A0 e = 0
   ///   repeating rows: A2 e + A1 e + A0 e = 0
-  QbdProcess(QbdBlocks blocks, std::vector<std::size_t> boundary_level_dims);
+  /// with non-negative entries off the diagonals of D_i, B11 and A1.
+  explicit QbdProcess(QbdBlocks blocks);
 
   /// Overwrite the block values in place, keeping the existing storage —
   /// every block of `blocks` must have the shape the process was built
   /// with (throws gs::InvalidArgument otherwise). Runs the same validation
   /// as the constructor. This is the fixed-point iteration's revalue path:
   /// the gang chains keep their shapes while only the away-period rates
-  /// change, so re-solving need not reallocate seven blocks per class per
+  /// change, so re-solving need not reallocate the blocks per class per
   /// iteration.
   void revalue(const QbdBlocks& blocks);
 
   const QbdBlocks& blocks() const { return blocks_; }
   /// Number of boundary-interior levels b.
-  std::size_t boundary_levels() const { return boundary_dims_.size(); }
-  const std::vector<std::size_t>& boundary_level_dims() const {
-    return boundary_dims_;
-  }
+  std::size_t boundary_levels() const { return blocks_.diag.size(); }
+  /// n_i: states at boundary-interior level i < b.
+  std::size_t level_dim(std::size_t i) const { return blocks_.diag[i].rows(); }
   /// D: total states across boundary-interior levels.
-  std::size_t boundary_size() const { return blocks_.b00.rows(); }
+  std::size_t boundary_size() const { return boundary_size_; }
   /// d: states per repeating level.
   std::size_t repeating_size() const { return blocks_.a1.rows(); }
 
@@ -91,7 +98,7 @@ class QbdProcess {
   void validate() const;
 
   QbdBlocks blocks_;
-  std::vector<std::size_t> boundary_dims_;
+  std::size_t boundary_size_ = 0;
 };
 
 }  // namespace gs::qbd

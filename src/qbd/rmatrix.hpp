@@ -13,6 +13,8 @@
 #pragma once
 
 #include "linalg/gemm.hpp"
+#include "linalg/gth.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "qbd/qbd.hpp"
@@ -84,9 +86,18 @@ struct Workspace {
   // Successive substitution: R, R A2, the numerator A0 + R (R A2), and
   // the next iterate. (r_sq survives for callers that still hold it.)
   Matrix r_cur, r_sq, r_num, r_next, r_t;
-  // Boundary balance system (qbd::solve): R A2, the assembled balance
-  // matrix, and its transpose.
-  Matrix ra2, bal, balt;
+  // Boundary level reduction (qbd::solve_with_r): R A2 (then the level-b
+  // block B11 + R A2), one P_i per boundary-interior level, the running
+  // pivot S_i, its exit rates U_i e and reused factor, the P_i U_i product
+  // with the CSR mirror of U_i, the mass weights v_i and P_i v_i, and the
+  // transposed top-level system with its factor.
+  Matrix ra2;
+  std::vector<Matrix> bnd_p;
+  Matrix bnd_s, bnd_tmp, bnd_st;
+  linalg::GthFactor bnd_gth;
+  linalg::Lu bnd_lu;
+  linalg::SparseMatrix bnd_up_csr;
+  linalg::Vector bnd_exit, bnd_v, bnd_pv;
   // CSR mirrors of the structured blocks (RSolveOptions::sparse) and the
   // per-iteration recompression of R A2.
   linalg::SparseMatrix a0_csr, a1_csr, a2_csr, rt_csr;

@@ -1,7 +1,9 @@
 #include "qbd/solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/spectral.hpp"
 #include "obs/obs.hpp"
@@ -126,10 +128,15 @@ Vector QbdSolution::repeating_phase_mass() const {
 }
 
 double QbdSolution::total_mass() const {
+  return total_mass(boundary_pi_, i_minus_r_inv_);
+}
+
+double QbdSolution::total_mass(const std::vector<Vector>& boundary_pi,
+                               const Matrix& i_minus_r_inv) {
   double acc = 0.0;
-  const std::size_t b = boundary_pi_.size() - 1;
-  for (std::size_t i = 0; i < b; ++i) acc += linalg::sum(boundary_pi_[i]);
-  return acc + linalg::sum(repeating_phase_mass());
+  for (std::size_t i = 0; i + 1 < boundary_pi.size(); ++i)
+    acc += linalg::sum(boundary_pi[i]);
+  return acc + linalg::sum(boundary_pi.back() * i_minus_r_inv);
 }
 
 QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
@@ -157,6 +164,85 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
   return solve_with_r(process, rres.r, opts, &w);
 }
 
+namespace {
+
+[[noreturn]] void throw_singular_boundary() {
+  throw NumericalError(
+      "QBD boundary system is singular — the chain is likely reducible "
+      "(check QbdProcess::is_irreducible())");
+}
+
+// Linear level reduction (Latouche–Ramaswami; Gaver–Jacobs–Latouche) of
+// the balance system x M = 0, x = [x_0, ..., x_b], whose blocks are
+// M_ii = D_i (i < b), M_bb = B11 + R A2 (already in w.ra2),
+// M_{i,i+1} = U_i and M_{i+1,i} = L_i. Level i's column equations give
+// x_i = x_{i+1} P_i with
+//   S_0 = M_00,  P_i = -M_{i+1,i} S_i^{-1},
+//   S_{i+1} = M_{i+1,i+1} + P_i M_{i,i+1},
+// leaving x_b S_b = 0 at the top. The boundary mass folds up the same
+// way: sum_{i<=k} x_i e = x_k v_k with v_0 = e, v_i = e + P_{i-1} v_{i-1}.
+// Leaves P_0..P_{b-1} in w.bnd_p, S_b in w.bnd_s and P_{b-1} v_{b-1} in
+// w.bnd_pv (b >= 1).
+//
+// Each S_i (i < b) is the level-i block of the chain censored to levels
+// >= i, a sub-generator whose exit rates are the arrivals, -S_i e = U_i e.
+// linalg::GthFactor divides by it from its off-diagonal rates and those
+// exit rates alone, never subtracting, so the P_i keep full relative
+// accuracy under light load, where -S_i is close to singular: there a
+// partial-pivot LU lost digits, or rejected valid chains as singular
+// (tests/qbd/test_boundary_random.cpp, LightLoad*). -S_i is nonsingular
+// for an irreducible chain, so a zero pivot means a reducible one.
+void reduce_levels(const QbdBlocks& blk, bool sparse, Workspace& w) {
+  const std::size_t b = blk.diag.size();
+  w.bnd_p.resize(b);
+  Matrix& s = w.bnd_s;
+  Vector& v = w.bnd_v;
+  Vector& pv = w.bnd_pv;
+  Vector& exit = w.bnd_exit;
+  v.assign(b > 0 ? blk.diag[0].rows() : 0, 1.0);
+  for (std::size_t i = 0; i < b; ++i) {
+    const Matrix& up = blk.up[i];
+    exit.assign(up.rows(), 0.0);
+    for (std::size_t k = 0; k < up.rows(); ++k)
+      for (std::size_t j = 0; j < up.cols(); ++j) exit[k] += up(k, j);
+    try {
+      w.bnd_gth.factor(i == 0 ? blk.diag[0] : s, exit);
+    } catch (const NumericalError&) {
+      throw_singular_boundary();
+    }
+    Matrix& p = w.bnd_p[i];
+    w.bnd_gth.solve_right_into(blk.down[i], p);
+
+    // S_{i+1} = M_{i+1,i+1} + P_i U_i, with the arrival block U_i through
+    // CSR when it is at most half full (bitwise the dense product). Only
+    // the off-diagonal rates of an interior S_{i+1} are read.
+    bool sparse_up = false;
+    if (sparse) {
+      w.bnd_up_csr.assign_from_dense(up);
+      sparse_up = 2 * w.bnd_up_csr.nnz() <= up.rows() * up.cols();
+    }
+    if (sparse_up)
+      linalg::multiply_into(w.bnd_tmp, p, w.bnd_up_csr);
+    else
+      linalg::multiply_into(w.bnd_tmp, p, up);
+    s = i + 1 < b ? blk.diag[i + 1] : w.ra2;
+    s += w.bnd_tmp;
+
+    // v_{i+1} = e + P_i v_i.
+    pv.assign(p.rows(), 0.0);
+    for (std::size_t k = 0; k < p.rows(); ++k) {
+      const double* row = p.data() + k * p.cols();
+      double acc = 0.0;
+      for (std::size_t j = 0; j < p.cols(); ++j) acc += row[j] * v[j];
+      pv[k] = acc;
+    }
+    v.resize(pv.size());
+    for (std::size_t k = 0; k < v.size(); ++k) v[k] = 1.0 + pv[k];
+  }
+}
+
+}  // namespace
+
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
                          const SolveOptions& opts, Workspace* ws) {
   Workspace local;
@@ -164,20 +250,18 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
   const QbdBlocks& blk = process.blocks();
 
   const auto spec = linalg::spectral_radius(r);
-  if (spec.radius >= 1.0) {
+  if (!(spec.radius < 1.0)) {
     throw NumericalError("sp(R) = " + std::to_string(spec.radius) +
                          " >= 1: chain is not positive recurrent");
   }
 
-  const std::size_t D = process.boundary_size();
+  obs::Span span("qbd.boundary");
+  const std::size_t b = process.boundary_levels();
   const std::size_t d = process.repeating_size();
-  const std::size_t n = D + d;
+  obs::count("qbd.boundary.levels", b + 1);
 
-  // Balance system over x = [pi_boundary, pi_b] (eqs. 25–26):
-  //   boundary columns:  x_B B00 + x_b B10          = 0
-  //   level-b columns:   x_B B01 + x_b (B11 + R A2) = 0
-  // with one equation replaced by the normalization (eq. 24):
-  //   x_B e + x_b (I-R)^{-1} e = 1.
+  // Level b's block of the balance system (eqs. 21–22, 25–26): its own
+  // rates plus the repeating tail folded back through R.
   if (opts.r_options.sparse) {
     // The R solver left a CSR mirror of A2 in the workspace; refresh it
     // here anyway (idempotent, O(d^2)) so this block never depends on
@@ -187,72 +271,78 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
   } else {
     linalg::multiply_into(w.ra2, r, blk.a2);
   }
-  w.ra2 += blk.b11;  // the level-b diagonal block B11 + R A2
-  Matrix& m = w.bal;
-  m.assign_zero(n, n);
-  m.insert_block(0, 0, blk.b00);
-  m.insert_block(0, D, blk.b01);
-  m.insert_block(D, 0, blk.b10);
-  m.insert_block(D, D, w.ra2);
+  w.ra2 += blk.b11;  // B11 + R A2
+  reduce_levels(blk, opts.r_options.sparse, w);
 
-  // Transpose into column form M^T x^T = 0 and overwrite the first
-  // equation with the normalization row (the balance equations have rank
-  // n-1 for an irreducible chain, so dropping any single one is safe).
-  Matrix& mt = w.balt;
-  mt.assign_zero(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) mt(i, j) = m(j, i);
+  // Top level: S_b^T x_b^T = 0 with the first equation replaced by the
+  // normalization (eq. 24) x_b ((I-R)^{-1} e + P_{b-1} v_{b-1}) = 1 (the
+  // balance equations have rank d-1 for an irreducible chain, so dropping
+  // any single one is safe).
   Matrix i_minus_r_inv = linalg::inverse(Matrix::identity(d) - r);
   const Vector tail_weights = i_minus_r_inv * linalg::ones(d);
-  for (std::size_t j = 0; j < D; ++j) mt(0, j) = 1.0;
-  for (std::size_t j = 0; j < d; ++j) mt(0, D + j) = tail_weights[j];
-  Vector rhs(n, 0.0);
+  const Matrix& s_top = b > 0 ? w.bnd_s : w.ra2;
+  Matrix& st = w.bnd_st;
+  st.assign_zero(d, d);
+  for (std::size_t i = 0; i < d; ++i)
+    for (std::size_t j = 0; j < d; ++j) st(i, j) = s_top(j, i);
+  double w_max = 0.0;
+  for (std::size_t j = 0; j < d; ++j) {
+    st(0, j) = b > 0 ? tail_weights[j] + w.bnd_pv[j] : tail_weights[j];
+    w_max = std::max(w_max, std::fabs(st(0, j)));
+  }
+  // The weights carry the mass of every level below b relative to level
+  // b's, ~1 / P(level b): under light load they dwarf the rates of the
+  // other rows, and the LU's relative pivot test would reject every rate
+  // pivot. Scale the row, and its right-hand side, by the power of two
+  // that brings its largest entry into [1, 2): exact, so x_b is unchanged
+  // whenever the pivot order is.
+  Vector rhs(d, 0.0);
   rhs[0] = 1.0;
+  if (w_max > 0.0 && std::isfinite(w_max)) {
+    const int shift = -std::ilogb(w_max);
+    for (std::size_t j = 0; j < d; ++j) st(0, j) = std::ldexp(st(0, j), shift);
+    rhs[0] = std::ldexp(1.0, shift);
+  }
 
-  Vector x;
+  std::vector<Vector> boundary(b + 1);
   try {
-    x = linalg::Lu(mt).solve(rhs);
+    w.bnd_lu.factor(st);
   } catch (const NumericalError&) {
-    throw NumericalError(
-        "QBD boundary system is singular — the chain is likely reducible "
-        "(check QbdProcess::is_irreducible())");
+    throw_singular_boundary();
   }
+  boundary[b] = w.bnd_lu.solve(rhs);
+  // Back substitution x_i = x_{i+1} P_i.
+  for (std::size_t i = b; i-- > 0;)
+    linalg::multiply_left_into(boundary[i], boundary[i + 1], w.bnd_p[i]);
 
-  // Numerical hygiene: clip round-off negatives before normalizing.
-  for (double& v : x) {
-    GS_ASSERT(v >= -1e-9);
-    v = std::max(v, 0.0);
-  }
-
-  // Split x into per-level boundary vectors.
-  std::vector<Vector> boundary;
-  boundary.reserve(process.boundary_levels() + 1);
-  std::size_t off = 0;
-  for (std::size_t dim : process.boundary_level_dims()) {
-    boundary.emplace_back(x.begin() + static_cast<std::ptrdiff_t>(off),
-                          x.begin() + static_cast<std::ptrdiff_t>(off + dim));
-    off += dim;
-  }
-  boundary.emplace_back(x.begin() + static_cast<std::ptrdiff_t>(D),
-                        x.end());
+  // Numerical hygiene: clip round-off negatives before normalizing; a
+  // genuinely negative entry (or a NaN) means the boundary system was
+  // ill-conditioned.
+  for (std::size_t i = 0; i <= b; ++i)
+    for (double& x : boundary[i]) {
+      if (!(x >= -1e-9)) {
+        throw NumericalError("QBD boundary vector has entry " +
+                             std::to_string(x) + " < 0 at level " +
+                             std::to_string(i) +
+                             " — boundary system is ill-conditioned");
+      }
+      x = std::max(x, 0.0);
+    }
 
   // Renormalize exactly (clipping and round-off can leave total mass a few
   // ulps off 1).
   // The (I-R)^{-1} computed for the normalization row is bit-for-bit the
   // inverse the QbdSolution constructor would recompute (same r, same
-  // deterministic kernels), so both the probe and the returned solution
-  // reuse it instead of paying two more O(d^3) factorizations.
-  {
-    const QbdSolution probe(boundary, r, i_minus_r_inv, spec.radius);
-    const double total = probe.total_mass();
-    if (std::fabs(total - 1.0) > 1e-6) {
-      throw NumericalError(
-          "QBD solution mass " + std::to_string(total) +
-          " deviates from 1 — boundary system is ill-conditioned");
-    }
-    for (auto& lvl : boundary)
-      for (double& v : lvl) v /= total;
+  // deterministic kernels), so both the mass check and the returned
+  // solution reuse it instead of paying two more O(d^3) factorizations.
+  const double total = QbdSolution::total_mass(boundary, i_minus_r_inv);
+  if (!(std::fabs(total - 1.0) <= 1e-6)) {
+    throw NumericalError(
+        "QBD solution mass " + std::to_string(total) +
+        " deviates from 1 — boundary system is ill-conditioned");
   }
+  for (auto& lvl : boundary)
+    for (double& x : lvl) x /= total;
   return QbdSolution(std::move(boundary), r, std::move(i_minus_r_inv),
                      spec.radius);
 }

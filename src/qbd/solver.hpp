@@ -1,6 +1,7 @@
 // Full stationary solution of a QBD process (Theorem 4.2):
 //   * R from the repeating blocks by logarithmic reduction,
-//   * boundary vector from the finite balance system (eqs. 21–22, 25–26),
+//   * boundary vectors from the finite balance system (eqs. 21–22, 25–26),
+//     solved level by level (linear level reduction, DESIGN.md),
 //   * normalization via the matrix-geometric tail (eq. 24),
 // and the performance measures built on it (eq. 37).
 #pragma once
@@ -103,6 +104,11 @@ class QbdSolution {
 
   /// Consistency: total probability (should be 1 up to solver tolerance).
   double total_mass() const;
+
+  /// The same sum for boundary vectors pi_0..pi_b and (I-R)^{-1} not yet
+  /// wrapped in a solution: pi_0 e + ... + pi_{b-1} e + pi_b (I-R)^{-1} e.
+  static double total_mass(const std::vector<Vector>& boundary_pi,
+                           const Matrix& i_minus_r_inv);
 
  private:
   std::vector<Vector> boundary_pi_;  // levels 0..b

@@ -3,7 +3,7 @@
 // The library reports precondition violations and numerical failures by
 // throwing gs::Error (invalid user input, non-convergence, singularities)
 // so callers can distinguish "your model is wrong" from programming bugs,
-// which are guarded with GS_ASSERT and abort in debug builds.
+// which are guarded with GS_ASSERT and abort in every build type.
 #pragma once
 
 #include <stdexcept>

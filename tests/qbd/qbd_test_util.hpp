@@ -9,48 +9,29 @@ namespace gs::qbd::testing {
 /// level 0 is the "last boundary level" and every level has one state.
 inline QbdProcess mm1(double lambda, double mu) {
   QbdBlocks blk;
-  blk.b00 = Matrix(0, 0);
-  blk.b01 = Matrix(0, 1);
-  blk.b10 = Matrix(1, 0);
   blk.b11 = Matrix{{-lambda}};
   blk.a0 = Matrix{{lambda}};
   blk.a1 = Matrix{{-(lambda + mu)}};
   blk.a2 = Matrix{{mu}};
-  return QbdProcess(std::move(blk), {});
+  return QbdProcess(std::move(blk));
 }
 
 /// M/M/c queue: boundary-interior levels 0..c-1 (one state each, level i
 /// serving at rate i*mu), repeating from level c with service rate c*mu.
 inline QbdProcess mmc(double lambda, double mu, std::size_t c) {
   QbdBlocks blk;
-  const std::size_t D = c;  // levels 0..c-1
-  blk.b00 = Matrix(D, D);
-  for (std::size_t i = 0; i < D; ++i) {
-    double out = 0.0;
-    if (i + 1 < D) {
-      blk.b00(i, i + 1) = lambda;
-      out += lambda;
-    }
-    if (i > 0) {
-      blk.b00(i, i - 1) = static_cast<double>(i) * mu;
-      out += static_cast<double>(i) * mu;
-    }
-    blk.b00(i, i) = -out;
+  for (std::size_t i = 0; i < c; ++i) {
+    const double service = static_cast<double>(i) * mu;
+    blk.diag.push_back(Matrix{{-(lambda + service)}});
+    blk.up.push_back(Matrix{{lambda}});
+    blk.down.push_back(Matrix{{static_cast<double>(i + 1) * mu}});
   }
-  blk.b01 = Matrix(D, 1);
-  blk.b01(D - 1, 0) = lambda;
-  blk.b00(D - 1, D - 1) -= lambda;
-
-  blk.b10 = Matrix(1, D);
-  blk.b10(0, D - 1) = static_cast<double>(c) * mu;
   blk.b11 = Matrix{{-(lambda + static_cast<double>(c) * mu)}};
 
   blk.a0 = Matrix{{lambda}};
   blk.a1 = Matrix{{-(lambda + static_cast<double>(c) * mu)}};
   blk.a2 = Matrix{{static_cast<double>(c) * mu}};
-
-  std::vector<std::size_t> dims(D, 1);
-  return QbdProcess(std::move(blk), std::move(dims));
+  return QbdProcess(std::move(blk));
 }
 
 /// M/E2/1 queue (Poisson arrivals, 2-stage Erlang service with mean
@@ -58,17 +39,19 @@ inline QbdProcess mmc(double lambda, double mu, std::size_t c) {
 inline QbdProcess me21(double lambda, double mu) {
   const double nu = 2.0 * mu;  // per-stage rate
   QbdBlocks blk;
-  blk.b00 = Matrix{{-lambda}};
-  blk.b01 = Matrix(1, 2);
-  blk.b01(0, 0) = lambda;  // arrival starts service in stage 1
-  blk.b10 = Matrix(2, 1);
-  blk.b10(1, 0) = nu;  // stage-2 completion empties the system
+  blk.diag = {Matrix{{-lambda}}};
+  Matrix up(1, 2);
+  up(0, 0) = lambda;  // arrival starts service in stage 1
+  blk.up = {up};
+  Matrix down(2, 1);
+  down(1, 0) = nu;  // stage-2 completion empties the system
+  blk.down = {down};
   blk.b11 = Matrix{{-(lambda + nu), nu}, {0.0, -(lambda + nu)}};
   blk.a0 = lambda * Matrix::identity(2);
   blk.a1 = Matrix{{-(lambda + nu), nu}, {0.0, -(lambda + nu)}};
   blk.a2 = Matrix(2, 2);
   blk.a2(1, 0) = nu;  // completion; next job begins in stage 1
-  return QbdProcess(std::move(blk), {1});
+  return QbdProcess(std::move(blk));
 }
 
 }  // namespace gs::qbd::testing

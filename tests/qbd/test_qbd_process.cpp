@@ -57,51 +57,44 @@ TEST(QbdProcess, IrreducibleExamples) {
 TEST(QbdProcess, ReducibleChainDetected) {
   // Two parallel non-communicating phase lanes.
   QbdBlocks blk;
-  blk.b00 = Matrix(0, 0);
-  blk.b01 = Matrix(0, 2);
-  blk.b10 = Matrix(2, 0);
   blk.b11 = Matrix{{-1.0, 0.0}, {0.0, -1.0}};
   blk.a0 = Matrix::identity(2);
   blk.a1 = Matrix{{-3.0, 0.0}, {0.0, -3.0}};
   blk.a2 = 2.0 * Matrix::identity(2);
-  const QbdProcess p(std::move(blk), {});
+  const QbdProcess p(std::move(blk));
   EXPECT_FALSE(p.is_irreducible());
 }
 
 TEST(QbdProcess, ValidationRejectsBadRowSums) {
   QbdBlocks blk;
-  blk.b00 = Matrix(0, 0);
-  blk.b01 = Matrix(0, 1);
-  blk.b10 = Matrix(1, 0);
   blk.b11 = Matrix{{-1.0}};
   blk.a0 = Matrix{{1.0}};
   blk.a1 = Matrix{{-4.0}};  // should be -(1+2) = -3
   blk.a2 = Matrix{{2.0}};
-  EXPECT_THROW(QbdProcess(std::move(blk), {}), gs::InvalidArgument);
+  EXPECT_THROW(QbdProcess(std::move(blk)), gs::InvalidArgument);
 }
 
 TEST(QbdProcess, ValidationRejectsShapeMismatch) {
   QbdBlocks blk;
-  blk.b00 = Matrix(2, 2);  // claims a boundary but dims say none
-  blk.b01 = Matrix(0, 1);
-  blk.b10 = Matrix(1, 0);
+  // One boundary-interior level of two states whose up block does not
+  // reach the one-state level b.
+  blk.diag = {Matrix{{-1.0, 0.0}, {0.0, -1.0}}};
+  blk.up = {Matrix(2, 2, 0.5)};
+  blk.down = {Matrix(1, 2)};
   blk.b11 = Matrix{{-1.0}};
   blk.a0 = Matrix{{1.0}};
   blk.a1 = Matrix{{-3.0}};
   blk.a2 = Matrix{{2.0}};
-  EXPECT_THROW(QbdProcess(std::move(blk), {}), gs::InvalidArgument);
+  EXPECT_THROW(QbdProcess(std::move(blk)), gs::InvalidArgument);
 }
 
 TEST(QbdProcess, ValidationRejectsNegativeRate) {
   QbdBlocks blk;
-  blk.b00 = Matrix(0, 0);
-  blk.b01 = Matrix(0, 1);
-  blk.b10 = Matrix(1, 0);
   blk.b11 = Matrix{{-1.0}};
   blk.a0 = Matrix{{-1.0}};  // negative up-rate
   blk.a1 = Matrix{{-1.0}};
   blk.a2 = Matrix{{2.0}};
-  EXPECT_THROW(QbdProcess(std::move(blk), {}), gs::InvalidArgument);
+  EXPECT_THROW(QbdProcess(std::move(blk)), gs::InvalidArgument);
 }
 
 }  // namespace

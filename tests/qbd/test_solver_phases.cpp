@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "linalg/gth.hpp"
 #include "qbd/solver.hpp"
 #include "qbd_test_util.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -104,6 +107,41 @@ TEST(SolverPhases, MeanLevelMatchesDirectSummation) {
   for (std::size_t lvl = 1; lvl <= 600; ++lvl)
     second += static_cast<double>(lvl * lvl) * sol.level_mass(lvl);
   EXPECT_NEAR(sol.second_moment_level(), second, 1e-6);
+}
+
+TEST(SolverPhases, BadRGivesStructuredErrorNotAbort) {
+  // Two service phases with switching (rates alpha, beta) behind a b = 0
+  // boundary. R = diag(0, 0.9) passes the sp(R) < 1 admission but is no
+  // rate matrix of this chain: it makes the level-0 block B11 + R A2
+  // positive in its second diagonal entry, and the normalized boundary
+  // vector comes out as (6, -0.5). The boundary stage must report that
+  // as a NumericalError, which a daemon survives, instead of aborting.
+  const double lambda = 0.5, mu = 2.0, alpha = 0.1, beta = 0.1;
+  gs::qbd::QbdBlocks blk;
+  blk.b11 = Matrix{{-(lambda + alpha), alpha}, {beta, -(lambda + beta)}};
+  blk.a0 = lambda * Matrix::identity(2);
+  blk.a1 = Matrix{{-(lambda + mu + alpha), alpha},
+                  {beta, -(lambda + mu + beta)}};
+  blk.a2 = mu * Matrix::identity(2);
+  const gs::qbd::QbdProcess proc(std::move(blk));
+  const Matrix bad_r{{0.0, 0.0}, {0.0, 0.9}};
+  try {
+    gs::qbd::solve_with_r(proc, bad_r);
+    FAIL() << "expected gs::NumericalError";
+  } catch (const gs::NumericalError& e) {
+    EXPECT_NE(std::string(e.what()).find("boundary vector"),
+              std::string::npos)
+        << e.what();
+  }
+  // Non-finite R must not come back as an all-NaN solution either: a NaN
+  // entry fails spectral_radius's input check, and an infinite one gives
+  // sp(R) = NaN, which the admission rejects.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(gs::qbd::solve_with_r(proc, Matrix{{0.1, 0.0}, {0.0, nan}}),
+               gs::InvalidArgument);
+  EXPECT_THROW(gs::qbd::solve_with_r(proc, Matrix{{0.0, inf}, {0.0, 0.0}}),
+               gs::NumericalError);
 }
 
 }  // namespace
