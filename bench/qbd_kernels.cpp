@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
                                               dense_opts, &ws_dense);
     });
     // Profile the sparse reps through obs stage timers: the stage split
-    // explains the headline speedup (the dense-by-necessity squaring loop
-    // is the Amdahl bound — see the RSolveOptions docs). Metrics stay on
+    // explains the headline speedup (the squaring loop, which CSR cannot
+    // reach, is the Amdahl bound — see the RSolveOptions docs). Metrics stay on
     // only for this window so the other rows time un-instrumented code.
     gs::obs::configure({/*metrics=*/true, /*trace=*/false});
     gs::obs::reset();
@@ -235,9 +235,9 @@ int main(int argc, char** argv) {
         buf, sizeof(buf),
         "  ],\n  \"logreduction_profile\": {\"setup_ms\": %.3f, "
         "\"loop_ms\": %.3f, \"final_ms\": %.3f, \"loop_share\": %.2f,\n"
-        "    \"note\": \"the squaring loop iterates on dense products; "
-        "CSR only reaches setup+final, bounding the sparse speedup "
-        "(Amdahl)\"}\n",
+        "    \"note\": \"the squaring loop multiplies solves that are "
+        "dense on A2's live columns (only those are carried); CSR only "
+        "reaches setup+final, bounding the sparse speedup (Amdahl)\"}\n",
         logred_setup_ms, logred_loop_ms, logred_final_ms,
         total > 0.0 ? logred_loop_ms / total : 0.0);
     json << buf;

@@ -1,5 +1,6 @@
 // Packed, register-tiled GEMM for the small dense products the QBD
-// solvers iterate on (repeating blocks of d ~ 28-128).
+// solvers iterate on (repeating blocks of d = 12 on the paper's Figure 2
+// system, up to d = 128 on bench/qbd_kernels' chain).
 //
 // Why another multiply kernel: multiply_into streams each output row
 // through memory once per k (a read-modify-write axpy), so at the sizes
@@ -22,10 +23,10 @@
 // +0.0 (and therefore never holds -0.0) is a bitwise no-op — provided
 // the operands are finite, the precondition all structured kernels in
 // this library share. Concretely, packing drops k-slices whose kGemmMr
-// A-values are all zero (the QBD iterates start sparse and densify over
-// the squaring loop, so this matters as much as the register tiling),
-// while mixed slices keep their embedded zeros; multiply_into instead
-// skips zero a(i, k) individually. Edge padding is all-zero and padded
+// A-values are all zero (the QBD iterates are not uniformly dense, so
+// this matters as much as the register tiling), while mixed slices keep
+// their embedded zeros; multiply_into instead skips zero a(i, k)
+// individually. Edge padding is all-zero and padded
 // lanes are never stored. The kernel translation unit is compiled with
 // -ffp-contract=off alongside the rest of gs_linalg, so no
 // fused-multiply-add contraction can break the two-roundings-per-term

@@ -8,6 +8,63 @@
 
 namespace gs::linalg {
 
+namespace {
+
+// Right-hand sides per register block of the blocked substitution.
+constexpr std::size_t kLuRhsBlock = 4;
+
+// Column-blocked substitution for right-hand-side columns [c0, c0 + w)
+// of b into x: kLuRhsBlock columns advance through both sweeps together
+// in register accumulators, so each factor row is read once per block
+// instead of once per column. The solution rows live in x itself (the
+// forward sweep's y is overwritten in place by the back sweep), so the
+// kernel needs no scratch. Every column keeps its own term order
+// (ascending j, one multiply and one subtract per term, one final
+// division), so the result is bitwise identical to the one-column-at-a-
+// time sweep of Lu::solve(const Vector&).
+//
+// An edge block (kFull false, w < kLuRhsBlock) pads its missing lanes
+// with copies of its last column: they read that column of b and of x,
+// so they compute exactly its values, and they are never stored.
+template <bool kFull>
+void solve_rhs_block(std::size_t n, const double* lu, const std::size_t* perm,
+                     const double* b, double* x, std::size_t cols,
+                     std::size_t c0, std::size_t w) {
+  constexpr std::size_t W = kLuRhsBlock;
+  std::size_t lane[W];
+  for (std::size_t l = 0; l < W; ++l) lane[l] = kFull ? l : std::min(l, w - 1);
+  const std::size_t stored = kFull ? W : w;
+  double s[W];
+  // Forward substitution with L (unit diagonal), applying P to b.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* brow = b + perm[i] * cols + c0;
+    for (std::size_t l = 0; l < W; ++l) s[l] = brow[lane[l]];
+    const double* lrow = lu + i * n;
+    for (std::size_t j = 0; j < i; ++j) {
+      const double m = lrow[j];
+      const double* yj = x + j * cols + c0;
+      for (std::size_t l = 0; l < W; ++l) s[l] -= m * yj[lane[l]];
+    }
+    double* yi = x + i * cols + c0;
+    for (std::size_t l = 0; l < stored; ++l) yi[l] = s[l];
+  }
+  // Back substitution with U.
+  for (std::size_t ii = n; ii-- > 0;) {
+    const double* urow = lu + ii * n;
+    double* yi = x + ii * cols + c0;
+    for (std::size_t l = 0; l < W; ++l) s[l] = yi[lane[l]];
+    for (std::size_t j = ii + 1; j < n; ++j) {
+      const double m = urow[j];
+      const double* yj = x + j * cols + c0;
+      for (std::size_t l = 0; l < W; ++l) s[l] -= m * yj[lane[l]];
+    }
+    const double piv = urow[ii];
+    for (std::size_t l = 0; l < stored; ++l) yi[l] = s[l] / piv;
+  }
+}
+
+}  // namespace
+
 Lu::Lu(const Matrix& a, double pivot_tol) { factor(a, pivot_tol); }
 
 void Lu::factor(const Matrix& a, double pivot_tol) {
@@ -128,51 +185,14 @@ void Lu::solve_into(const Matrix& b, Matrix& x, bool blocked_rhs) const {
     }
     return;
   }
-  // Column-blocked substitution: kLuRhsBlock right-hand sides advance
-  // through the sweeps together, so each factor row is read once per
-  // block instead of once per column — at d ~ 128 the factor no longer
-  // fits in L1 and that traffic dominates the solve. Every column keeps
-  // its own term order (ascending j, one multiply and one subtract per
-  // term, one final division), so the result is bitwise identical to the
-  // one-column-at-a-time sweep this replaces.
-  constexpr std::size_t kLuRhsBlock = 8;
   const std::size_t cols = b.cols();
-  std::vector<double> yb(n_ * kLuRhsBlock);
-  double s[kLuRhsBlock];
-  for (std::size_t c0 = 0; c0 < cols; c0 += kLuRhsBlock) {
-    const std::size_t w = std::min(kLuRhsBlock, cols - c0);
-    // Forward substitution with L (unit diagonal), applying P to b.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double* brow = b.data() + perm_[i] * cols + c0;
-      for (std::size_t col = 0; col < w; ++col) s[col] = brow[col];
-      const double* lrow = lu_.data() + i * n_;
-      for (std::size_t j = 0; j < i; ++j) {
-        const double m = lrow[j];
-        const double* yrow = yb.data() + j * kLuRhsBlock;
-        for (std::size_t col = 0; col < w; ++col) s[col] -= m * yrow[col];
-      }
-      double* yrow = yb.data() + i * kLuRhsBlock;
-      for (std::size_t col = 0; col < w; ++col) yrow[col] = s[col];
-    }
-    // Back substitution with U.
-    for (std::size_t ii = n_; ii-- > 0;) {
-      const double* urow = lu_.data() + ii * n_;
-      double* yrow = yb.data() + ii * kLuRhsBlock;
-      for (std::size_t col = 0; col < w; ++col) s[col] = yrow[col];
-      for (std::size_t j = ii + 1; j < n_; ++j) {
-        const double m = urow[j];
-        const double* yj = yb.data() + j * kLuRhsBlock;
-        for (std::size_t col = 0; col < w; ++col) s[col] -= m * yj[col];
-      }
-      const double piv = urow[ii];
-      for (std::size_t col = 0; col < w; ++col) yrow[col] = s[col] / piv;
-    }
-    for (std::size_t r = 0; r < n_; ++r) {
-      const double* yrow = yb.data() + r * kLuRhsBlock;
-      double* xrow = x.data() + r * cols + c0;
-      for (std::size_t col = 0; col < w; ++col) xrow[col] = yrow[col];
-    }
-  }
+  std::size_t c0 = 0;
+  for (; c0 + kLuRhsBlock <= cols; c0 += kLuRhsBlock)
+    solve_rhs_block<true>(n_, lu_.data(), perm_.data(), b.data(), x.data(),
+                          cols, c0, kLuRhsBlock);
+  if (c0 < cols)
+    solve_rhs_block<false>(n_, lu_.data(), perm_.data(), b.data(), x.data(),
+                           cols, c0, cols - c0);
 }
 
 Vector Lu::solve_left(const Vector& b) const {

@@ -36,12 +36,15 @@ class Lu {
   Matrix solve(const Matrix& b) const;
   /// Solve A X = B into `x`, reusing its storage (no allocation when the
   /// shape already matches). `x` must not alias `b`. Same arithmetic,
-  /// bit for bit, as solve(const Matrix&). By default the substitution
-  /// sweeps advance a block of right-hand sides together so each factor
-  /// row is read once per block (the factor outgrows L1 at the sizes the
-  /// QBD loops run); `blocked_rhs = false` keeps the one-column-at-a-time
-  /// sweep — bitwise the same output, only slower — so old-vs-new kernel
-  /// baselines (RSolveOptions::tiled off) measure the pre-tiling path.
+  /// bit for bit, as solve(const Matrix&) and as solve(const Vector&) on
+  /// each column. By default the substitution sweeps advance a
+  /// fixed-width register block of four right-hand sides together, so
+  /// each factor row is read once per block and the per-term updates run
+  /// as short vector operations; the solution is built in `x` itself, so
+  /// the call allocates nothing once `x` has its shape. `blocked_rhs =
+  /// false` keeps the one-column-at-a-time sweep — bitwise the same
+  /// output, only slower — so old-vs-new kernel baselines
+  /// (RSolveOptions::tiled off) measure the pre-tiling path.
   void solve_into(const Matrix& b, Matrix& x, bool blocked_rhs = true) const;
   /// Solve x A = b (row system), reusing the same factors.
   Vector solve_left(const Vector& b) const;

@@ -224,14 +224,20 @@ void multiply_left_into(Vector& out, const Vector& x, const Matrix& a) {
 }
 
 Vector operator*(const Matrix& a, const Vector& x) {
+  Vector y;
+  multiply_into(y, a, x);
+  return y;
+}
+
+void multiply_into(Vector& out, const Matrix& a, const Vector& x) {
   GS_CHECK(x.size() == a.cols(), "vector/matrix shape mismatch in A*x");
-  Vector y(a.rows(), 0.0);
+  GS_CHECK(&out != &x, "multiply_into: out aliases x");
+  out.resize(a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     double s = 0.0;
     for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * x[j];
-    y[i] = s;
+    out[i] = s;
   }
-  return y;
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {

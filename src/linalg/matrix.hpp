@@ -112,6 +112,10 @@ Vector operator*(const Vector& x, const Matrix& a);
 void multiply_left_into(Vector& out, const Vector& x, const Matrix& a);
 /// Matrix times column vector: y = A x (x has a.cols() entries).
 Vector operator*(const Matrix& a, const Vector& x);
+/// out = A x, reusing out's storage — the allocation-free form power
+/// iteration steps on. Bitwise identical to operator*(Matrix, Vector).
+/// `out` must not alias `x`.
+void multiply_into(Vector& out, const Matrix& a, const Vector& x);
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
 

@@ -30,13 +30,15 @@
 //    structured A2 and the recompressed R A2 every iteration — CSR gets
 //    a shot at the hot loop itself, which is why BENCH_qbd.json shows
 //    ~3x there.
-//  * Logarithmic reduction squares its H/L/G/T iterates, which densify
-//    after the first squaring; CSR can only touch the setup solves and
-//    the final R-from-G stage, and the dense squaring loop dominates the
-//    runtime (the obs timers qbd.rsolve.logreduction.{setup,loop,final}
-//    carry the measured split). That
-//    Amdahl ceiling is why the sparse toggle only bought ~1.06x on log
-//    reduction — it is structural, not a missing optimization.
+//  * Logarithmic reduction squares its H/L/G/T iterates, products of
+//    solves that are dense on A2's live columns (the loop drops the
+//    others, which are exactly zero, without CSR); CSR can only touch
+//    the setup solves and the final R-from-G stage, and the squaring
+//    loop dominates the runtime (the obs timers
+//    qbd.rsolve.logreduction.{setup,loop,final} carry the measured
+//    split). That Amdahl ceiling is why the sparse toggle only bought
+//    ~1.06x on log reduction — it is structural, not a missing
+//    optimization.
 // Consequently the R solvers gate CSR per *input block*: a block denser
 // than about half full (qbd/rmatrix.cpp kCsrDensityGate) skips
 // compression entirely, because assign_from_dense costs a full O(d^2)

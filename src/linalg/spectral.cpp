@@ -1,6 +1,7 @@
 #include "linalg/spectral.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -24,9 +25,10 @@ SpectralResult spectral_radius(const Matrix& a, double tol, int max_iter) {
   // Start from the all-ones direction, which has non-zero overlap with the
   // Perron vector of any non-negative matrix.
   Vector x(n, 1.0 / static_cast<double>(n));
+  Vector y(n);  // reused by every step: the iteration allocates nothing
   double lambda = 0.0;
   for (int it = 1; it <= max_iter; ++it) {
-    Vector y = a * x;
+    multiply_into(y, a, x);
     double norm = 0.0;
     for (double v : y) norm += v;  // entries stay non-negative
     out.iterations = it;
@@ -44,7 +46,7 @@ SpectralResult spectral_radius(const Matrix& a, double tol, int max_iter) {
       return out;
     }
     lambda = norm;
-    x = std::move(y);
+    std::swap(x, y);
   }
   out.radius = lambda;
   out.converged = false;

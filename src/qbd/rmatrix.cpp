@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
@@ -35,6 +36,43 @@ double dense_fraction(const Matrix& m) {
     for (std::size_t j = 0; j < m.cols(); ++j)
       if (m(i, j) != 0.0) ++nnz;
   return static_cast<double>(nnz) / static_cast<double>(total);
+}
+
+// Ascending indices of the columns of `a` that hold a nonzero entry.
+void nonzero_columns(const Matrix& a, std::vector<std::size_t>& cols) {
+  cols.clear();
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t i = 0; i < a.rows(); ++i)
+      if (a(i, j) != 0.0) {
+        cols.push_back(j);
+        break;
+      }
+}
+
+// out = the listed columns of a, in order.
+void gather_columns(Matrix& out, const Matrix& a,
+                    const std::vector<std::size_t>& cols) {
+  out.assign_zero(a.rows(), cols.size());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t c = 0; c < cols.size(); ++c) out(i, c) = a(i, cols[c]);
+}
+
+// out = the listed rows of a, in order.
+void gather_rows(Matrix& out, const Matrix& a,
+                 const std::vector<std::size_t>& rows) {
+  out.assign_zero(rows.size(), a.cols());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    for (std::size_t j = 0; j < a.cols(); ++j) out(r, j) = a(rows[r], j);
+}
+
+// out = the d-column matrix whose column cols[c] is column c of
+// `compact` and whose other columns are +0.0.
+void scatter_columns(Matrix& out, const Matrix& compact,
+                     const std::vector<std::size_t>& cols, std::size_t d) {
+  out.assign_zero(compact.rows(), d);
+  for (std::size_t i = 0; i < compact.rows(); ++i)
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      out(i, cols[c]) = compact(i, c);
 }
 
 }  // namespace
@@ -161,26 +199,32 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
   Workspace local;
   Workspace& w = ws ? *ws : local;
   // Stage spans reproduce the old RSolveProfile split: setup (LU of -A1,
-  // H/L seeds, CSR compressions), the dense-by-necessity squaring loop,
-  // and the final R-from-G stage plus residual check.
+  // H/L seeds, CSR compressions), the squaring loop, and the final
+  // R-from-G stage plus residual check.
   std::optional<obs::Span> stage;
   stage.emplace("qbd.rsolve.logreduction.setup");
 
-  Matrix neg_a1 = a1;
-  neg_a1 *= -1.0;
-  linalg::Lu lu(neg_a1);
-  // H: one-step up kernel; L: one-step down kernel of the censored chain.
-  lu.solve_into(a0, w.h, opts.tiled);
-  lu.solve_into(a2, w.l, opts.tiled);
+  // G = (-A1 - A0 G)^{-1} A2, so G, L and every product the loop forms
+  // from them vanish outside A2's nonzero columns: the loop carries those
+  // r live columns only (see the header comment).
+  nonzero_columns(a2, w.live);
+  span.arg("cols", static_cast<std::int64_t>(w.live.size()));
+  obs::count("qbd.rsolve.logreduction.live_cols", w.live.size());
 
-  // Log reduction densifies: after one squaring the H/L/G/T iterates are
-  // products of (generically dense) solves, so the loop below cannot use
-  // CSR at all. Only the final stage reads the structured A0, and only
-  // the residual reads A1/A2 — gate each independently so a dense block
-  // never pays for compression it cannot amortize. The loop's share of
-  // runtime (obs timer qbd.rsolve.logreduction.loop) bounds the sparse speedup
-  // here to ~1.1x, versus ~3x for substitution whose every iteration
-  // touches structured blocks.
+  w.iu = a1;
+  w.iu *= -1.0;
+  w.lu.factor(w.iu);
+  // H: one-step up kernel; L: one-step down kernel of the censored chain,
+  // on A2's live columns.
+  w.lu.solve_into(a0, w.h, opts.tiled);
+  gather_columns(w.tmp, a2, w.live);
+  w.lu.solve_into(w.tmp, w.l, opts.tiled);
+
+  // The squaring products are products of (generically dense) solves, so
+  // the loop below cannot use CSR. Only the final stage reads the
+  // structured A0, and only the residual reads A1/A2 — gate each
+  // independently so a dense block never pays for compression it cannot
+  // amortize.
   const bool sparse_final = opts.sparse && dense_fraction(a0) <= kCsrDensityGate;
   const bool sparse_resid =
       opts.sparse &&
@@ -205,32 +249,37 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
   bool converged = false;
   for (int it = 1; it <= opts.max_iter; ++it) {
     // U = H L + L H; the squared kernels H^2, L^2 are formed before H and
-    // L are overwritten by the solves against (I - U). The iterates fill
-    // in after the first squaring, so this loop stays dense.
+    // L are overwritten by the solves against (I - U). L H and L^2 read
+    // only the live rows of H and L: L's other columns are zero.
+    gather_rows(w.h_live, w.h, w.live);
+    gather_rows(w.l_live, w.l, w.live);
     if (opts.tiled) {
-      // Squaring pass: four products over two packed iterates (H and L
-      // each appear on both sides), tiles amortized across all four.
+      // Squaring pass: four products over two packed left operands,
+      // tiles amortized across all four.
       w.gp_h_a.pack(w.h);
       w.gp_l_a.pack(w.l);
+      w.gp_h_live_b.pack(w.h_live);
+      w.gp_l_live_b.pack(w.l_live);
       const linalg::GemmOp squaring[4] = {
-          {&w.u, &w.gp_h_a, &w.gp_l_b},    // H L
-          {&w.lh, &w.gp_l_a, &w.gp_h_b},   // L H
-          {&w.hh, &w.gp_h_a, &w.gp_h_b},   // H^2
-          {&w.ll, &w.gp_l_a, &w.gp_l_b},   // L^2
+          {&w.hl, &w.gp_h_a, &w.gp_l_b},       // H L
+          {&w.lh, &w.gp_l_a, &w.gp_h_live_b},  // L H
+          {&w.hh, &w.gp_h_a, &w.gp_h_b},       // H^2
+          {&w.ll, &w.gp_l_a, &w.gp_l_live_b},  // L^2
       };
       linalg::gemm_grouped(squaring, 4);
       obs::count("qbd.rsolve.logreduction.grouped_passes");
     } else {
-      linalg::multiply_into(w.u, w.h, w.l);
-      linalg::multiply_into(w.lh, w.l, w.h);
+      linalg::multiply_into(w.hl, w.h, w.l);
+      linalg::multiply_into(w.lh, w.l, w.h_live);
       linalg::multiply_into(w.hh, w.h, w.h);
-      linalg::multiply_into(w.ll, w.l, w.l);
+      linalg::multiply_into(w.ll, w.l, w.l_live);
     }
+    scatter_columns(w.u, w.hl, w.live, d);
     w.u += w.lh;
     identity_minus_into(w.iu, w.u);
-    linalg::Lu lu_u(w.iu);
-    lu_u.solve_into(w.hh, w.h, opts.tiled);
-    lu_u.solve_into(w.ll, w.l, opts.tiled);
+    w.lu.factor(w.iu);
+    w.lu.solve_into(w.hh, w.h, opts.tiled);
+    w.lu.solve_into(w.ll, w.l, opts.tiled);
     if (opts.tiled) {
       // Carry pass: T against the fresh H and L.
       w.gp_t_a.pack(w.t);
@@ -265,16 +314,17 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
   // U = A1 + A0 G; R solves R (-U) = A0 (right division against the
   // shared factorization instead of an explicit inverse).
   if (sparse_final) {
-    linalg::multiply_into(w.tmp, w.a0_csr, w.g);
+    linalg::multiply_into(w.hl, w.a0_csr, w.g);
   } else {
-    linalg::multiply_into(w.tmp, a0, w.g);
+    linalg::multiply_into(w.hl, a0, w.g);
   }
+  scatter_columns(w.tmp, w.hl, w.live, d);
   w.iu = a1;
   w.iu += w.tmp;
   w.iu *= -1.0;
-  const linalg::Lu lu_negu(w.iu);
-  lu_negu.solve_right_into(a0, out.r);
-  out.g = w.g;
+  w.lu.factor(w.iu);
+  w.lu.solve_right_into(a0, out.r);
+  scatter_columns(out.g, w.g, w.live, d);
   out.residual = r_residual(out.r, a0, a1, a2, w, sparse_resid);
   stage.reset();
   if (!converged) {

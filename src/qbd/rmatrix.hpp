@@ -6,11 +6,21 @@
 // The solver uses one algorithm, logarithmic reduction (Latouche–
 // Ramaswami): it computes G, the first-passage matrix solving
 // A2 + A1 G + A0 G^2 = 0, then R = A0 (-(A1 + A0 G))^{-1} (quadratic
-// convergence). Successive substitution, R_next (-A1) = A0 + R (R A2)
+// convergence). G = (-A1 - A0 G)^{-1} A2, so every column of G outside
+// A2's nonzero ("live") columns is exactly zero, and so is every such
+// column of the down iterates L_k the reduction builds G from: the loop
+// carries L, G and the products formed from them on those r columns only
+// (r = 2 of d = 12 on a Figure 2 class chain), scattering back to d x d
+// where a full matrix is needed (U = H L + L H, A0 G, the returned G).
+// The skipped terms are exact +-0 products, so the compact loop is
+// bitwise identical to the full-width one. Successive substitution,
+// R_next (-A1) = A0 + R (R A2)
 // solved by a right division against one LU of -A1, stays as a free
 // function: linear and slow, but trivially correct, so tests use it as
 // the oracle for log reduction and bench/qbd_kernels times it.
 #pragma once
+
+#include <vector>
 
 #include "linalg/gemm.hpp"
 #include "linalg/gth.hpp"
@@ -31,9 +41,10 @@ using linalg::Matrix;
 /// docs/OBSERVABILITY.md). Why they exist at all: BENCH_qbd.json showed
 /// the sparse toggle buying only ~1.06x on log reduction vs 3.15x on
 /// substitution, and the stage breakdown is the explanation — log
-/// reduction's squaring loop works on H/L/G/T iterates that densify after
-/// the first squaring (products of sparse kernels are dense), so CSR can
-/// only touch setup and the final stage; the loop share bounds the
+/// reduction's squaring loop multiplies solves of its iterates, which are
+/// dense on A2's live columns (structure survives as *which columns* are
+/// zero, and the loop exploits that directly, not through CSR), so CSR
+/// can only touch setup and the final stage; the loop share bounds the
 /// possible speedup (Amdahl). Substitution, by contrast, re-multiplies
 /// the *structured* A2 every iteration, which is why CSR pays there.
 struct RSolveOptions {
@@ -42,7 +53,8 @@ struct RSolveOptions {
   /// Iteration cap; exhaustion raises gs::NumericalError.
   int max_iter = 100000;
   /// Run the structured-block products (A0/A2 and the recompressed R A2)
-  /// through the CSR kernels. The iterates themselves stay dense. On by
+  /// through the CSR kernels. The iterates themselves are stored dense
+  /// (log reduction's on A2's live columns only). On by
   /// default: the sparse kernels are bitwise identical to the dense ones
   /// (see linalg/sparse.hpp), so this changes speed and nothing else —
   /// the equivalence tests pin that down across the paper's configs.
@@ -51,12 +63,11 @@ struct RSolveOptions {
   /// is also bitwise-invisible.
   bool sparse = true;
   /// Run the iterate-heavy inner stages through the tiled kernel suite:
-  /// the dense products of the log-reduction squaring loop go through the
+  /// the products of the log-reduction squaring loop go through the
   /// packed tiled GEMM kernel (linalg/gemm.hpp), grouped so the packed
   /// iterates amortize across the products of one iteration, and the
-  /// (I-U)^{-1} substitution
-  /// sweeps advance a block of right-hand sides per factor read
-  /// (Lu::solve_into blocked_rhs). On by default: every tiled kernel is
+  /// (I-U)^{-1} substitution sweeps advance a register block of
+  /// right-hand sides per factor read (Lu::solve_into blocked_rhs). On by default: every tiled kernel is
   /// bitwise identical to the one it replaces (see gemm.hpp / lu.hpp),
   /// so like `sparse` this toggle changes speed and nothing else — the
   /// tiled equivalence tests pin that across the paper's configs. It
@@ -80,9 +91,16 @@ struct RSolveResult {
 /// gang::GangSolver hands them to its thread-pool tasks). A
 /// default-constructed Workspace is empty; the solvers shape it on use.
 struct Workspace {
-  // Logarithmic reduction: the H/L/G/T iterates and their products.
+  // Logarithmic reduction: A2's live (nonzero) columns; the H/L/G/T
+  // iterates and their products, with L, G, H L, L^2 and the increment
+  // T L held on the live columns only; the live rows of H and L; and the
+  // one factor the setup, every iteration and the final stage refactor
+  // in place.
+  std::vector<std::size_t> live;
   Matrix h, l, g, t;
-  Matrix u, lh, hh, ll, iu, incr, tmp;
+  Matrix u, hl, lh, hh, ll, iu, incr, tmp;
+  Matrix h_live, l_live;
+  linalg::Lu lu;
   // Successive substitution: R, R A2, the numerator A0 + R (R A2), and
   // the next iterate. (r_sq survives for callers that still hold it.)
   Matrix r_cur, r_sq, r_num, r_next, r_t;
@@ -104,10 +122,11 @@ struct Workspace {
   // r_residual scratch: R A1, R R, (R R) A2, and the running sum.
   Matrix res_ra1, res_rr, res_rra2, res_acc;
   // Packed-GEMM operand buffers for the grouped iterate products
-  // (RSolveOptions::tiled): two A-side and two B-side packs cover one
-  // squaring pass, gp_t_a the G/T carry pass.
+  // (RSolveOptions::tiled): two A-side and four B-side packs (H, L and
+  // the live rows of each) cover one squaring pass, gp_t_a the G/T carry
+  // pass.
   linalg::GemmPackA gp_h_a, gp_l_a, gp_t_a;
-  linalg::GemmPackB gp_h_b, gp_l_b;
+  linalg::GemmPackB gp_h_b, gp_l_b, gp_h_live_b, gp_l_live_b;
   // Revalue staging for the gang fixed point: ClassProcess rebuilds its
   // blocks here each iteration and QbdProcess::revalue copies them into
   // the live process without reallocating; the away-period convolution
