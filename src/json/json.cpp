@@ -1,9 +1,11 @@
 #include "json/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 namespace gs::json {
 
@@ -125,19 +127,33 @@ bool operator==(const Json& a, const Json& b) {
 
 std::string format_double(double v) {
   GS_CHECK(std::isfinite(v), "non-finite number cannot be serialized as JSON");
+  char buf[40];
   // Integral values within the double-exact range print as integers; this
   // keeps counts and hashes readable and is still bit-exact on re-parse.
   if (v == std::nearbyint(v) && std::fabs(v) <= 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
+    const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<long long>(v));
+    return std::string(buf, r.ptr);
   }
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;  // %.17g always round-trips
+  // The text is the first of %.15g, %.16g, %.17g that reads back as `v`.
+  // Fewer digits than the shortest round-trip count d never read back, so
+  // the search starts at max(15, d). It still checks each candidate below
+  // 17 digits: libstdc++'s shortest form of some powers of two (2^-1017,
+  // for one) has one digit too few to read back.
+  auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                         std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p < r.ptr && *p != 'e'; ++p)
+    digits += *p >= '0' && *p <= '9';
+  for (int prec = std::max(15, digits);; ++prec) {
+    r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                      prec);
+    if (prec >= 17) break;  // 17 significant digits always read back
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
+    if (back == v) break;
   }
-  return buf;
+  return std::string(buf, r.ptr);
 }
 
 namespace {
@@ -460,10 +476,17 @@ class Parser {
         fail("digit required in exponent");
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
-    const std::string tok(text_.substr(start, pos_ - start));
-    errno = 0;
-    const double v = std::strtod(tok.c_str(), nullptr);
-    if (!std::isfinite(v)) fail("number out of range");
+    // The token is valid JSON grammar, which from_chars reads whole.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec != std::errc() || r.ptr != last) {
+      // from_chars refuses underflow as well as overflow; an underflow
+      // reads as strtod's ±0, as it always has.
+      v = std::strtod(std::string(first, last).c_str(), nullptr);
+      if (!std::isfinite(v)) fail("number out of range");
+    }
     return Json(v);
   }
 

@@ -7,11 +7,14 @@
 //    grammar, a recursion-depth cap, and every failure surfaces as
 //    json::ParseError (a gs::Error) with a byte offset.
 //  * dump(parse(x)) is canonical: objects preserve insertion order, and
-//    doubles are written with the shortest digit string that round-trips
-//    bitwise through strtod — so equal values always serialize to equal
-//    text, which is what makes content hashing on the dump meaningful.
-//  * Value semantics; no allocator cleverness. Requests are tiny next to
-//    the solves they trigger.
+//    each double is written as the first of its %.15g, %.16g and %.17g
+//    texts that reads back bit for bit — so equal values always
+//    serialize to equal text, which is what makes content hashing on the
+//    dump meaningful.
+//  * Numbers convert through std::to_chars / std::from_chars, several
+//    times faster than printf/strtod: a gangd cache hit is mostly
+//    serialization.
+//  * Value semantics; no allocator cleverness.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +107,10 @@ struct Json::Member {
   Json value;
 };
 
-/// Shortest decimal string that strtod-round-trips to exactly `v`
-/// (integral values within 2^53 print without an exponent or fraction).
-/// Non-finite values are invalid JSON and throw gs::InvalidArgument.
+/// The first of `v`'s %.15g, %.16g and %.17g texts that reads back as
+/// exactly `v` (%.17g always does). Integral values within 2^53 print
+/// as integers, without an exponent or fraction. Non-finite values are
+/// invalid JSON and throw gs::InvalidArgument.
 std::string format_double(double v);
 
 /// FNV-1a 64-bit over arbitrary bytes — the content hash used by the

@@ -1,10 +1,10 @@
 #include "serve/dispatch.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "serve/canonical.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gs::serve {
@@ -13,35 +13,11 @@ namespace {
 
 using json::Json;
 
-/// Admission key of a coalescable solve: the canonical scenario hash,
+/// Admission key of a coalescable solve: the scenario's cache key,
 /// salted when warm-start is off for this request — a cold and a warm
 /// solve of the same scenario may answer differently (warm_started,
 /// iterations), so they must not share a flight.
 constexpr std::uint64_t kColdSalt = 0x9e3779b97f4a7c15ull;
-
-/// Mirror EvalService::do_solve's canonicalization exactly (including
-/// the num_threads override folded into the scenario) so the admission
-/// key equals the cache key the executor will compute. Returns false —
-/// "not coalescable" — when the request doesn't parse as a solve; the
-/// executor will produce the structured error.
-bool solve_admission_key(const Json& req, const ServiceOptions& svc,
-                         std::uint64_t* key) {
-  try {
-    const Json* system = req.find("system");
-    if (system == nullptr) return false;
-    const gang::SystemParams params = params_from_json(*system);
-    gang::GangSolveOptions opts = options_from_json(
-        req.find("options") ? *req.find("options") : Json(nullptr));
-    opts.num_threads = svc.num_threads;
-    bool want_warm = svc.warm_start;
-    if (const Json* w = req.find("warm_start")) want_warm = w->as_bool();
-    *key = json::fnv1a64(canonical_scenario(params, opts)) ^
-           (want_warm ? 0 : kColdSalt);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
 
 /// Echo op/id the way EvalService::handle does, so transport-level
 /// refusals are attributable exactly like service errors.
@@ -162,22 +138,39 @@ void Dispatcher::on_line(std::uint64_t conn, std::string line) {
     return;
   }
 
-  bool coalescable = false;
   // Control-plane ops bypass the admission cap: an operator must be
   // able to inspect (stats) and stop (shutdown) an overloaded daemon —
   // shedding a shutdown would leave the loop running forever. They
   // still hold a queue slot while executing so drain() and idle()
   // account for them like any other request.
   bool control = false;
-  std::uint64_t key = 0;
+  std::optional<ScenarioKey> scenario;
   if (request.is_object()) {
     if (const Json* o = request.find("op"); o && o->is_string()) {
       const std::string& op = o->as_string();
       control = op == "stats" || op == "shutdown";
-      if (options_.coalesce && op == "solve")
-        coalescable = solve_admission_key(request, service_.options(), &key);
+      if (op == "solve") {
+        try {
+          scenario = service_.scenario_key(request);
+        } catch (const Error&) {
+          // Not a valid solve; the executor answers with the error.
+        }
+      }
     }
   }
+  // A cached scenario is answered here, on the loop thread: it holds no
+  // queue slot, is never shed, and costs no executor hop.
+  if (scenario) {
+    if (std::optional<Json> hit = service_.handle_cached(request, *scenario)) {
+      ++net_.hits_inline;
+      obs::count("serve.net.hits_inline");
+      server_->send(conn, hit->dump());
+      return;
+    }
+  }
+  const bool coalescable = scenario && options_.coalesce;
+  const std::uint64_t key =
+      coalescable ? scenario->hash ^ (scenario->warm ? 0 : kColdSalt) : 0;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -243,8 +236,11 @@ void Dispatcher::execute(std::uint64_t conn, Json request, bool coalescable,
     --admitted_;
     net_.inflight.store(static_cast<std::int64_t>(admitted_));
     obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
+    // Notify under the lock: once drain() sees admitted_ == 0 it may
+    // return and let ~Dispatcher destroy cv_, so the notify must finish
+    // before the lock is released.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 }  // namespace gs::serve

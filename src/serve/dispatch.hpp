@@ -3,8 +3,12 @@
 //
 // The Dispatcher is the net::Handler of the concurrent daemon. For every
 // request line the loop delivers, it decides — on the loop thread, in
-// O(parse) time — one of three fates:
+// O(parse) time — one of four fates:
 //
+//  * answer: a `solve` whose scenario is in the result cache is answered
+//    on the loop thread (EvalService::handle_cached), with the bytes an
+//    executor would have sent. A hit holds no queue slot, is never shed
+//    and costs no thread hop; the loop still never solves.
 //  * coalesce: a `solve` whose canonical scenario hash matches a solve
 //    already admitted (queued or running) attaches to it as a rider. The
 //    leader executes once; when it answers, every rider receives the
@@ -23,8 +27,8 @@
 //    (util::ThreadPool::submit) and answered from the executor thread
 //    via EventLoopServer::send.
 //
-// Malformed JSON and oversized lines are answered synchronously on the
-// loop thread (they are cheap and must not occupy queue slots).
+// Malformed JSON and oversized lines are also answered synchronously on
+// the loop thread (they are cheap and must not occupy queue slots).
 #pragma once
 
 #include <cstddef>

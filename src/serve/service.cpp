@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "obs/export.hpp"
@@ -56,6 +57,33 @@ Json report_to_json(const gang::SolveReport& r) {
   out.set("total_mean_jobs", r.total_mean_jobs());
   out.set("mean_cycle_length", r.mean_cycle_length);
   return out;
+}
+
+/// A response's first members: the request's op and id, echoed so every
+/// response, success or error, is attributable by the client. `op` gets
+/// the op name, or stays empty when the request has none.
+Json response_header(const Json& request, std::string& op) {
+  Json out = Json::object();
+  if (request.is_object()) {
+    if (const Json* o = request.find("op"); o && o->is_string())
+      op = o->as_string();
+    out.set("op", op.empty() ? Json(nullptr) : Json(op));
+    if (const Json* id = request.find("id")) out.set("id", *id);
+  } else {
+    out.set("op", nullptr);
+  }
+  return out;
+}
+
+/// The members of a scenario answered from the cache (after its "hash").
+void set_cached(Json& out, const ResultCache::Entry& hit) {
+  out.set("cached", true);
+  out.set("hits", hit.hits);
+  out.set("warm_started", hit.report.used_warm_start);
+  out.set("iterations", hit.report.iterations);
+  out.set("converged", hit.report.converged);
+  out.set("used_optimistic_init", hit.report.used_optimistic_init);
+  out.set("result", report_to_json(hit.report));
 }
 
 /// A request that still sets the lane width of the removed cross-scenario
@@ -133,18 +161,8 @@ json::Json EvalService::handle(const Json& request) {
     ++stats_.requests;
   }
   obs::count("serve.requests");
-  Json response = Json::object();
-  // Echo the request's op and id first so every response — success or
-  // error — is attributable by the client.
   std::string op;
-  if (request.is_object()) {
-    if (const Json* o = request.find("op"); o && o->is_string())
-      op = o->as_string();
-    response.set("op", op.empty() ? Json(nullptr) : Json(op));
-    if (const Json* id = request.find("id")) response.set("id", *id);
-  } else {
-    response.set("op", nullptr);
-  }
+  Json response = response_header(request, op);
 
   const auto bump = [this](std::uint64_t ServiceStats::* field) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -204,47 +222,70 @@ json::Json EvalService::handle(const Json& request) {
   return response;
 }
 
-json::Json EvalService::do_solve(const Json& req) {
-  const Json* system = req.find("system");
-  GS_CHECK(system != nullptr, "solve needs a 'system' field");
-  const gang::SystemParams params = params_from_json(*system);
-  gang::GangSolveOptions opts = options_from_json(
-      req.find("options") ? *req.find("options") : Json(nullptr));
-  opts.num_threads = options_.num_threads;
-  opts.pool = options_.pool;
+ScenarioKey EvalService::scenario_key(const Json& request,
+                                      const char* what) const {
+  const Json* system = request.find("system");
+  GS_CHECK(system != nullptr,
+           std::string(what) + " needs a 'system' field");
+  ScenarioKey key{params_from_json(*system),
+                  options_from_json(request.find("options")
+                                        ? *request.find("options")
+                                        : Json(nullptr)),
+                  {}, 0, options_.warm_start};
+  key.options.num_threads = options_.num_threads;
+  key.options.pool = options_.pool;
+  key.canonical = canonical_scenario(key.params, key.options);
+  key.hash = json::fnv1a64(key.canonical);
+  if (const Json* w = request.find("warm_start")) key.warm = w->as_bool();
+  return key;
+}
 
-  const std::string canon = canonical_scenario(params, opts);
-  const std::uint64_t full = json::fnv1a64(canon);
-  const std::uint64_t shape = structure_hash(params, opts);
+std::optional<Json> EvalService::handle_cached(const Json& request,
+                                               const ScenarioKey& key) {
+  std::string op;
+  Json response = response_header(request, op);
+  response.set("hash", json::hash_hex(key.hash));
+  std::optional<obs::Span> op_span;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // peek, not find: a probe that misses leaves the miss to be counted
+    // by the solve that follows.
+    if (cache_.peek(key.hash) == nullptr) return std::nullopt;
+    op_span.emplace("serve.request");
+    op_span->arg("op", op);
+    ++stats_.requests;
+    ++stats_.solve_requests;
+    ++stats_.cache_hits;
+    set_cached(response, *cache_.find(key.hash));
+  }
+  obs::count("serve.requests");
+  return response;
+}
+
+json::Json EvalService::do_solve(const Json& req) {
+  ScenarioKey key = scenario_key(req);
+  const std::uint64_t shape = structure_hash(key.params, key.options);
 
   Json out = Json::object();
-  out.set("hash", json::hash_hex(full));
+  out.set("hash", json::hash_hex(key.hash));
 
   // Cache lookup and warm-start donor resolution happen under the lock;
   // the donor's slices are copied out so the solve itself — the long part
   // — runs with no lock held and concurrent requests overlap.
-  bool want_warm = options_.warm_start;
-  if (const Json* w = req.find("warm_start")) want_warm = w->as_bool();
   std::vector<phase::PhaseType> donor_slices;
   bool have_donor = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (const ResultCache::Entry* hit = cache_.find(full)) {
+    if (const ResultCache::Entry* hit = cache_.find(key.hash)) {
       ++stats_.cache_hits;
-      out.set("cached", true);
-      out.set("hits", hit->hits);
-      out.set("warm_started", hit->report.used_warm_start);
-      out.set("iterations", hit->report.iterations);
-      out.set("converged", hit->report.converged);
-      out.set("used_optimistic_init", hit->report.used_optimistic_init);
-      out.set("result", report_to_json(hit->report));
+      set_cached(out, *hit);
       return out;
     }
     ++stats_.cache_misses;
-    if (want_warm) {
+    if (key.warm) {
       if (auto it = warm_index_.find(shape); it != warm_index_.end()) {
         if (const ResultCache::Entry* e = cache_.peek(it->second)) {
-          if (e->report.final_slices.size() == params.num_classes()) {
+          if (e->report.final_slices.size() == key.params.num_classes()) {
             donor_slices = e->report.final_slices;
             have_donor = true;
           }
@@ -253,7 +294,7 @@ json::Json EvalService::do_solve(const Json& req) {
     }
   }
 
-  const gang::GangSolver solver(params, opts);
+  const gang::GangSolver solver(key.params, key.options);
   const auto start = std::chrono::steady_clock::now();
   gang::SolveReport report =
       have_donor ? solver.solve_warm(donor_slices) : solver.solve();
@@ -275,8 +316,8 @@ json::Json EvalService::do_solve(const Json& req) {
     stats_.solve_ms_total += ms;
     stats_.solve_ms_max = std::max(stats_.solve_ms_max, ms);
     if (report.used_warm_start) ++stats_.warm_starts;
-    cache_.insert(full, canon, std::move(report));
-    warm_index_[shape] = full;
+    cache_.insert(key.hash, std::move(key.canonical), std::move(report));
+    warm_index_[shape] = key.hash;
   }
   return out;
 }
@@ -297,27 +338,14 @@ json::Json EvalService::do_solve_batch(const Json& req) {
   // Parse and hash every item before solving anything: a malformed item
   // is one structured error for the whole request (matching 'solve'),
   // not a half-answered batch.
-  std::vector<gang::SystemParams> params;
-  std::vector<gang::GangSolveOptions> opts;
-  std::vector<std::uint64_t> full(arr.size()), shape(arr.size());
-  params.reserve(arr.size());
-  opts.reserve(arr.size());
+  std::vector<ScenarioKey> keys;
+  std::vector<std::uint64_t> shape;
+  keys.reserve(arr.size());
+  shape.reserve(arr.size());
   for (const Json& item : arr) {
     GS_CHECK(item.is_object(), "solve_batch items must be objects");
-    const Json* system = item.find("system");
-    GS_CHECK(system != nullptr, "solve_batch item needs a 'system' field");
-    params.push_back(params_from_json(*system));
-    gang::GangSolveOptions o = options_from_json(
-        item.find("options") ? *item.find("options") : Json(nullptr));
-    o.num_threads = options_.num_threads;
-    o.pool = options_.pool;
-    opts.push_back(o);
-  }
-  std::vector<std::string> canon(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    canon[i] = canonical_scenario(params[i], opts[i]);
-    full[i] = json::fnv1a64(canon[i]);
-    shape[i] = structure_hash(params[i], opts[i]);
+    keys.push_back(scenario_key(item, "solve_batch item"));
+    shape.push_back(structure_hash(keys.back().params, keys.back().options));
   }
 
   // Cache hits answer their item directly; the rest are solved below.
@@ -331,26 +359,18 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     for (std::size_t i = 0; i < arr.size(); ++i) {
       Json& out = results[i];
       out = Json::object();
-      out.set("hash", json::hash_hex(full[i]));
-      if (const ResultCache::Entry* hit = cache_.find(full[i])) {
+      out.set("hash", json::hash_hex(keys[i].hash));
+      if (const ResultCache::Entry* hit = cache_.find(keys[i].hash)) {
         ++stats_.cache_hits;
-        out.set("cached", true);
-        out.set("hits", hit->hits);
-        out.set("warm_started", hit->report.used_warm_start);
-        out.set("iterations", hit->report.iterations);
-        out.set("converged", hit->report.converged);
-        out.set("used_optimistic_init", hit->report.used_optimistic_init);
-        out.set("result", report_to_json(hit->report));
+        set_cached(out, *hit);
         continue;
       }
       ++stats_.cache_misses;
-      bool want_warm = options_.warm_start;
-      if (const Json* w = arr[i].find("warm_start")) want_warm = w->as_bool();
       std::vector<phase::PhaseType> donor;
-      if (want_warm) {
+      if (keys[i].warm) {
         if (auto it = warm_index_.find(shape[i]); it != warm_index_.end()) {
           if (const ResultCache::Entry* e = cache_.peek(it->second))
-            if (e->report.final_slices.size() == params[i].num_classes())
+            if (e->report.final_slices.size() == keys[i].params.num_classes())
               donor = e->report.final_slices;
         }
       }
@@ -365,7 +385,8 @@ json::Json EvalService::do_solve_batch(const Json& req) {
   const auto start = std::chrono::steady_clock::now();
   std::vector<gang::GangSolver> solvers;
   solvers.reserve(miss.size());
-  for (const std::size_t i : miss) solvers.emplace_back(params[i], opts[i]);
+  for (const std::size_t i : miss)
+    solvers.emplace_back(keys[i].params, keys[i].options);
   std::vector<gang::SolveReport> reports(miss.size());
   std::vector<std::string> errors(miss.size());
   for (std::size_t t = 0; t < miss.size(); ++t) {
@@ -401,8 +422,9 @@ json::Json EvalService::do_solve_batch(const Json& req) {
     out.set("converged", report.converged);
     out.set("used_optimistic_init", report.used_optimistic_init);
     out.set("result", report_to_json(report));
-    cache_.insert(full[i], std::move(canon[i]), std::move(report));
-    warm_index_[shape[i]] = full[i];
+    cache_.insert(keys[i].hash, std::move(keys[i].canonical),
+                  std::move(report));
+    warm_index_[shape[i]] = keys[i].hash;
   }
 
   Json out = Json::object();
@@ -624,6 +646,7 @@ json::Json EvalService::do_stats() const {
     net.set("requests", n.requests.load());
     net.set("shed", n.shed.load());
     net.set("coalesced", n.coalesced.load());
+    net.set("hits_inline", n.hits_inline.load());
     net.set("oversized", n.oversized.load());
     net.set("dropped", n.dropped.load());
     net.set("inflight", n.inflight.load());

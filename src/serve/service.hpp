@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -52,6 +53,7 @@ struct NetStats {
   std::atomic<std::uint64_t> requests{0};   ///< request lines delivered
   std::atomic<std::uint64_t> shed{0};       ///< rejected by admission ctl
   std::atomic<std::uint64_t> coalesced{0};  ///< riders on in-flight solves
+  std::atomic<std::uint64_t> hits_inline{0};  ///< cache hits answered on the loop
   std::atomic<std::uint64_t> oversized{0};  ///< over-limit lines
   std::atomic<std::uint64_t> dropped{0};    ///< responses to gone clients
   std::atomic<std::int64_t> connections{0};  ///< currently open
@@ -78,6 +80,23 @@ struct ServiceOptions {
   /// Test/embedder override for the pool the request lanes run on
   /// (non-owning; must outlive the service). Null uses the shared pool.
   util::ThreadPool* pool = nullptr;
+};
+
+/// One scenario request (a `solve` request or a `solve_batch` item) as
+/// the service resolves it. The cache key is `hash`; serve::Dispatcher
+/// derives its coalescing key from the same value, so the two cannot
+/// drift apart.
+struct ScenarioKey {
+  gang::SystemParams params;
+  /// The request's solver options with the service's threads and pool.
+  gang::GangSolveOptions options;
+  /// canonical_scenario(params, options): the hash preimage.
+  std::string canonical;
+  /// FNV-1a 64 of `canonical`: the result-cache key.
+  std::uint64_t hash = 0;
+  /// Whether a miss may warm-start from a donor (request `warm_start`,
+  /// else the service default).
+  bool warm = true;
 };
 
 struct ServiceStats {
@@ -114,6 +133,20 @@ class EvalService {
 
   /// Handle a parsed request. Never throws.
   json::Json handle(const json::Json& request);
+
+  /// Resolve a scenario request the way the solve op does. Throws
+  /// gs::Error where that op would answer with an error; `what` names
+  /// the request in those messages.
+  ScenarioKey scenario_key(const json::Json& request,
+                           const char* what = "solve") const;
+
+  /// Answer the solve request `request`, whose scenario_key is `key`,
+  /// from the cache: the response handle(request) would give, counted
+  /// the same way (requests, solve ops, cache hits, the serve.request
+  /// span). When `key` is not cached, returns nullopt and counts
+  /// nothing, not even a cache miss.
+  std::optional<json::Json> handle_cached(const json::Json& request,
+                                          const ScenarioKey& key);
 
   bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_relaxed);

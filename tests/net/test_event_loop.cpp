@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "json/json.hpp"
+#include "obs/obs.hpp"
 #include "serve/canonical.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -91,6 +92,13 @@ class Client {
     const std::string resp = recv_line();
     EXPECT_FALSE(resp.empty()) << "connection closed instead of answering";
     return resp.empty() ? Json() : Json::parse(resp);
+  }
+
+  /// True when a response byte is buffered or waiting on the socket.
+  bool has_data() {
+    if (!buf_.empty()) return true;
+    char b;
+    return ::recv(fd_, &b, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
   }
 
   void close() {
@@ -464,6 +472,132 @@ TEST(EventLoopDaemon, ShutdownDrainsInFlightWork) {
   ASSERT_FALSE(resp.empty()) << "in-flight work must be answered before "
                                 "the daemon exits";
   EXPECT_EQ(Json::parse(resp).at("id").as_string(), "slow");
+}
+
+// ------------------------------------------- cache hits on the loop
+
+TEST(EventLoopDaemon, HitIsAnsweredWhileTheOnlyWorkerIsBusy) {
+  // A cached scenario is answered on the loop thread: with the single
+  // executor held by a slow sweep, a hit on another connection comes
+  // back before the sweep does.
+  TcpOptions topts;
+  topts.dispatch.workers = 1;
+  TestServer server(ServiceOptions{1, 256, true, false}, topts);
+
+  Client client;
+  client.connect(server.port());
+  ASSERT_FALSE(client.request(solve_line(0.30, "fill")).at("cached").as_bool());
+
+  Client blocker;
+  blocker.connect(server.port());
+  blocker.send_line(blocker_line());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const Json hit = client.request(solve_line(0.30, "hit"));
+  EXPECT_EQ(hit.at("id").as_string(), "hit");
+  EXPECT_TRUE(hit.at("cached").as_bool());
+  EXPECT_FALSE(blocker.has_data()) << "the sweep finished before the hit";
+
+  EXPECT_FALSE(blocker.recv_line().empty());
+  const Json stats = client.request("{\"op\":\"stats\"}");
+  EXPECT_EQ(stats.at("net").at("hits_inline").as_int(), 1);
+  EXPECT_EQ(stats.at("ops").at("solve").as_int(), 2);
+  EXPECT_EQ(stats.at("cache").at("hits").as_int(), 1);
+  server.stop();
+}
+
+TEST(EventLoopDaemon, PipelinedSweepThenHitComeBackInOrder) {
+  // The loop hands a connection its next line only after the previous
+  // one was answered, so a hit pipelined behind a sweep waits for it.
+  TestServer server(ServiceOptions{1, 256, true, false});
+  Client client;
+  client.connect(server.port());
+  ASSERT_EQ(client.request(solve_line(0.31, "fill")).find("error"), nullptr);
+
+  client.send_raw(sweep_line(/*points=*/4, "sweep") + "\n" +
+                  solve_line(0.31, "hit") + "\n");
+  const Json first = Json::parse(client.recv_line());
+  const Json second = Json::parse(client.recv_line());
+  EXPECT_EQ(first.at("id").as_string(), "sweep");
+  EXPECT_EQ(second.at("id").as_string(), "hit");
+  EXPECT_TRUE(second.at("cached").as_bool());
+  server.stop();
+}
+
+TEST(EventLoopDaemon, TcpHitIsByteIdenticalToTwinService) {
+  // The same session over TCP and through handle_line on a twin service:
+  // every response, hit counters included, byte for byte.
+  const ServiceOptions sopts{1, 256, true, /*deterministic=*/true};
+  TestServer server(sopts);
+  EvalService twin(sopts);
+  Client client;
+  client.connect(server.port());
+  for (const auto& line :
+       {solve_line(0.32, "miss"), solve_line(0.32, "hit1"),
+        solve_line(0.33, "other"), solve_line(0.32, "hit2")}) {
+    client.send_line(line);
+    EXPECT_EQ(client.recv_line(), twin.handle_line(line));
+  }
+  server.stop();
+  EXPECT_EQ(server.service().stats().cache_hits, 2u);
+}
+
+TEST(EventLoopDaemon, FullQueueStillAnswersHitsButShedsMisses) {
+  // queue_limit=1 held by a slow sweep: a hit needs no slot and is
+  // answered; a distinct miss behind it is still shed.
+  TcpOptions topts;
+  topts.dispatch.workers = 1;
+  topts.dispatch.queue_limit = 1;
+  topts.dispatch.coalesce = false;
+  TestServer server(ServiceOptions{1, 256, true, false}, topts);
+
+  Client client;
+  client.connect(server.port());
+  ASSERT_EQ(client.request(solve_line(0.30, "fill")).find("error"), nullptr);
+
+  Client blocker;
+  blocker.connect(server.port());
+  blocker.send_line(blocker_line());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const Json hit = client.request(solve_line(0.30, "hit"));
+  EXPECT_EQ(hit.find("error"), nullptr) << hit.dump();
+  EXPECT_TRUE(hit.at("cached").as_bool());
+
+  const Json miss = client.request(solve_line(0.31, "miss"));
+  ASSERT_NE(miss.find("error"), nullptr) << miss.dump();
+  EXPECT_EQ(miss.at("error").at("type").as_string(), "overloaded");
+
+  EXPECT_FALSE(blocker.recv_line().empty());
+  server.stop();
+  EXPECT_EQ(server.service().stats().cache_hits, 1u);
+}
+
+TEST(EventLoopDaemon, LoopProbeDoesNotCountCacheMisses) {
+  // Every solve is probed on the loop thread before it is admitted; only
+  // the solve that follows a failed probe counts the miss.
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  gs::obs::reset();
+  const auto counter = [](const char* name) {
+    return gs::obs::snapshot().counter_value(name);
+  };
+  {
+    TestServer server(ServiceOptions{1, 256, true, false});
+    Client client;
+    client.connect(server.port());
+    client.request(solve_line(0.30, "a"));
+    EXPECT_EQ(counter("serve.cache.miss"), 1u);
+    client.request(solve_line(0.30, "a-again"));
+    EXPECT_EQ(counter("serve.cache.miss"), 1u);
+    EXPECT_EQ(counter("serve.cache.hit"), 1u);
+    EXPECT_EQ(counter("serve.net.hits_inline"), 1u);
+    client.request(solve_line(0.31, "b"));
+    EXPECT_EQ(counter("serve.cache.miss"), 2u);
+    server.stop();
+    EXPECT_EQ(server.service().stats().cache_misses, 2u);
+    EXPECT_EQ(server.service().stats().cache_hits, 1u);
+  }
+  gs::obs::configure({});
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "gang/solver.hpp"
@@ -86,6 +87,68 @@ TEST(Service, RepeatSolveIsServedFromCache) {
   EXPECT_EQ(service.stats().cache_hits, 1u);
   EXPECT_EQ(service.stats().cache_misses, 1u);
   EXPECT_EQ(service.stats().solves_executed, 1u);
+}
+
+TEST(Service, HandleCachedAnswersAHitLikeHandle) {
+  // Two services in the same state: one answers the repeat through
+  // handle(), the other through handle_cached(). Same bytes (the hit
+  // counter included) and the same counters.
+  Json req = solve_request(paper_system());
+  req.set("id", "r1");
+  EvalService a(ServiceOptions{1, 16, true, /*deterministic=*/true});
+  EvalService b(ServiceOptions{1, 16, true, /*deterministic=*/true});
+  ASSERT_EQ(a.handle(req).dump(), b.handle(req).dump());
+
+  for (int rep = 0; rep < 2; ++rep) {
+    const Json via_handle = a.handle(req);
+    const std::optional<Json> via_cached =
+        b.handle_cached(req, b.scenario_key(req));
+    ASSERT_TRUE(via_cached.has_value());
+    EXPECT_EQ(via_cached->dump(), via_handle.dump());
+    EXPECT_EQ(via_cached->at("hits").as_int(), rep + 1);
+  }
+  EXPECT_EQ(b.stats().requests, a.stats().requests);
+  EXPECT_EQ(b.stats().solve_requests, a.stats().solve_requests);
+  EXPECT_EQ(b.stats().cache_hits, a.stats().cache_hits);
+  EXPECT_EQ(b.stats().cache_misses, a.stats().cache_misses);
+}
+
+TEST(Service, HandleCachedCountsNothingOnAMiss) {
+  EvalService service;
+  const Json req = solve_request(paper_system());
+  EXPECT_FALSE(service.handle_cached(req, service.scenario_key(req)));
+  EXPECT_EQ(service.stats().requests, 0u);
+  EXPECT_EQ(service.stats().solve_requests, 0u);
+  EXPECT_EQ(service.stats().cache_misses, 0u);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+}
+
+TEST(Service, ScenarioKeyIsTheCacheKey) {
+  EvalService service(ServiceOptions{/*num_threads=*/3, 16, true, false});
+  Json req = solve_request(paper_system());
+  const gs::serve::ScenarioKey key = service.scenario_key(req);
+  EXPECT_TRUE(key.warm);
+  EXPECT_EQ(key.options.num_threads, 3);
+  EXPECT_EQ(key.hash, gs::json::fnv1a64(key.canonical));
+  EXPECT_EQ(key.canonical,
+            gs::serve::canonical_scenario(paper_system(), key.options));
+  EXPECT_EQ(service.handle(req).at("hash").as_string(),
+            gs::json::hash_hex(key.hash));
+
+  req.set("warm_start", false);
+  EXPECT_FALSE(service.scenario_key(req).warm);
+  EXPECT_EQ(service.scenario_key(req).hash, key.hash);
+
+  // The key's errors are the solve op's errors.
+  Json bad = Json::object();
+  bad.set("op", "solve");
+  try {
+    service.scenario_key(bad);
+    ADD_FAILURE() << "no error for a solve without a system";
+  } catch (const gs::Error& e) {
+    EXPECT_EQ(service.handle(bad).at("error").at("message").as_string(),
+              e.what());
+  }
 }
 
 TEST(Service, PerturbedSolveWarmStartsAndMatchesColdFixedPoint) {
