@@ -6,6 +6,7 @@
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang/solver.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
 #include "phase/builders.hpp"
@@ -86,44 +87,26 @@ BENCHMARK(BM_MatmulBlocked)
     ->Arg(512);
 
 // The GEMM kernel-shape sweep over the sizes the QBD iterates actually
-// take (d ~ 16..128): old blocked kernel (BM_MatmulBlocked above) vs the
-// packed register-tiled kernel vs the tiled-but-unpacked variant, all
-// bitwise identical (tests/linalg/test_gemm.cpp). Comparing the three
-// separates the register-tiling payoff from the packing payoff.
+// take (d ~ 16..128): the blocked kernel (BM_MatmulBlocked above) vs the
+// packed register-tiled kernel, pack included, bitwise identical
+// (tests/linalg/test_gemm.cpp).
 void BM_GemmTiledPacked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_dd_matrix(n, 1);
   const Matrix b = random_dd_matrix(n, 2);
-  gs::linalg::GemmWorkspace ws;
+  gs::linalg::GemmPackA pa;
+  gs::linalg::GemmPackB pb;
   Matrix out;
   for (auto _ : state) {
-    gs::linalg::gemm_into(out, a, b, ws);
+    pa.pack(a);
+    pb.pack(b);
+    gs::linalg::gemm_packed_into(out, pa, pb);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmTiledPacked)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(48)
-    ->Arg(64)
-    ->Arg(96)
-    ->Arg(128);
-
-void BM_GemmTiledUnpacked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_dd_matrix(n, 1);
-  const Matrix b = random_dd_matrix(n, 2);
-  Matrix out;
-  for (auto _ : state) {
-    gs::linalg::gemm_tiled_unpacked_into(out, a, b);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmTiledUnpacked)
     ->Arg(16)
     ->Arg(32)
     ->Arg(48)
@@ -202,39 +185,19 @@ void BM_AwayPeriodAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_AwayPeriodAssembly);
 
-// R-matrix solvers on the paper's class-0 chain, with the CSR kernels
-// toggled by the benchmark argument (0 = dense, 1 = sparse). The two
-// settings produce bitwise-identical R (tests/qbd); the time ratio is
-// the structured-sparsity payoff.
+// The R solve on the paper's class-0 chain.
 void BM_RMatrixLogReduction(benchmark::State& state) {
   const auto sys = gs::workload::paper_system({});
   const gs::gang::ClassProcess cp(
       sys, 0, gs::gang::away_period_heavy_traffic(sys, 0));
   const auto& blk = cp.process().blocks();
-  gs::qbd::RSolveOptions opts;
-  opts.sparse = state.range(0) != 0;
   gs::qbd::Workspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2, opts, &ws));
+        gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2, {}, &ws));
   }
 }
-BENCHMARK(BM_RMatrixLogReduction)->Arg(0)->Arg(1);
-
-void BM_RMatrixSubstitution(benchmark::State& state) {
-  const auto sys = gs::workload::paper_system({});
-  const gs::gang::ClassProcess cp(
-      sys, 0, gs::gang::away_period_heavy_traffic(sys, 0));
-  const auto& blk = cp.process().blocks();
-  gs::qbd::RSolveOptions opts;
-  opts.sparse = state.range(0) != 0;
-  gs::qbd::Workspace ws;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gs::qbd::solve_r_substitution(blk.a0, blk.a1, blk.a2, opts, &ws));
-  }
-}
-BENCHMARK(BM_RMatrixSubstitution)->Arg(0)->Arg(1);
+BENCHMARK(BM_RMatrixLogReduction);
 
 // Uniformization on the away-period generator (block bidiagonal, far
 // under half dense): exp_action auto-selects the CSR path, the _dense

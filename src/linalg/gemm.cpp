@@ -138,53 +138,6 @@ void gemm_packed_into(Matrix& out, const GemmPackA& a, const GemmPackB& b) {
   ctr.flush();
 }
 
-void gemm_into(Matrix& out, const Matrix& a, const Matrix& b,
-               GemmWorkspace& ws) {
-  GS_CHECK(a.cols() == b.rows(), "matrix shape mismatch in *");
-  GS_CHECK(&out != &a && &out != &b, "gemm_into: out aliases an input");
-  ws.a.pack(a);
-  ws.b.pack(b);
-  gemm_packed_into(out, ws.a, ws.b);
-}
-
-void gemm_tiled_unpacked_into(Matrix& out, const Matrix& a, const Matrix& b) {
-  GS_CHECK(a.cols() == b.rows(), "matrix shape mismatch in *");
-  GS_CHECK(&out != &a && &out != &b,
-           "gemm_tiled_unpacked_into: out aliases an input");
-  const std::size_t n = a.rows();
-  const std::size_t depth = a.cols();
-  const std::size_t m = b.cols();
-  out.assign_zero(n, m);
-  GemmCounters ctr;
-  double acc[MR * NR];
-  for (std::size_t i0 = 0; i0 < n; i0 += MR) {
-    const std::size_t mr = std::min(MR, n - i0);
-    for (std::size_t j0 = 0; j0 < m; j0 += NR) {
-      const std::size_t nr = std::min(NR, m - j0);
-      for (std::size_t x = 0; x < MR * NR; ++x) acc[x] = 0.0;
-      // Strided a reads and edge branches are the price of skipping the
-      // pack — that difference is what the bench sweep measures.
-      for (std::size_t k = 0; k < depth; ++k) {
-        const double* brow = b.data() + k * m + j0;
-        for (std::size_t r = 0; r < mr; ++r) {
-          const double ar = a(i0 + r, k);
-          double* arow = acc + r * NR;
-          for (std::size_t c = 0; c < nr; ++c) arow[c] += ar * brow[c];
-        }
-      }
-      for (std::size_t r = 0; r < mr; ++r) {
-        double* orow = out.data() + (i0 + r) * m + j0;
-        const double* arow = acc + r * NR;
-        for (std::size_t c = 0; c < nr; ++c) orow[c] = arow[c];
-      }
-      ++ctr.tiles;
-    }
-  }
-  ctr.flops += static_cast<std::uint64_t>(2) * n * m * depth;
-  ctr.calls += 1;
-  ctr.flush();
-}
-
 void gemm_grouped(const GemmOp* ops, std::size_t count) {
   GemmCounters ctr;
   for (std::size_t i = 0; i < count; ++i) {
@@ -195,7 +148,5 @@ void gemm_grouped(const GemmOp* ops, std::size_t count) {
   }
   ctr.flush();
 }
-
-const char* gemm_kernel_variant() { return "tiled_packed_4x8"; }
 
 }  // namespace gs::linalg

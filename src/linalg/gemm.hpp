@@ -1,6 +1,6 @@
 // Packed, register-tiled GEMM for the small dense products the QBD
 // solvers iterate on (repeating blocks of d = 12 on the paper's Figure 2
-// system, up to d = 128 on bench/qbd_kernels' chain).
+// system, d = 128 on the 4-class Erlang chain tests/qbd pins).
 //
 // Why another multiply kernel: multiply_into streams each output row
 // through memory once per k (a read-modify-write axpy), so at the sizes
@@ -30,9 +30,9 @@
 // lanes are never stored. The kernel translation unit is compiled with
 // -ffp-contract=off alongside the rest of gs_linalg, so no
 // fused-multiply-add contraction can break the two-roundings-per-term
-// equality. tests/linalg/test_gemm.cpp pins gemm_into == multiply_into
-// bit for bit across square, rectangular, and odd shapes, sparse and
-// dense.
+// equality. tests/linalg/test_gemm.cpp pins gemm_packed_into ==
+// multiply_into bit for bit across square, rectangular, and odd shapes,
+// sparse and dense.
 #pragma once
 
 #include <cstddef>
@@ -110,23 +110,6 @@ class GemmPackB {
 /// from. The packs' depths must agree.
 void gemm_packed_into(Matrix& out, const GemmPackA& a, const GemmPackB& b);
 
-/// Reusable pack buffers for gemm_into.
-struct GemmWorkspace {
-  GemmPackA a;
-  GemmPackB b;
-};
-
-/// Pack + multiply: out = a b, bitwise identical to multiply_into(out,
-/// a, b). `out` must not alias an input (packing would hide the aliasing
-/// from the caller, so it is rejected up front like multiply_into does).
-void gemm_into(Matrix& out, const Matrix& a, const Matrix& b,
-               GemmWorkspace& ws);
-
-/// The register-tiled kernel reading a and b in place (no packing) —
-/// the bench reference that isolates the packing payoff. Same bitwise
-/// contract as gemm_into.
-void gemm_tiled_unpacked_into(Matrix& out, const Matrix& a, const Matrix& b);
-
 /// One product of a grouped pass: out = a * b over shared packs.
 /// Non-owning; everything must outlive the gemm_grouped call.
 struct GemmOp {
@@ -140,10 +123,5 @@ struct GemmOp {
 /// packed iterates). Outputs must be distinct matrices and must not
 /// alias any matrix a pack was built from.
 void gemm_grouped(const GemmOp* ops, std::size_t count);
-
-/// Compile-time identity of the micro-kernel ("tiled_packed_<MR>x<NR>"),
-/// recorded in BENCH_qbd.json so perf numbers name the kernel they
-/// measured.
-const char* gemm_kernel_variant();
 
 }  // namespace gs::linalg

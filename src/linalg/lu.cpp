@@ -162,29 +162,10 @@ Matrix Lu::solve(const Matrix& b) const {
   return x;
 }
 
-void Lu::solve_into(const Matrix& b, Matrix& x, bool blocked_rhs) const {
+void Lu::solve_into(const Matrix& b, Matrix& x) const {
   GS_CHECK(b.rows() == n_, "LU solve: rhs row count mismatch");
   GS_CHECK(&x != &b, "LU solve_into: x aliases b");
   x.assign_zero(n_, b.cols());
-  if (!blocked_rhs) {
-    // The pre-tiling sweep, column by column — kept verbatim as the
-    // old-kernel baseline the bench gate compares against.
-    Vector y(n_);
-    for (std::size_t c = 0; c < b.cols(); ++c) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        double s = b(perm_[i], c);
-        for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * y[j];
-        y[i] = s;
-      }
-      for (std::size_t ii = n_; ii-- > 0;) {
-        double s = y[ii];
-        for (std::size_t j = ii + 1; j < n_; ++j) s -= lu_(ii, j) * y[j];
-        y[ii] = s / lu_(ii, ii);
-      }
-      for (std::size_t r = 0; r < n_; ++r) x(r, c) = y[r];
-    }
-    return;
-  }
   const std::size_t cols = b.cols();
   std::size_t c0 = 0;
   for (; c0 + kLuRhsBlock <= cols; c0 += kLuRhsBlock)

@@ -37,23 +37,19 @@ class Lu {
   /// Solve A X = B into `x`, reusing its storage (no allocation when the
   /// shape already matches). `x` must not alias `b`. Same arithmetic,
   /// bit for bit, as solve(const Matrix&) and as solve(const Vector&) on
-  /// each column. By default the substitution sweeps advance a
-  /// fixed-width register block of four right-hand sides together, so
-  /// each factor row is read once per block and the per-term updates run
-  /// as short vector operations; the solution is built in `x` itself, so
-  /// the call allocates nothing once `x` has its shape. `blocked_rhs =
-  /// false` keeps the one-column-at-a-time sweep — bitwise the same
-  /// output, only slower — so old-vs-new kernel baselines
-  /// (RSolveOptions::tiled off) measure the pre-tiling path.
-  void solve_into(const Matrix& b, Matrix& x, bool blocked_rhs = true) const;
+  /// each column: the substitution sweeps advance a fixed-width register
+  /// block of four right-hand sides together, so each factor row is read
+  /// once per block and the per-term updates run as short vector
+  /// operations, and the solution is built in `x` itself.
+  void solve_into(const Matrix& b, Matrix& x) const;
   /// Solve x A = b (row system), reusing the same factors.
   Vector solve_left(const Vector& b) const;
-  /// Solve X A = B row-by-row into `x`, reusing its storage — the
-  /// per-iteration right division of the substitution R solver, replacing
-  /// an explicitly formed inverse. The sweeps run in right-looking (axpy)
-  /// order over contiguous rows of the factor, so they vectorize without
-  /// FP reassociation, and when the factor kept at most half its entries
-  /// they visit stored nonzeros only (QBD -A1 factors keep a few percent).
+  /// Solve X A = B row-by-row into `x`, reusing its storage — the right
+  /// division R = A0 (-U)^{-1} that ends the log-reduction R solve,
+  /// replacing an explicitly formed inverse. The sweeps run in
+  /// right-looking (axpy) order over contiguous rows of the factor, so
+  /// they vectorize without FP reassociation, and when the factor kept at
+  /// most half its entries they visit stored nonzeros only.
   /// The result is deterministic for a fixed factor but may differ from
   /// solve_left in the last ulp (update order of the back substitution is
   /// reversed; skipped +-0.0 terms). `x` must not alias `b`.

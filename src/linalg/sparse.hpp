@@ -21,30 +21,19 @@
 // 0 * x != 0 and void the guarantee (generators and probability vectors
 // are always finite, so this costs the callers nothing).
 //
-// Where CSR pays, and where it provably cannot. Sparsity here is a
-// property of the *inputs*, not of the algorithm's iterates: the product
-// of two structured blocks is generically dense (every row of A0 reaches
-// every column of A2 through the shared middle index), so any algorithm
-// that iterates on products loses the structure after one step.
-//  * Successive substitution (qbd/rmatrix.cpp) keeps re-multiplying the
-//    structured A2 and the recompressed R A2 every iteration — CSR gets
-//    a shot at the hot loop itself, which is why BENCH_qbd.json shows
-//    ~3x there.
-//  * Logarithmic reduction squares its H/L/G/T iterates, products of
-//    solves that are dense on A2's live columns (the loop drops the
-//    others, which are exactly zero, without CSR); CSR can only touch
-//    the setup solves and the final R-from-G stage, and the squaring
-//    loop dominates the runtime (the obs timers
-//    qbd.rsolve.logreduction.{setup,loop,final} carry the measured
-//    split). That Amdahl ceiling is why the sparse toggle only bought
-//    ~1.06x on log reduction — it is structural, not a missing
-//    optimization.
-// Consequently the R solvers gate CSR per *input block*: a block denser
-// than about half full (qbd/rmatrix.cpp kCsrDensityGate) skips
-// compression entirely, because assign_from_dense costs a full O(d^2)
-// scan and the sparse product then visits nearly every entry anyway.
-// Gating is bitwise-invisible — both paths produce identical bits — so
-// it is purely a cost model.
+// Where CSR pays. Sparsity here is a property of the *inputs*, not of
+// an algorithm's iterates: the product of two structured blocks is
+// generically dense (every row of A0 reaches every column of A2 through
+// the shared middle index), so an algorithm that iterates on products
+// loses the structure after one step. Log reduction's iterates are dense
+// on A2's live columns (it drops the others, which are exactly zero,
+// without CSR), and its loop dominates the R solve, so the QBD layer
+// runs dense products only. The callers here pick CSR from input
+// density instead: uniformization (phase/uniformization.hpp) for the
+// block-bidiagonal away-period generator, and the block-tridiagonal
+// solver (linalg/block_tridiag.hpp) for the serving chain's off-diagonal
+// blocks. Both paths produce identical bits, so the choice is purely a
+// cost model.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +55,7 @@ class SparseMatrix {
 
   /// Re-compress `a` into this matrix, reusing the index/value storage
   /// (no allocation once capacity has grown to the densest pattern seen).
-  /// The workhorse of per-iteration re-compression in the R solvers.
+  /// Uniformization re-compresses its step matrix through it.
   void assign_from_dense(const Matrix& a);
 
   /// Expand back to dense. Round-trips bitwise: to_dense() of

@@ -192,7 +192,7 @@ namespace {
 // partial-pivot LU lost digits, or rejected valid chains as singular
 // (tests/qbd/test_boundary_random.cpp, LightLoad*). -S_i is nonsingular
 // for an irreducible chain, so a zero pivot means a reducible one.
-void reduce_levels(const QbdBlocks& blk, bool sparse, Workspace& w) {
+void reduce_levels(const QbdBlocks& blk, Workspace& w) {
   const std::size_t b = blk.diag.size();
   w.bnd_p.resize(b);
   Matrix& s = w.bnd_s;
@@ -213,18 +213,9 @@ void reduce_levels(const QbdBlocks& blk, bool sparse, Workspace& w) {
     Matrix& p = w.bnd_p[i];
     w.bnd_gth.solve_right_into(blk.down[i], p);
 
-    // S_{i+1} = M_{i+1,i+1} + P_i U_i, with the arrival block U_i through
-    // CSR when it is at most half full (bitwise the dense product). Only
-    // the off-diagonal rates of an interior S_{i+1} are read.
-    bool sparse_up = false;
-    if (sparse) {
-      w.bnd_up_csr.assign_from_dense(up);
-      sparse_up = 2 * w.bnd_up_csr.nnz() <= up.rows() * up.cols();
-    }
-    if (sparse_up)
-      linalg::multiply_into(w.bnd_tmp, p, w.bnd_up_csr);
-    else
-      linalg::multiply_into(w.bnd_tmp, p, up);
+    // S_{i+1} = M_{i+1,i+1} + P_i U_i. Only the off-diagonal rates of an
+    // interior S_{i+1} are read.
+    linalg::multiply_into(w.bnd_tmp, p, up);
     s = i + 1 < b ? blk.diag[i + 1] : w.ra2;
     s += w.bnd_tmp;
 
@@ -244,7 +235,7 @@ void reduce_levels(const QbdBlocks& blk, bool sparse, Workspace& w) {
 }  // namespace
 
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
-                         const SolveOptions& opts, Workspace* ws) {
+                         const SolveOptions& /*opts*/, Workspace* ws) {
   Workspace local;
   Workspace& w = ws ? *ws : local;
   const QbdBlocks& blk = process.blocks();
@@ -262,17 +253,9 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
 
   // Level b's block of the balance system (eqs. 21–22, 25–26): its own
   // rates plus the repeating tail folded back through R.
-  if (opts.r_options.sparse) {
-    // The R solver left a CSR mirror of A2 in the workspace; refresh it
-    // here anyway (idempotent, O(d^2)) so this block never depends on
-    // which solver ran. The product is bitwise identical to the dense one.
-    w.a2_csr.assign_from_dense(blk.a2);
-    linalg::multiply_into(w.ra2, r, w.a2_csr);
-  } else {
-    linalg::multiply_into(w.ra2, r, blk.a2);
-  }
+  linalg::multiply_into(w.ra2, r, blk.a2);
   w.ra2 += blk.b11;  // B11 + R A2
-  reduce_levels(blk, opts.r_options.sparse, w);
+  reduce_levels(blk, w);
 
   // Top level: S_b^T x_b^T = 0 with the first equation replaced by the
   // normalization (eq. 24) x_b ((I-R)^{-1} e + P_{b-1} v_{b-1}) = 1 (the

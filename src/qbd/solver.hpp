@@ -132,6 +132,7 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts = {},
 /// spectral-radius admission, the finite balance system, and
 /// normalization, bit-for-bit the tail of solve().
 /// Skips the drift check (the R computation already vouched for it).
+/// The boundary stage has no knobs: `opts` is read by nothing here.
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
                          const SolveOptions& opts = {},
                          Workspace* ws = nullptr);

@@ -12,6 +12,7 @@
 #include "phase/fitting.hpp"
 #include "qbd/solver.hpp"
 #include "util/error.hpp"
+#include "workload/paper_configs.hpp"
 
 namespace {
 
@@ -108,6 +109,45 @@ TEST(ClassProcess, RejectsDefectiveAwayPeriod) {
   const auto defective =
       gs::phase::with_atom(gs::phase::exponential(1.0), 0.1);
   EXPECT_THROW(ClassProcess(sys, 0, defective), gs::InvalidArgument);
+}
+
+// The revalue path: rebuilding a ClassProcess's blocks into the staged
+// workspace and revaluing the live QbdProcess must leave exactly the
+// blocks a from-scratch construction produces.
+TEST(ClassProcess, UpdateAwayMatchesFreshBuild) {
+  gs::workload::PaperKnobs knobs;
+  knobs.arrival_rate = 0.4;
+  const SystemParams sys = gs::workload::paper_system(knobs);
+
+  for (std::size_t p = 0; p < sys.num_classes(); ++p) {
+    SCOPED_TRACE("class " + std::to_string(p));
+    const PhaseType away0 = away_period_heavy_traffic(sys, p);
+    // A second away period with the same order but different rates: scale
+    // every class's quantum mean through the slice list.
+    std::vector<PhaseType> slices;
+    for (std::size_t q = 0; q < sys.num_classes(); ++q)
+      slices.push_back(sys.cls(q).quantum.scaled(1.7));
+    const PhaseType away1 = away_period(sys, p, slices);
+    ASSERT_EQ(away0.order(), away1.order());
+
+    gs::qbd::Workspace ws;
+    ClassProcess reused(sys, p, away0, &ws);
+    reused.update_away(away1);  // same shapes: exercises revalue
+    const ClassProcess fresh(sys, p, away1);
+
+    const gs::qbd::QbdBlocks& a = reused.process().blocks();
+    const gs::qbd::QbdBlocks& b = fresh.process().blocks();
+    ASSERT_EQ(a.diag.size(), b.diag.size());
+    for (std::size_t i = 0; i < a.diag.size(); ++i) {
+      EXPECT_EQ(gs::linalg::max_abs_diff(a.diag[i], b.diag[i]), 0.0);
+      EXPECT_EQ(gs::linalg::max_abs_diff(a.up[i], b.up[i]), 0.0);
+      EXPECT_EQ(gs::linalg::max_abs_diff(a.down[i], b.down[i]), 0.0);
+    }
+    EXPECT_EQ(gs::linalg::max_abs_diff(a.b11, b.b11), 0.0);
+    EXPECT_EQ(gs::linalg::max_abs_diff(a.a0, b.a0), 0.0);
+    EXPECT_EQ(gs::linalg::max_abs_diff(a.a1, b.a1), 0.0);
+    EXPECT_EQ(gs::linalg::max_abs_diff(a.a2, b.a2), 0.0);
+  }
 }
 
 }  // namespace

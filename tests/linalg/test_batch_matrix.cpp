@@ -93,12 +93,15 @@ TEST(BatchMatrix, PackedGemmMatchesScalarPerLane) {
   batch_gemm_packed_into(out, pa, pb, LaneMask(8));
 
   Matrix got, want;
-  GemmWorkspace gw;
+  GemmPackA ga;
+  GemmPackB gb;
   for (std::size_t l = 0; l < 8; ++l) {
     out.store_lane(l, got);
     multiply_into(want, as[l], bs[l]);
     EXPECT_EQ(max_abs_diff(got, want), 0.0) << "vs multiply, lane " << l;
-    gemm_into(want, as[l], bs[l], gw);
+    ga.pack(as[l]);
+    gb.pack(bs[l]);
+    gemm_packed_into(want, ga, gb);
     EXPECT_EQ(max_abs_diff(got, want), 0.0) << "vs scalar gemm, lane " << l;
   }
 }

@@ -1,8 +1,8 @@
-// The tiled GEMM kernels must be invisible in the numbers: packed,
-// unpacked, and grouped variants all have to reproduce
-// multiply_into bit for bit (gemm.hpp documents why the included +-0.0
-// terms cannot move a bit), across square, rectangular, and odd shapes
-// that exercise every edge-tile path of the 4x8 micro-kernel.
+// The tiled GEMM kernel must be invisible in the numbers: the packed and
+// grouped entry points both have to reproduce multiply_into bit for bit
+// (gemm.hpp documents why the included +-0.0 terms cannot move a bit),
+// across square, rectangular, and odd shapes that exercise every
+// edge-tile path of the 4x8 micro-kernel.
 #include "linalg/gemm.hpp"
 
 #include <gtest/gtest.h>
@@ -57,19 +57,13 @@ void check_shape(std::size_t n, std::size_t k, std::size_t m,
   Matrix ref;
   multiply_into(ref, a, b);
 
-  GemmWorkspace ws;
+  GemmPackA pa;
+  GemmPackB pb;
+  pa.pack(a);
+  pb.pack(b);
   Matrix out;
-  gemm_into(out, a, b, ws);
+  gemm_packed_into(out, pa, pb);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0);
-
-  Matrix out_unpacked;
-  gemm_tiled_unpacked_into(out_unpacked, a, b);
-  EXPECT_EQ(max_abs_diff(out_unpacked, ref), 0.0);
-
-  // Packed entry point straight from reused packs.
-  Matrix out_packed;
-  gemm_packed_into(out_packed, ws.a, ws.b);
-  EXPECT_EQ(max_abs_diff(out_packed, ref), 0.0);
 }
 
 TEST(Gemm, MatchesMultiplyIntoAcrossShapes) {
@@ -119,7 +113,8 @@ TEST(Gemm, GroupedMatchesIndividual) {
 }
 
 TEST(Gemm, PackBuffersAreReusable) {
-  GemmWorkspace ws;
+  GemmPackA pa;
+  GemmPackB pb;
   Matrix out;
   // Repack a same-shaped matrix into warm buffers: must match a cold run.
   for (std::uint64_t seed = 100; seed < 103; ++seed) {
@@ -127,7 +122,9 @@ TEST(Gemm, PackBuffersAreReusable) {
     const Matrix b = random_matrix(23, 11, seed + 50);
     Matrix ref;
     multiply_into(ref, a, b);
-    gemm_into(out, a, b, ws);
+    pa.pack(a);
+    pb.pack(b);
+    gemm_packed_into(out, pa, pb);
     EXPECT_EQ(max_abs_diff(out, ref), 0.0);
   }
   // Shape changes reshape the packs too.
@@ -135,33 +132,21 @@ TEST(Gemm, PackBuffersAreReusable) {
   const Matrix b = random_matrix(40, 30, 10);
   Matrix ref;
   multiply_into(ref, a, b);
-  gemm_into(out, a, b, ws);
+  pa.pack(a);
+  pb.pack(b);
+  gemm_packed_into(out, pa, pb);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0);
-}
-
-TEST(Gemm, RejectsAliasedOutput) {
-  Matrix a = random_matrix(8, 8, 3);
-  const Matrix b = random_matrix(8, 8, 4);
-  GemmWorkspace ws;
-  EXPECT_THROW(gemm_into(a, a, b, ws), gs::InvalidArgument);
-  EXPECT_THROW(gemm_tiled_unpacked_into(a, a, b), gs::InvalidArgument);
 }
 
 TEST(Gemm, RejectsShapeMismatch) {
   const Matrix a = random_matrix(4, 5, 3);
   const Matrix b = random_matrix(6, 4, 4);
-  GemmWorkspace ws;
   Matrix out;
-  EXPECT_THROW(gemm_into(out, a, b, ws), gs::InvalidArgument);
   GemmPackA pa;
   GemmPackB pb;
   pa.pack(a);
   pb.pack(b);
   EXPECT_THROW(gemm_packed_into(out, pa, pb), gs::InvalidArgument);
-}
-
-TEST(Gemm, KernelVariantIsNamed) {
-  EXPECT_STREQ(gemm_kernel_variant(), "tiled_packed_4x8");
 }
 
 }  // namespace

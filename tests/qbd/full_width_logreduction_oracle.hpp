@@ -2,15 +2,16 @@
 // qbd::solve_r_logreduction's compact one (as dense_boundary_oracle.hpp
 // is for the boundary): every iterate H, L, G, T is carried as a d x d
 // matrix, including the columns outside A2's support that are exactly
-// zero. Same kernels, same association and same stopping rule as the
-// solver, so the two must agree bit for bit. For tests only.
+// zero. Plain multiply_into products and per-column Lu::solve sweeps,
+// with the solver's association and stopping rule: the solver's packed
+// GEMM and blocked solves keep every term order of these, so the two
+// must agree bit for bit. For tests only.
 #pragma once
 
 #include <algorithm>
 #include <string>
 #include <utility>
 
-#include "linalg/gemm.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "qbd/rmatrix.hpp"
@@ -18,11 +19,18 @@
 
 namespace gs::qbd::testing {
 
-/// R and G by logarithmic reduction on full-width iterates. `tiled`
-/// selects the packed GEMM and blocked solves exactly as
-/// RSolveOptions::tiled does; the CSR toggle is bitwise-invisible, so the
-/// oracle runs dense products throughout. Throws gs::NumericalError with
-/// the solver's text on the solver's failures.
+// X = A^{-1} B one column at a time through Lu::solve(Vector).
+inline void solve_by_columns(const linalg::Lu& lu, const linalg::Matrix& b,
+                             linalg::Matrix& x) {
+  x.assign_zero(b.rows(), b.cols());
+  for (std::size_t c = 0; c < b.cols(); ++c) {
+    const linalg::Vector col = lu.solve(b.col(c));
+    for (std::size_t i = 0; i < b.rows(); ++i) x(i, c) = col[i];
+  }
+}
+
+/// R and G by logarithmic reduction on full-width iterates. Throws
+/// gs::NumericalError with the solver's text on the solver's failures.
 inline RSolveResult full_width_logreduction(const linalg::Matrix& a0,
                                             const linalg::Matrix& a1,
                                             const linalg::Matrix& a2,
@@ -30,61 +38,32 @@ inline RSolveResult full_width_logreduction(const linalg::Matrix& a0,
   using linalg::Matrix;
   const std::size_t d = a1.rows();
   Matrix h, l, g, t, u, lh, hh, ll, iu, incr, tmp;
-  linalg::GemmPackA gp_h_a, gp_l_a, gp_t_a;
-  linalg::GemmPackB gp_h_b, gp_l_b;
 
   Matrix neg_a1 = a1;
   neg_a1 *= -1.0;
   const linalg::Lu lu(neg_a1);
-  lu.solve_into(a0, h, opts.tiled);
-  lu.solve_into(a2, l, opts.tiled);
+  solve_by_columns(lu, a0, h);
+  solve_by_columns(lu, a2, l);
 
   RSolveResult out;
   g = l;
   t = h;
-  if (opts.tiled) {
-    gp_h_b.pack(h);
-    gp_l_b.pack(l);
-  }
   bool converged = false;
   for (int it = 1; it <= opts.max_iter; ++it) {
-    if (opts.tiled) {
-      gp_h_a.pack(h);
-      gp_l_a.pack(l);
-      const linalg::GemmOp squaring[4] = {
-          {&u, &gp_h_a, &gp_l_b},
-          {&lh, &gp_l_a, &gp_h_b},
-          {&hh, &gp_h_a, &gp_h_b},
-          {&ll, &gp_l_a, &gp_l_b},
-      };
-      linalg::gemm_grouped(squaring, 4);
-    } else {
-      linalg::multiply_into(u, h, l);
-      linalg::multiply_into(lh, l, h);
-      linalg::multiply_into(hh, h, h);
-      linalg::multiply_into(ll, l, l);
-    }
+    linalg::multiply_into(u, h, l);
+    linalg::multiply_into(lh, l, h);
+    linalg::multiply_into(hh, h, h);
+    linalg::multiply_into(ll, l, l);
     u += lh;
     iu.assign_zero(d, d);
     for (std::size_t i = 0; i < d; ++i)
       for (std::size_t j = 0; j < d; ++j)
         iu(i, j) = (i == j ? 1.0 : 0.0) - u(i, j);
     const linalg::Lu lu_u(iu);
-    lu_u.solve_into(hh, h, opts.tiled);
-    lu_u.solve_into(ll, l, opts.tiled);
-    if (opts.tiled) {
-      gp_t_a.pack(t);
-      gp_l_b.pack(l);
-      gp_h_b.pack(h);
-      const linalg::GemmOp carry[2] = {
-          {&incr, &gp_t_a, &gp_l_b},
-          {&tmp, &gp_t_a, &gp_h_b},
-      };
-      linalg::gemm_grouped(carry, 2);
-    } else {
-      linalg::multiply_into(incr, t, l);
-      linalg::multiply_into(tmp, t, h);
-    }
+    solve_by_columns(lu_u, hh, h);
+    solve_by_columns(lu_u, ll, l);
+    linalg::multiply_into(incr, t, l);
+    linalg::multiply_into(tmp, t, h);
     g += incr;
     std::swap(t, tmp);
     out.iterations = it;

@@ -4,6 +4,7 @@
 
 #include "linalg/spectral.hpp"
 #include "qbd_test_util.hpp"
+#include "substitution_oracle.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -11,7 +12,6 @@ namespace {
 using gs::linalg::Matrix;
 using gs::qbd::r_residual;
 using gs::qbd::solve_r_logreduction;
-using gs::qbd::solve_r_substitution;
 namespace qt = gs::qbd::testing;
 
 TEST(RMatrix, Mm1ScalarRIsRho) {
@@ -19,7 +19,7 @@ TEST(RMatrix, Mm1ScalarRIsRho) {
   const auto& blk = proc.blocks();
   const auto lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
   EXPECT_NEAR(lr.r(0, 0), 0.4, 1e-12);
-  const auto ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
+  const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
   EXPECT_NEAR(ss.r(0, 0), 0.4, 1e-10);
 }
 
@@ -35,7 +35,7 @@ TEST(RMatrix, MethodsAgreeOnPhaseStructuredChain) {
   const auto proc = qt::me21(0.6, 1.0);
   const auto& blk = proc.blocks();
   const auto lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-  const auto ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
+  const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
   EXPECT_LT(gs::linalg::max_abs_diff(lr.r, ss.r), 1e-9);
   EXPECT_LT(lr.residual, 1e-10);
   EXPECT_LT(ss.residual, 1e-10);
@@ -45,7 +45,7 @@ TEST(RMatrix, LogReductionConvergesMuchFaster) {
   const auto proc = qt::me21(0.9, 1.0);
   const auto& blk = proc.blocks();
   const auto lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-  const auto ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
+  const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
   EXPECT_LT(lr.iterations, 64);
   EXPECT_GT(ss.iterations, lr.iterations);
 }
@@ -57,6 +57,20 @@ TEST(RMatrix, ResidualDefinitionMatches) {
   EXPECT_NEAR(r_residual(lr.r, blk.a0, blk.a1, blk.a2), lr.residual, 1e-15);
   // The zero matrix is not a solution.
   EXPECT_GT(r_residual(Matrix(2, 2), blk.a0, blk.a1, blk.a2), 0.1);
+}
+
+TEST(RMatrix, ResidualWorkspaceFormMatches) {
+  // The workspace form must not depend on scratch a solve of another
+  // shape left behind.
+  const auto proc = qt::me21(0.5, 1.0);
+  const auto& blk = proc.blocks();
+  const auto lr = solve_r_logreduction(blk.a0, blk.a1, blk.a2);
+  const auto other = qt::mmc(2.1, 1.0, 3);
+  gs::qbd::Workspace ws;
+  solve_r_logreduction(other.blocks().a0, other.blocks().a1,
+                       other.blocks().a2, {}, &ws);
+  EXPECT_EQ(r_residual(lr.r, blk.a0, blk.a1, blk.a2, ws),
+            r_residual(lr.r, blk.a0, blk.a1, blk.a2));
 }
 
 TEST(RMatrix, SpectralRadiusTracksLoad) {
@@ -96,7 +110,7 @@ TEST(RMatrix, SubstitutionReportsExhaustedIterations) {
   gs::qbd::RSolveOptions opts;
   opts.max_iter = 3;
   try {
-    solve_r_substitution(blk.a0, blk.a1, blk.a2, opts);
+    qt::substitution(blk.a0, blk.a1, blk.a2, opts);
     FAIL() << "expected NumericalError on max_iter exhaustion";
   } catch (const gs::NumericalError& e) {
     const std::string what = e.what();
@@ -134,12 +148,6 @@ TEST(RMatrix, WorkspaceReuseGivesIdenticalResults) {
     EXPECT_EQ(fresh.iterations, reused.iterations);
     EXPECT_EQ(gs::linalg::max_abs_diff(fresh.r, reused.r), 0.0);
     EXPECT_EQ(gs::linalg::max_abs_diff(fresh.g, reused.g), 0.0);
-
-    const auto fresh_ss = solve_r_substitution(blk.a0, blk.a1, blk.a2);
-    const auto reused_ss =
-        solve_r_substitution(blk.a0, blk.a1, blk.a2, {}, &ws);
-    EXPECT_EQ(fresh_ss.iterations, reused_ss.iterations);
-    EXPECT_EQ(gs::linalg::max_abs_diff(fresh_ss.r, reused_ss.r), 0.0);
   }
 }
 

@@ -1,11 +1,13 @@
 // The log-reduction solver carries its iterates on A2's nonzero columns
-// only (every other column of G and L is exactly zero). The full-width
-// loop it replaced stays as the oracle (full_width_logreduction_oracle.hpp):
-// on random gang class chains with A2 masked to random column subsets
-// (one live column, every column, none), dense random chains, the Figure 2
-// class chains and the qbd_kernels d = 128 chain, both must give the same
-// R and G bit for bit and the same iteration count, with the tiled kernels
-// on and off, or fail with the same text; and R must agree with the
+// only (every other column of G and L is exactly zero), through the
+// packed GEMM and the blocked Lu::solve_into. The full-width loop it
+// replaced stays as the oracle (full_width_logreduction_oracle.hpp), on
+// plain multiply_into products and per-column solves: on random gang
+// class chains with A2 masked to random column subsets (one live column,
+// every column, none), dense random chains, the reference queues, the
+// class chains of the paper's Figure 2-5 systems and a d = 128 chain,
+// both must give the same R and G bit for bit (memcmp) and the same
+// iteration count, or fail with the same text; and R must agree with the
 // successive-substitution oracle.
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "qbd/rmatrix.hpp"
 #include "qbd_test_util.hpp"
 #include "random_systems.hpp"
+#include "substitution_oracle.hpp"
 #include "util/error.hpp"
 #include "workload/paper_configs.hpp"
 
@@ -30,7 +33,6 @@ namespace {
 using gs::gang::ClassProcess;
 using gs::gang::SystemParams;
 using gs::linalg::Matrix;
-using gs::qbd::RSolveOptions;
 using gs::qbd::RSolveResult;
 namespace qt = gs::qbd::testing;
 
@@ -78,30 +80,23 @@ Outcome run(Solve&& solve) {
   return out;
 }
 
-// Compact solver vs the full-width oracle, both tiled settings; returns
-// whether the chain solved. A shared Workspace also checks that reuse
-// across shapes leaves no trace.
+// Compact solver vs the full-width oracle; returns whether the chain
+// solved. A shared Workspace also checks that reuse across shapes leaves
+// no trace.
 bool expect_matches_full_width(const Matrix& a0, const Matrix& a1,
                                const Matrix& a2, gs::qbd::Workspace& ws) {
-  bool solved = false;
-  for (bool tiled : {true, false}) {
-    SCOPED_TRACE(tiled ? "tiled" : "untiled");
-    RSolveOptions opts;
-    opts.tiled = tiled;
-    const Outcome got = run(
-        [&] { return gs::qbd::solve_r_logreduction(a0, a1, a2, opts, &ws); });
-    const Outcome want =
-        run([&] { return qt::full_width_logreduction(a0, a1, a2, opts); });
-    EXPECT_EQ(got.error, want.error);
-    EXPECT_EQ(got.result.has_value(), want.result.has_value());
-    if (!got.result || !want.result) continue;
-    EXPECT_TRUE(same_bits(got.result->r, want.result->r));
-    EXPECT_TRUE(same_bits(got.result->g, want.result->g));
-    EXPECT_EQ(got.result->iterations, want.result->iterations);
-    EXPECT_EQ(got.result->residual, want.result->residual);
-    solved = true;
-  }
-  return solved;
+  const Outcome got =
+      run([&] { return gs::qbd::solve_r_logreduction(a0, a1, a2, {}, &ws); });
+  const Outcome want =
+      run([&] { return qt::full_width_logreduction(a0, a1, a2); });
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.result.has_value(), want.result.has_value());
+  if (!got.result || !want.result) return false;
+  EXPECT_TRUE(same_bits(got.result->r, want.result->r) &&
+              same_bits(got.result->g, want.result->g));
+  EXPECT_EQ(got.result->iterations, want.result->iterations);
+  EXPECT_EQ(got.result->residual, want.result->residual);
+  return true;
 }
 
 // Both checks on one chain: bitwise against the full-width loop, and R
@@ -111,7 +106,7 @@ void check_chain(const Matrix& a0, const Matrix& a1, const Matrix& a2,
   if (!expect_matches_full_width(a0, a1, a2, ws) || !against_substitution)
     return;
   const RSolveResult lr = gs::qbd::solve_r_logreduction(a0, a1, a2);
-  const RSolveResult ss = gs::qbd::solve_r_substitution(a0, a1, a2);
+  const RSolveResult ss = qt::substitution(a0, a1, a2);
   EXPECT_LE(gs::linalg::max_abs_diff(lr.r, ss.r), 1e-9);
 }
 
@@ -215,7 +210,32 @@ TEST(RMatrixCompact, Figure2ClassChainsMatchFullWidth) {
   }
 }
 
-// bench/qbd_kernels' chain: 4 classes, full-machine partitions, Erlang-2
+// The class chains of the Figure 3 (heavy load), Figure 4 (uniform
+// service rate) and Figure 5 (favored class) systems.
+TEST(RMatrixCompact, Figure3To5ClassChainsMatchFullWidth) {
+  gs::workload::PaperKnobs heavy;
+  heavy.arrival_rate = 0.9;
+  gs::workload::PaperKnobs uniform;
+  uniform.arrival_rate = 0.5;
+  uniform.uniform_service_rate = 2.0;
+  const SystemParams systems[] = {
+      gs::workload::paper_system(heavy), gs::workload::paper_system(uniform),
+      gs::workload::figure5_system(/*favored=*/1, /*fraction=*/0.4)};
+  gs::qbd::Workspace ws;
+  for (std::size_t f = 0; f < 3; ++f) {
+    const SystemParams& sys = systems[f];
+    for (std::size_t p = 0; p < sys.num_classes(); ++p) {
+      SCOPED_TRACE("figure " + std::to_string(f + 3) + " class " +
+                   std::to_string(p));
+      const ClassProcess cp(sys, p,
+                            gs::gang::away_period_heavy_traffic(sys, p));
+      const auto& blk = cp.process().blocks();
+      check_chain(blk.a0, blk.a1, blk.a2, ws);
+    }
+  }
+}
+
+// A wide chain: 4 classes, full-machine partitions, Erlang-2
 // arrivals and service, Erlang-4 quanta and overheads (d = 128). A2's
 // live columns are the serving states at level c = 1 that a completion
 // enters: 2 arrival phases x 4 quantum phases, with the next job starting

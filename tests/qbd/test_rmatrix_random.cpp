@@ -14,6 +14,7 @@
 
 #include "qbd/rmatrix.hpp"
 #include "random_systems.hpp"
+#include "substitution_oracle.hpp"
 
 namespace {
 
@@ -62,7 +63,7 @@ TEST(RMatrixRandomized, LogReductionMatchesSubstitutionOracle) {
       EXPECT_NEAR(drift.up_drift / drift.down_drift, draw.load[p], 1e-9);
 
       const auto lr = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-      const auto ss = gs::qbd::solve_r_substitution(blk.a0, blk.a1, blk.a2);
+      const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
       EXPECT_LE(gs::linalg::max_abs_diff(lr.r, ss.r), 1e-9);
       EXPECT_LE(lr.residual, 1e-10);
       EXPECT_LE(ss.residual, 1e-10);

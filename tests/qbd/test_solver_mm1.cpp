@@ -6,6 +6,7 @@
 
 #include "qbd/solver.hpp"
 #include "qbd_test_util.hpp"
+#include "substitution_oracle.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -56,7 +57,7 @@ TEST(SolverMm1, SubstitutionOracleAgreesWithSolve) {
   const auto proc = qt::mm1(0.8, 1.0);
   const auto& blk = proc.blocks();
   const auto a = gs::qbd::solve(proc);
-  const auto ss = gs::qbd::solve_r_substitution(blk.a0, blk.a1, blk.a2);
+  const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
   const auto b = gs::qbd::solve_with_r(proc, ss.r);
   EXPECT_NEAR(a.mean_level(), b.mean_level(), 1e-8);
   EXPECT_NEAR(a.spectral_radius_r(), b.spectral_radius_r(), 1e-10);
