@@ -10,10 +10,9 @@
 #include <iostream>
 
 #include "gang/solver.hpp"
-#include "phase/builders.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "workload/paper_configs.hpp"
+#include "workload/figures.hpp"
 
 int main(int argc, char** argv) {
   using namespace gs;
@@ -22,59 +21,18 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "false", "emit CSV");
   if (!cli.parse(argc, argv)) return 1;
 
+  // Rows: heavy-traffic only versus the fixed point; exact versus fitted
+  // effective quanta on a small two-class system (the exact
+  // representation's order grows with the truncation depth, so it is a
+  // validation tool); and the moment-matched fit's order cap — the fitted
+  // effective quantum matches atom + two moments regardless, so the cap
+  // only matters when the SCV clamp engages.
   util::Table table({"rho", "variant", "N0", "N3", "total", "iters"});
-  for (double rho : {0.4, 0.7, 0.9}) {
-    workload::PaperKnobs knobs;
-    knobs.arrival_rate = rho;
-    const auto sys = workload::paper_system(knobs);
-
-    gang::GangSolveOptions heavy;
-    heavy.fixed_point = false;
-    const auto h = gang::GangSolver(sys, heavy).solve();
-    table.add_row({rho, std::string("heavy-traffic only"),
-                   h.per_class[0].mean_jobs, h.per_class[3].mean_jobs,
-                   h.total_mean_jobs(), static_cast<long long>(h.iterations)});
-
-    const auto f = gang::GangSolver(sys).solve();
-    table.add_row({rho, std::string("fixed point (fitted)"),
-                   f.per_class[0].mean_jobs, f.per_class[3].mean_jobs,
-                   f.total_mean_jobs(), static_cast<long long>(f.iterations)});
-  }
-
-  // Exact-mode comparison on a 2-class system (the exact representation's
-  // order grows with the truncation depth, so it is a validation tool).
-  {
-    gang::ClassParams c0{phase::exponential(0.3), phase::exponential(1.0),
-                         phase::erlang(2, 1.0), phase::exponential(100.0),
-                         2, "small"};
-    gang::ClassParams c1{phase::exponential(0.3), phase::exponential(2.0),
-                         phase::erlang(2, 1.0), phase::exponential(100.0),
-                         4, "big"};
-    const gang::SystemParams sys(4, {c0, c1});
-    gang::GangSolveOptions exact;
-    exact.eff_mode = gang::EffQuantumMode::kExact;
-    const auto e = gang::GangSolver(sys, exact).solve();
-    const auto f = gang::GangSolver(sys).solve();
-    table.add_row({0.3, std::string("2-class exact quanta"),
-                   e.per_class[0].mean_jobs, e.per_class[1].mean_jobs,
-                   e.total_mean_jobs(), static_cast<long long>(e.iterations)});
-    table.add_row({0.3, std::string("2-class fitted quanta"),
-                   f.per_class[0].mean_jobs, f.per_class[1].mean_jobs,
-                   f.total_mean_jobs(), static_cast<long long>(f.iterations)});
-  }
-
-  // Sensitivity to the moment-matched representation's order cap: the
-  // fitted effective quantum matches atom + two moments regardless, so
-  // the cap only matters when the SCV clamp engages.
-  for (int order : {2, 4, 8, 32}) {
-    workload::PaperKnobs knobs;
-    knobs.arrival_rate = 0.7;
-    gang::GangSolveOptions o;
-    o.fit_max_order = order;
-    const auto rep =
-        gang::GangSolver(workload::paper_system(knobs), o).solve();
-    table.add_row({0.7, std::string("fit order cap ") + std::to_string(order),
-                   rep.per_class[0].mean_jobs, rep.per_class[3].mean_jobs,
+  for (const workload::AblationCase& c :
+       workload::ablation_fixed_point_cases()) {
+    const auto rep = gang::GangSolver(c.system, c.options).solve();
+    table.add_row({c.x, c.variant, rep.per_class[0].mean_jobs,
+                   rep.per_class[c.second_class].mean_jobs,
                    rep.total_mean_jobs(),
                    static_cast<long long>(rep.iterations)});
   }

@@ -7,5 +7,6 @@
 int main(int argc, char** argv) {
   return gs::bench::run_quantum_figure(
       argc, argv, "fig2_quantum_light",
-      "Figure 2: N_p vs mean quantum length, light load", 0.4);
+      "Figure 2: N_p vs mean quantum length, light load",
+      gs::workload::kFigure2ArrivalRate);
 }

@@ -7,5 +7,6 @@
 int main(int argc, char** argv) {
   return gs::bench::run_quantum_figure(
       argc, argv, "fig3_quantum_heavy",
-      "Figure 3: N_p vs mean quantum length, heavy load", 0.9);
+      "Figure 3: N_p vs mean quantum length, heavy load",
+      gs::workload::kFigure3ArrivalRate);
 }

@@ -13,20 +13,12 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli);
   if (!cli.parse(argc, argv)) return 1;
 
-  std::vector<double> xs;
-  for (double mu = 2.0; mu <= 20.0 + 1e-9; mu += 1.0) xs.push_back(mu);
-
   const int stages = cli.get_int("stages");
   const auto make = [&](double mu) {
-    workload::PaperKnobs knobs;
-    knobs.arrival_rate = 0.6;
-    knobs.quantum_mean = 5.0;
-    knobs.quantum_stages = stages;
-    knobs.uniform_service_rate = mu;
-    return workload::paper_system(knobs);
+    return workload::service_rate_figure_system(mu, stages);
   };
-  const auto results =
-      workload::sweep(xs, make, bench::sweep_options(cli));
+  const auto results = workload::sweep(workload::service_rate_axis(), make,
+                                       bench::sweep_options(cli));
   std::printf(
       "Figure 4: N_p vs mean service rate (P=8, lambda=0.6, quantum=5)\n");
   bench::emit(workload::sweep_table("service_rate", results, 4), cli);

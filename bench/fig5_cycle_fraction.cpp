@@ -13,9 +13,8 @@
 
 #include "gang/solver.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/table.hpp"
-#include "workload/paper_configs.hpp"
+#include "workload/figures.hpp"
 
 int main(int argc, char** argv) {
   using namespace gs;
@@ -34,29 +33,25 @@ int main(int argc, char** argv) {
   solver_opts.num_threads = cli.get_int("threads");
 
   util::Table table({"fraction", "N0", "N1", "N2", "N3", "note"});
-  for (double fraction = 0.1; fraction <= 0.9 + 1e-9; fraction += 0.1) {
+  for (double fraction : workload::cycle_fraction_axis()) {
     std::vector<util::Cell> row;
     row.emplace_back(fraction);
     std::string note;
     for (std::size_t favored = 0; favored < 4; ++favored) {
-      const auto sys =
-          workload::figure5_system(favored, fraction, budget, stages);
-      try {
-        // Full fixed point when every class is stable.
-        const auto rep = gang::GangSolver(sys, solver_opts).solve();
-        row.emplace_back(rep.per_class[favored].mean_jobs);
-        continue;
-      } catch (const Error&) {
-        // Some *other* class saturated (a large share starves it). The
-        // favored class's heavy-traffic solution is exact in that regime.
-      }
-      try {
-        row.emplace_back(
-            gang::solve_class_heavy_traffic(sys, favored).mean_jobs);
-        note = "others saturated: favored-class heavy-traffic solve";
-      } catch (const Error&) {
-        row.emplace_back(std::string("-"));
-        note = "favored class unstable";
+      const workload::Figure5Point pt = workload::figure5_point(
+          favored, fraction, budget, stages, solver_opts);
+      switch (pt.path) {
+        case workload::Figure5Point::Path::kFixedPoint:
+          row.emplace_back(pt.mean_jobs);
+          break;
+        case workload::Figure5Point::Path::kHeavyTraffic:
+          row.emplace_back(pt.mean_jobs);
+          note = "others saturated: favored-class heavy-traffic solve";
+          break;
+        case workload::Figure5Point::Path::kUnstable:
+          row.emplace_back(std::string("-"));
+          note = "favored class unstable";
+          break;
       }
     }
     row.emplace_back(note);

@@ -1,5 +1,6 @@
 // Shared scaffolding for the figure benches: the quantum-length sweep that
-// Figures 2 and 3 share, and the standard flag set.
+// Figures 2 and 3 share, and the standard flag set. The figures' axes and
+// systems live in workload/figures.hpp.
 #pragma once
 
 #include <cstdio>
@@ -7,7 +8,7 @@
 #include <vector>
 
 #include "util/cli.hpp"
-#include "workload/paper_configs.hpp"
+#include "workload/figures.hpp"
 #include "workload/sweep.hpp"
 
 namespace gs::bench {
@@ -42,15 +43,6 @@ inline void emit(const util::Table& table, const util::Cli& cli) {
   }
 }
 
-/// The quantum-length x-axis of Figures 2 and 3: (0, 6] sampled finely
-/// near zero where the overhead-dominated knee lives.
-inline std::vector<double> quantum_axis() {
-  std::vector<double> xs;
-  for (double q : {0.02, 0.035, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75}) xs.push_back(q);
-  for (double q = 1.0; q <= 6.0 + 1e-9; q += 0.5) xs.push_back(q);
-  return xs;
-}
-
 /// Run the Figure 2/3 sweep at the given per-class arrival rate.
 inline int run_quantum_figure(int argc, char** argv, const char* name,
                               const char* what, double arrival_rate) {
@@ -60,13 +52,9 @@ inline int run_quantum_figure(int argc, char** argv, const char* name,
 
   const int stages = cli.get_int("stages");
   const auto make = [&](double quantum) {
-    workload::PaperKnobs knobs;
-    knobs.arrival_rate = arrival_rate;
-    knobs.quantum_mean = quantum;
-    knobs.quantum_stages = stages;
-    return workload::paper_system(knobs);
+    return workload::quantum_figure_system(arrival_rate, quantum, stages);
   };
-  const auto results = workload::sweep(quantum_axis(), make,
+  const auto results = workload::sweep(workload::quantum_axis(), make,
                                        sweep_options(cli));
   std::printf("%s (P=8, rho=%.1f, overhead=0.01, Erlang-%d quanta)\n", what,
               arrival_rate, stages);

@@ -6,12 +6,20 @@
 // structure, key order, strings, booleans, and counts must match exactly.
 //
 // Usage: ndjson_diff <actual> <golden> [--rtol 1e-9] [--atol 1e-12]
+//                    [--by KEY]
 // Exit 0 when equivalent; 1 with a pathed first-difference report.
+// --by KEY also prints, for each value of the string member KEY of the
+// golden's lines, the largest relative change of any number on those
+// lines (|a - b| / max(|a|, |b|)), so a failing run shows how far each
+// group moved, not only where the first difference sits.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "json/json.hpp"
 
@@ -90,12 +98,38 @@ std::string first_diff(const Json& a, const Json& b, const Tolerance& tol,
   return path + ": " + a.dump() + " vs " + b.dump();
 }
 
+/// Largest relative change over the numbers the two values hold at the
+/// same place; parts whose structure differs are skipped (first_diff
+/// reports those).
+double max_rel_change(const Json& a, const Json& b) {
+  if (a.is_number() && b.is_number()) {
+    const double x = a.as_double(), y = b.as_double();
+    if (x == y) return 0.0;
+    const double scale = std::max(std::fabs(x), std::fabs(y));
+    return std::fabs(x - y) / scale;  // inf or NaN when one side is not finite
+  }
+  double worst = 0.0;
+  if (a.is_array() && b.is_array()) {
+    const auto& xs = a.as_array();
+    const auto& ys = b.as_array();
+    for (std::size_t i = 0; i < std::min(xs.size(), ys.size()); ++i)
+      worst = std::max(worst, max_rel_change(xs[i], ys[i]));
+  } else if (a.is_object() && b.is_object()) {
+    const auto& xs = a.as_object();
+    const auto& ys = b.as_object();
+    for (std::size_t i = 0; i < std::min(xs.size(), ys.size()); ++i)
+      if (xs[i].key == ys[i].key)
+        worst = std::max(worst, max_rel_change(xs[i].value, ys[i].value));
+  }
+  return worst;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // util::Cli rejects positional operands, and this tool is two paths plus
   // two numbers — a hand-rolled loop is clearer than bending the parser.
-  std::string actual_path, golden_path;
+  std::string actual_path, golden_path, by_key;
   Tolerance tol{1e-9, 1e-12};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -110,10 +144,16 @@ int main(int argc, char** argv) {
       flag_value(&tol.rtol);
     } else if (arg.rfind("--atol", 0) == 0) {
       flag_value(&tol.atol);
+    } else if (arg.rfind("--by", 0) == 0) {
+      if (const auto eq = arg.find('='); eq != std::string::npos) {
+        by_key = arg.substr(eq + 1);
+      } else if (i + 1 < argc) {
+        by_key = argv[++i];
+      }
     } else if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
       std::fprintf(stderr,
                    "usage: ndjson_diff <actual> <golden> [--rtol X] "
-                   "[--atol X]\n");
+                   "[--atol X] [--by KEY]\n");
       return arg == "--help" || arg == "-h" ? 0 : 1;
     } else if (actual_path.empty()) {
       actual_path = arg;
@@ -141,6 +181,9 @@ int main(int argc, char** argv) {
 
   std::string a_line, g_line;
   int line = 0;
+  // --by groups in order of first appearance: (group, largest change).
+  std::vector<std::pair<std::string, double>> groups;
+  std::string first_difference;
   while (true) {
     const bool a_ok = static_cast<bool>(std::getline(actual, a_line));
     const bool g_ok = static_cast<bool>(std::getline(golden, g_line));
@@ -166,14 +209,32 @@ int main(int argc, char** argv) {
                    golden_path.c_str(), line, e.what());
       return 1;
     }
+    if (!by_key.empty() && g.is_object()) {
+      const Json* k = g.find(by_key);
+      const std::string group = k && k->is_string() ? k->as_string() : "-";
+      auto it = std::find_if(groups.begin(), groups.end(),
+                             [&](const auto& e) { return e.first == group; });
+      if (it == groups.end()) it = groups.insert(groups.end(), {group, 0.0});
+      // std::max would drop a NaN change; keep it visible.
+      const double change = max_rel_change(a, g);
+      if (!(change <= it->second)) it->second = change;
+    }
+    if (!first_difference.empty()) continue;
     const std::string diff = first_diff(a, g, tol, "");
     if (!diff.empty()) {
-      std::fprintf(stderr, "ndjson_diff: line %d differs at %s\n", line,
-                   diff.c_str());
-      std::fprintf(stderr, "  actual: %s\n  golden: %s\n", a_line.c_str(),
-                   g_line.c_str());
-      return 1;
+      first_difference = "ndjson_diff: line " + std::to_string(line) +
+                         " differs at " + diff + "\n  actual: " + a_line +
+                         "\n  golden: " + g_line + "\n";
+      // Without a report to finish, the first difference is all there is.
+      if (by_key.empty()) break;
     }
+  }
+  for (const auto& [group, change] : groups)
+    std::printf("ndjson_diff: %s %s: largest relative change %g\n",
+                by_key.c_str(), group.c_str(), change);
+  if (!first_difference.empty()) {
+    std::fprintf(stderr, "%s", first_difference.c_str());
+    return 1;
   }
   std::printf("ndjson_diff: %d lines equivalent (rtol %g, atol %g)\n",
               line - 1, tol.rtol, tol.atol);
