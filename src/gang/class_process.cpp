@@ -26,6 +26,97 @@ PhaseType EffectiveQuantum::fitted(int max_order) const {
   return phase::fit_atom_and_moments(capped_atom, m1, m2, max_order);
 }
 
+namespace {
+
+// Rate-source layout of the chain compiled for away order m_f:
+//   values = [1, S_F (row-major), s_F0, phi, s_F0[a] phi[b] (row-major)].
+// The last group is the level-0 restart rate, the one product of two F_p
+// quantities; build() forms it as s_F0[a] * phi[b] and so does
+// fill_values, so the program reads the same bits.
+struct AwaySources {
+  std::size_t m_f;
+  std::uint32_t sf(std::size_t a, std::size_t b) const {
+    return static_cast<std::uint32_t>(1 + a * m_f + b);
+  }
+  std::uint32_t sf0(std::size_t a) const {
+    return static_cast<std::uint32_t>(1 + m_f * m_f + a);
+  }
+  std::uint32_t phi(std::size_t a) const {
+    return static_cast<std::uint32_t>(1 + m_f * m_f + m_f + a);
+  }
+  std::uint32_t restart(std::size_t a, std::size_t b) const {
+    return static_cast<std::uint32_t>(1 + m_f * m_f + 2 * m_f + a * m_f + b);
+  }
+  std::size_t count() const { return 1 + 2 * m_f * m_f + 2 * m_f; }
+};
+
+// ClassProcess::enumerate sink of build(): each rate is a double, added
+// straight into the blocks and its state's out-rate. A zero rate is
+// skipped, as the compiled program may skip it.
+struct DirectSink {
+  using Rate = double;
+  const Matrix& sf;
+  const Vector& sf0;
+  const Vector& phi;
+  qbd::QbdBlocks& blocks;
+  std::vector<double>& out;
+
+  double constant(double c) const { return c; }
+  double sf_entry(std::size_t a, std::size_t b) const { return sf(a, b); }
+  double restart(std::size_t a, std::size_t b) const { return sf0[a] * phi[b]; }
+  double phi_times(double c, std::size_t b) const { return c * phi[b]; }
+  double sf0_times(std::size_t a, double c) const { return sf0[a] * c; }
+  void emit(std::uint32_t block, std::size_t row, std::size_t col,
+            std::uint32_t slot, double rate) {
+    if (rate == 0.0) return;
+    qbd::BlockIds::of(blocks, block)(row, col) += rate;
+    if (slot != qbd::RateProgram::kNoOut) out[slot] += rate;
+  }
+  void subtract_out(std::uint32_t block, std::size_t row, std::uint32_t slot) {
+    qbd::BlockIds::of(blocks, block)(row, row) -= out[slot];
+  }
+};
+
+// One bit per rate source: the support of an away period's source
+// values (which are nonzero), or the sources a program was compiled for.
+bool has(const std::vector<std::uint64_t>& support, std::uint32_t src) {
+  return (support[src / 64] >> (src % 64)) & 1;
+}
+
+// ClassProcess::enumerate sink of compile(): each rate is a coefficient
+// times one rate source, recorded as a program transition. coef * 1.0,
+// 1.0 * x and c * x are the bits DirectSink computes (x * 1.0 == x, and
+// IEEE multiplication commutes). A zero coefficient gives a zero rate,
+// and so does a source outside `support`, which the program only serves
+// for values that are zero there; either transition is skipped.
+struct ProgramSink {
+  struct Rate {
+    double coef;
+    std::uint32_t src;
+  };
+  AwaySources src;
+  const std::vector<std::uint64_t>& support;
+  qbd::RateProgram& program;
+
+  Rate constant(double c) const { return {c, 0}; }
+  Rate sf_entry(std::size_t a, std::size_t b) const { return {1.0, src.sf(a, b)}; }
+  Rate restart(std::size_t a, std::size_t b) const {
+    return {1.0, src.restart(a, b)};
+  }
+  Rate phi_times(double c, std::size_t b) const { return {c, src.phi(b)}; }
+  Rate sf0_times(std::size_t a, double c) const { return {c, src.sf0(a)}; }
+  void emit(std::uint32_t block, std::size_t row, std::size_t col,
+            std::uint32_t slot, Rate rate) {
+    if (rate.coef == 0.0 || (rate.src != 0 && !has(support, rate.src))) return;
+    program.add(block, row, col, slot, rate.coef, rate.src);
+  }
+  void subtract_out(std::uint32_t block, std::size_t row, std::uint32_t slot) {
+    program.subtract_out(block, row, slot);
+  }
+};
+
+}  // namespace
+
 ClassProcess::ClassProcess(const SystemParams& sys, std::size_t p,
                            PhaseType away, qbd::Workspace* ws)
     : p_(p),
@@ -47,17 +138,74 @@ ClassProcess::ClassProcess(const SystemParams& sys, std::size_t p,
   GS_CHECK(sys.cls(p).batch_pmf.size() == 1,
            "the analytic solver supports single arrivals only; batch "
            "arrivals are a simulator feature (see DESIGN.md)");
-  build();
+  install();
 }
 
 void ClassProcess::update_away(PhaseType away) {
   GS_CHECK(away.atom_at_zero() == 0.0,
            "away-period distribution must not have an atom at zero (switch "
            "overheads are strictly positive)");
+  obs::Span span("gang.revalue");
   away_ = std::move(away);
   m_f_ = away_.order();
   w_ = m_q_ + m_f_;
-  build();
+  install();
+}
+
+void ClassProcess::install() {
+  qbd::RateBuffers& buf = buffers();
+  fill_values(buf.values);
+  // The support of the current values: the nonzero S_F and phi entries,
+  // every exit rate, and the restart products of those. An exit rate is
+  // max(0, -row sum of S_F), so a phase without exit reads 0 or a
+  // rounding-sized rate from one iteration to the next; counting every
+  // exit in keeps that from recompiling the order.
+  const AwaySources src{m_f_};
+  support_.assign((src.count() + 63) / 64, 0);
+  const auto set = [&](std::uint32_t i) {
+    support_[i / 64] |= std::uint64_t{1} << (i % 64);
+  };
+  for (std::size_t a = 0; a < m_f_; ++a) {
+    set(src.sf0(a));
+    if (buf.values[src.phi(a)] != 0.0) {
+      set(src.phi(a));
+      for (std::size_t e = 0; e < m_f_; ++e) set(src.restart(e, a));
+    }
+    for (std::size_t b = 0; b < m_f_; ++b)
+      if (buf.values[src.sf(a, b)] != 0.0) set(src.sf(a, b));
+  }
+
+  // An order's first away period is assembled directly: many orders
+  // (the heavy-traffic start, a fit's passing order) appear only once,
+  // and a program pays for its compilation over several replays.
+  auto [it, first_sight] = programs_.try_emplace(m_f_);
+  Compiled& c = it->second;
+  if (first_sight) {
+    c.support = support_;
+    process_.emplace(build());
+    live_id_ = 0;
+    return;
+  }
+  bool covered = c.program.has_value();
+  for (std::size_t k = 0; k < support_.size(); ++k) {
+    covered = covered && (support_[k] & ~c.support[k]) == 0;
+    c.support[k] |= support_[k];
+  }
+  if (covered) {
+    if (process_ && c.id == live_id_) {
+      process_->revalue(*c.program, buf);
+    } else {
+      process_.emplace(*c.program, buf);
+      live_id_ = c.id;
+    }
+    return;
+  }
+  // Compile for every source seen nonzero at this order, evaluate every
+  // transition once, then seal the program against that evaluation.
+  c.program.emplace(compile(c.support));
+  process_.emplace(*c.program, buf);
+  c.program->seal(process_->blocks());
+  c.id = live_id_ = ++compiled_;
 }
 
 std::size_t ClassProcess::level_dim(std::size_t level) const {
@@ -80,7 +228,8 @@ std::size_t ClassProcess::index(std::size_t level, std::size_t j_a,
   return (j_a * cfgs_.count(s) + cfg_idx) * w_ + k;
 }
 
-void ClassProcess::build() {
+template <class Sink>
+void ClassProcess::enumerate(Sink& sink) const {
   const Matrix& sa = arrival_.generator();
   const Vector& sa0 = arrival_.exit_rates();
   const Vector& alpha_a = arrival_.alpha();
@@ -90,53 +239,30 @@ void ClassProcess::build() {
   const Matrix& sg = quantum_.generator();
   const Vector& sg0 = quantum_.exit_rates();
   const Vector& alpha_g = quantum_.alpha();
-  const Matrix& sf = away_.generator();
-  const Vector& sf0 = away_.exit_rates();
-  const Vector& phi = away_.alpha();
+  const qbd::BlockIds id{c_};
+  constexpr std::uint32_t kNoOut = qbd::RateProgram::kNoOut;
 
-  // Offsets of boundary-interior levels 0..c-1 in the flat out-rate
-  // accumulator.
+  // Out-rate slots: boundary-interior levels 0..c-1 at off[i] + state,
+  // level c at D + state.
   std::vector<std::size_t> off(c_, 0);
   for (std::size_t i = 1; i < c_; ++i) off[i] = off[i - 1] + level_dim(i - 1);
   const std::size_t D = c_ == 0 ? 0 : off[c_ - 1] + level_dim(c_ - 1);
   const std::size_t d = level_dim(c_);
-
-  // Assemble into the staging blocks (workspace-backed when available):
-  // assign_zero keeps the allocations across fixed-point rebuilds.
-  qbd::QbdBlocks& blk = stage();
-  blk.diag.resize(c_);
-  blk.up.resize(c_);
-  blk.down.resize(c_);
-  for (std::size_t i = 0; i < c_; ++i) {
-    blk.diag[i].assign_zero(level_dim(i), level_dim(i));
-    blk.up[i].assign_zero(level_dim(i), level_dim(i + 1));
-    blk.down[i].assign_zero(level_dim(i + 1), level_dim(i));
-  }
-  blk.b11.assign_zero(d, d);
-  blk.a0.assign_zero(d, d);
-  blk.a1.assign_zero(d, d);
-  blk.a2.assign_zero(d, d);
-
-  // ---- boundary-interior levels -------------------------------------
-
-  // Out-rate accumulators (diagonal fixed afterwards).
-  Vector out_boundary(D, 0.0);
-  Vector out_b(d, 0.0);
+  const auto slot = [](std::size_t s) { return static_cast<std::uint32_t>(s); };
 
   // Route a transition from boundary-interior level i to level j, which
   // is always i-1, i or i+1 (level c's block when j == c).
-  auto add_from_boundary = [&](std::size_t i, std::size_t idx_from,
-                               std::size_t j, std::size_t idx_to,
-                               double rate) {
-    if (rate == 0.0) return;
-    out_boundary[off[i] + idx_from] += rate;
+  const auto from_boundary = [&](std::size_t i, std::size_t idx_from,
+                                 std::size_t j, std::size_t idx_to,
+                                 auto rate) {
+    const std::uint32_t out = slot(off[i] + idx_from);
     if (j == i) {
-      blk.diag[i](idx_from, idx_to) += rate;
+      sink.emit(id.diag(i), idx_from, idx_to, out, rate);
     } else if (j == i + 1) {
-      blk.up[i](idx_from, idx_to) += rate;
+      sink.emit(id.up(i), idx_from, idx_to, out, rate);
     } else {
       GS_ASSERT(j + 1 == i);
-      blk.down[j](idx_from, idx_to) += rate;
+      sink.emit(id.down(j), idx_from, idx_to, out, rate);
     }
   };
 
@@ -147,7 +273,8 @@ void ClassProcess::build() {
       // Arrival-phase internals.
       for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
         if (ja2 != ja)
-          add_from_boundary(0, from, 0, index_level0(ja2, jf), sa(ja, ja2));
+          from_boundary(0, from, 0, index_level0(ja2, jf),
+                        sink.constant(sa(ja, ja2)));
       }
       // Arrival: the job takes a partition, service phase from beta; the
       // cycle stays in the same away phase.
@@ -159,33 +286,36 @@ void ClassProcess::build() {
           cfg[n] = 1;
           const std::size_t idx_to =
               index(1, ja2, cfgs_.index_of(cfg), m_q_ + jf);
-          add_from_boundary(0, from, 1, idx_to, rate);
+          from_boundary(0, from, 1, idx_to, sink.constant(rate));
         }
       }
       // Away-period internals.
       for (std::size_t jf2 = 0; jf2 < m_f_; ++jf2) {
         if (jf2 != jf)
-          add_from_boundary(0, from, 0, index_level0(ja, jf2), sf(jf, jf2));
+          from_boundary(0, from, 0, index_level0(ja, jf2),
+                        sink.sf_entry(jf, jf2));
       }
       // Away completion with an empty queue: class p's slice has zero
       // length; the away period restarts (self-loops cancel on the
       // diagonal automatically).
       for (std::size_t jf2 = 0; jf2 < m_f_; ++jf2) {
-        add_from_boundary(0, from, 0, index_level0(ja, jf2),
-                          sf0[jf] * phi[jf2]);
+        from_boundary(0, from, 0, index_level0(ja, jf2),
+                      sink.restart(jf, jf2));
       }
     }
   }
 
-  // Generic per-state transition enumeration for levels >= 1. `emit`
-  // receives (target_level, target_idx, rate) with target_idx computed in
-  // the target level's own layout.
+  // Per-state transition enumeration for levels 1..c. `emit` receives
+  // (target_level, target_idx, rate) with target_idx computed in the
+  // target level's own layout.
   auto enumerate_level = [&](std::size_t i, std::size_t ja,
                              const Config& cfg, std::size_t k, auto&& emit) {
+    GS_ASSERT(i >= 1 && i <= c_);
     const std::size_t cfg_idx = cfgs_.index_of(cfg);
     // Arrival-phase internals.
     for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
-      if (ja2 != ja) emit(i, index(i, ja2, cfg_idx, k), sa(ja, ja2));
+      if (ja2 != ja)
+        emit(i, index(i, ja2, cfg_idx, k), sink.constant(sa(ja, ja2)));
     }
     // Arrival event.
     for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
@@ -196,10 +326,10 @@ void ClassProcess::build() {
           if (beta[n] == 0.0) continue;
           const Config up = cfgs_.with_added(cfg, n);
           emit(i + 1, index(i + 1, ja2, cfgs_.index_of(up), k),
-               base * beta[n]);
+               sink.constant(base * beta[n]));
         }
       } else {
-        emit(i + 1, index(i + 1, ja2, cfg_idx, k), base);
+        emit(i + 1, index(i + 1, ja2, cfg_idx, k), sink.constant(base));
       }
     }
     if (k < m_q_) {
@@ -213,7 +343,7 @@ void ClassProcess::build() {
           const double rate = jobs * sb(n, n2);
           if (rate == 0.0) continue;
           const Config moved = cfgs_.with_moved(cfg, n, n2);
-          emit(i, index(i, ja, cfgs_.index_of(moved), k), rate);
+          emit(i, index(i, ja, cfgs_.index_of(moved), k), sink.constant(rate));
         }
         // Completion.
         const double crate = jobs * sb0[n];
@@ -221,40 +351,33 @@ void ClassProcess::build() {
         if (i == 1) {
           // Queue empties: immediate switch into the away period.
           for (std::size_t jf2 = 0; jf2 < m_f_; ++jf2)
-            emit(0, index_level0(ja, jf2), crate * phi[jf2]);
-        } else if (i <= c_) {
+            emit(0, index_level0(ja, jf2), sink.phi_times(crate, jf2));
+        } else {
           // A partition goes idle; no queued job to take it.
           const Config down = cfgs_.with_removed(cfg, n);
-          emit(i - 1, index(i - 1, ja, cfgs_.index_of(down), k), crate);
-        } else {
-          // Head-of-queue job takes the freed partition.
-          for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
-            if (beta[n2] == 0.0) continue;
-            const Config refilled =
-                cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
-            emit(i - 1, index(i - 1, ja, cfgs_.index_of(refilled), k),
-                 crate * beta[n2]);
-          }
+          emit(i - 1, index(i - 1, ja, cfgs_.index_of(down), k),
+               sink.constant(crate));
         }
       }
       // Quantum internals.
       for (std::size_t k2 = 0; k2 < m_q_; ++k2) {
-        if (k2 != k) emit(i, index(i, ja, cfg_idx, k2), sg(k, k2));
+        if (k2 != k)
+          emit(i, index(i, ja, cfg_idx, k2), sink.constant(sg(k, k2)));
       }
       // Quantum expiry -> away period begins.
       for (std::size_t jf2 = 0; jf2 < m_f_; ++jf2) {
-        emit(i, index(i, ja, cfg_idx, m_q_ + jf2), sg0[k] * phi[jf2]);
+        emit(i, index(i, ja, cfg_idx, m_q_ + jf2), sink.phi_times(sg0[k], jf2));
       }
     } else {
       // Away period: only the cycle's away phase moves (and arrivals).
       const std::size_t jf = k - m_q_;
       for (std::size_t jf2 = 0; jf2 < m_f_; ++jf2) {
         if (jf2 != jf)
-          emit(i, index(i, ja, cfg_idx, m_q_ + jf2), sf(jf, jf2));
+          emit(i, index(i, ja, cfg_idx, m_q_ + jf2), sink.sf_entry(jf, jf2));
       }
       // Away completion with work present: the next slice begins.
       for (std::size_t kq = 0; kq < m_q_; ++kq) {
-        emit(i, index(i, ja, cfg_idx, kq), sf0[jf] * alpha_g[kq]);
+        emit(i, index(i, ja, cfg_idx, kq), sink.sf0_times(jf, alpha_g[kq]));
       }
     }
   };
@@ -266,8 +389,8 @@ void ClassProcess::build() {
         for (std::size_t k = 0; k < w_; ++k) {
           const std::size_t from = index(i, ja, cfgs_.index_of(cfg), k);
           enumerate_level(i, ja, cfg, k,
-                          [&](std::size_t lvl, std::size_t idx, double rate) {
-                            add_from_boundary(i, from, lvl, idx, rate);
+                          [&](std::size_t lvl, std::size_t idx, auto rate) {
+                            from_boundary(i, from, lvl, idx, rate);
                           });
         }
       }
@@ -276,38 +399,30 @@ void ClassProcess::build() {
 
   // Level c (the last boundary level) and the repeating template. A single
   // enumeration of level-c states yields B11, the last down block L_{c-1}
-  // and A0 directly; the repeating A1 equals B11 (identical within-level
-  // dynamics) and A2 is the completion-with-refill variant of the down
-  // transitions.
+  // and A0 directly; the repeating A1 gets B11's within-level rates too
+  // (identical within-level dynamics, the diagonal still to come), and A2
+  // is the completion-with-refill variant of the down transitions. A1 and
+  // A2 feed no out-rate: the repeating levels have level c's total
+  // out-rate (completion totals are independent of whether the freed
+  // partition is refilled).
   for (std::size_t ja = 0; ja < m_a_; ++ja) {
     for (const Config& cfg : cfgs_.configs(c_)) {
       for (std::size_t k = 0; k < w_; ++k) {
         const std::size_t from = index(c_, ja, cfgs_.index_of(cfg), k);
+        const std::uint32_t out = slot(D + from);
         enumerate_level(
-            c_, ja, cfg, k,
-            [&](std::size_t lvl, std::size_t idx, double rate) {
-              if (rate == 0.0) return;
-              out_b[from] += rate;
+            c_, ja, cfg, k, [&](std::size_t lvl, std::size_t idx, auto rate) {
               if (lvl == c_) {
-                blk.b11(from, idx) += rate;
+                sink.emit(id.b11(), from, idx, out, rate);
+                sink.emit(id.a1(), from, idx, kNoOut, rate);
               } else if (lvl == c_ + 1) {
-                blk.a0(from, idx) += rate;
+                sink.emit(id.a0(), from, idx, out, rate);
               } else {
                 GS_ASSERT(lvl + 1 == c_);
-                blk.down[c_ - 1](from, idx) += rate;
+                sink.emit(id.down(c_ - 1), from, idx, out, rate);
               }
             });
-      }
-    }
-  }
-
-  // Repeating template: same within-level dynamics (A1 = B11 before the
-  // diagonal is set), down transitions with refill into A2.
-  blk.a1 = blk.b11;
-  for (std::size_t ja = 0; ja < m_a_; ++ja) {
-    for (const Config& cfg : cfgs_.configs(c_)) {
-      for (std::size_t k = 0; k < m_q_; ++k) {  // completions only when serving
-        const std::size_t from = index(c_, ja, cfgs_.index_of(cfg), k);
+        if (k >= m_q_) continue;  // completions only when serving
         for (std::size_t n = 0; n < m_b_; ++n) {
           if (cfg[n] == 0) continue;
           const double crate = static_cast<double>(cfg[n]) * sb0[n];
@@ -316,34 +431,74 @@ void ClassProcess::build() {
             if (beta[n2] == 0.0) continue;
             const Config refilled =
                 cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
-            blk.a2(from, index(c_, ja, cfgs_.index_of(refilled), k)) +=
-                crate * beta[n2];
+            sink.emit(id.a2(), from,
+                      index(c_, ja, cfgs_.index_of(refilled), k), kNoOut,
+                      sink.constant(crate * beta[n2]));
           }
         }
       }
     }
   }
 
-  // Diagonals: subtract total out-rates. The repeating levels have the
-  // same total out-rate as level c (completion totals are independent of
-  // whether the freed partition is refilled).
+  // Diagonals: subtract total out-rates; A1 shares level c's.
   for (std::size_t i = 0; i < c_; ++i)
     for (std::size_t s = 0; s < level_dim(i); ++s)
-      blk.diag[i](s, s) -= out_boundary[off[i] + s];
+      sink.subtract_out(id.diag(i), s, slot(off[i] + s));
   for (std::size_t s = 0; s < d; ++s) {
-    blk.b11(s, s) -= out_b[s];
-    blk.a1(s, s) -= out_b[s];
+    sink.subtract_out(id.b11(), s, slot(D + s));
+    sink.subtract_out(id.a1(), s, slot(D + s));
   }
+}
 
-  // Same shapes as the live process (the common fixed-point case: only
-  // the away rates moved): revalue in place. Otherwise build afresh. The
-  // shapes are fully determined by (D, d) here — c_, m_a_ and the config
-  // space are fixed, so matching dimensions imply matching level dims.
-  if (process_ && process_->repeating_size() == d &&
-      process_->boundary_size() == D) {
-    process_->revalue(blk);
-  } else {
-    process_.emplace(blk);
+qbd::QbdBlocks ClassProcess::build() const {
+  qbd::QbdBlocks blk;
+  blk.diag.resize(c_);
+  blk.up.resize(c_);
+  blk.down.resize(c_);
+  std::size_t slots = 0;
+  for (std::size_t i = 0; i < c_; ++i) {
+    blk.diag[i].assign_zero(level_dim(i), level_dim(i));
+    blk.up[i].assign_zero(level_dim(i), level_dim(i + 1));
+    blk.down[i].assign_zero(level_dim(i + 1), level_dim(i));
+    slots += level_dim(i);
+  }
+  const std::size_t d = level_dim(c_);
+  for (Matrix* m : {&blk.b11, &blk.a0, &blk.a1, &blk.a2}) m->assign_zero(d, d);
+  std::vector<double> out(slots + d, 0.0);
+  DirectSink sink{away_.generator(), away_.exit_rates(), away_.alpha(), blk,
+                  out};
+  enumerate(sink);
+  return blk;
+}
+
+qbd::RateProgram ClassProcess::compile(
+    const std::vector<std::uint64_t>& support) const {
+  obs::count("gang.revalue.compiled");
+  std::vector<std::size_t> dims(c_);
+  std::size_t slots = 0;
+  for (std::size_t i = 0; i < c_; ++i) slots += dims[i] = level_dim(i);
+  const AwaySources src{m_f_};
+  qbd::RateProgram program(std::move(dims), level_dim(c_),
+                           slots + level_dim(c_), src.count());
+  ProgramSink sink{src, support, program};
+  enumerate(sink);
+  return program;
+}
+
+void ClassProcess::fill_values(std::vector<double>& values) const {
+  const Matrix& sf = away_.generator();
+  const Vector& sf0 = away_.exit_rates();
+  const Vector& phi = away_.alpha();
+  const AwaySources src{m_f_};
+  values.resize(src.count());
+  values[0] = 1.0;
+  for (std::size_t a = 0; a < m_f_; ++a) {
+    values[src.sf0(a)] = sf0[a];
+    values[src.phi(a)] = phi[a];
+    for (std::size_t b = 0; b < m_f_; ++b) {
+      values[src.sf(a, b)] = sf(a, b);
+      values[src.restart(a, b)] = sf0[a] * phi[b];
+    }
   }
 }
 

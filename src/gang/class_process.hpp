@@ -23,6 +23,8 @@
 //    only.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,17 +86,32 @@ struct EffectiveQuantum {
 class ClassProcess {
  public:
   /// Build the QBD for class p given the away-period distribution F_p.
-  /// `ws`, when given, must outlive this object: the block assembly is
-  /// staged in ws->blocks, so rebuilds (update_away) stop allocating.
+  /// `ws`, when given, must outlive this object: the revalue buffers live
+  /// in ws->rates, so update_away stops allocating.
   ClassProcess(const SystemParams& sys, std::size_t p, PhaseType away,
                qbd::Workspace* ws = nullptr);
 
-  /// Re-derive the chain for a new away-period distribution. The block
-  /// shapes are invariant across fixed-point iterations as long as the
-  /// away order is unchanged (only the rates move), in which case the
-  /// live QbdProcess is revalued in place; a changed order (the fitted
-  /// effective quantum may shrink) falls back to a full rebuild.
+  /// Re-derive the chain for a new away-period distribution. The chain is
+  /// compiled into a qbd::RateProgram of its transitions, whose only
+  /// non-constant rate sources are F_p's (S_F entries, exit rates s_F0,
+  /// initial vector phi). A program serves one away order m_f and a
+  /// support — the sources that may be nonzero — and records only the
+  /// transitions whose rate can be nonzero; the program of every order
+  /// seen is kept. An order's first away period is assembled directly
+  /// (build()); from its second on, the order's program is compiled for
+  /// every source seen nonzero at that order, and recompiled when a new
+  /// one appears. While the program covers the new values — the common
+  /// fixed-point case — only the rates F_p reaches are replayed into the
+  /// live QbdProcess (materialized from that program first if the order
+  /// changed). Bit for bit the blocks build() assembles.
   void update_away(PhaseType away);
+
+  /// The reference assembly: enumerate every state's transitions for the
+  /// current away period and add each rate straight into fresh blocks,
+  /// in the order the compiled program replays them. The live process()
+  /// holds these bits; the tests compare the two, and update_away uses it
+  /// for an order's first away period.
+  qbd::QbdBlocks build() const;
 
   const qbd::QbdProcess& process() const { return *process_; }  ///< the QBD chain
   std::size_t class_index() const { return p_; }  ///< class index p
@@ -157,10 +174,22 @@ class ClassProcess {
                                      bool want_exact = false);
 
  private:
-  void build();
-  /// Where build() assembles the blocks: the caller's workspace when one
-  /// was given, own storage otherwise.
-  qbd::QbdBlocks& stage() { return ws_ ? ws_->blocks : own_stage_; }
+  // Enumerate the chain's transitions into `sink` (class_process.cpp):
+  // every rate as the sink represents it, then the diagonal fix-ups.
+  template <class Sink>
+  void enumerate(Sink& sink) const;
+  // The transition program of the current away order for `support`
+  // (one bit per rate source), not yet sealed.
+  qbd::RateProgram compile(const std::vector<std::uint64_t>& support) const;
+  // Write the current away period's rate sources into `values`.
+  void fill_values(std::vector<double>& values) const;
+  // Make the live process hold the current away period's chain: build
+  // it, or replay, materialize or compile the order's program (see
+  // update_away).
+  void install();
+  /// Where update_away evaluates the program: the caller's workspace
+  /// when one was given, own buffers otherwise.
+  qbd::RateBuffers& buffers() { return ws_ ? ws_->rates : own_buffers_; }
 
   // Stages of the effective-quantum extraction.
   struct TruncScan {
@@ -200,7 +229,19 @@ class ClassProcess {
   std::size_t m_a_, m_b_, m_q_, m_f_, w_;  // orders; w_ = m_q_ + m_f_
   ServiceConfigSpace cfgs_;
   qbd::Workspace* ws_ = nullptr;
-  qbd::QbdBlocks own_stage_;
+  qbd::RateBuffers own_buffers_;
+  // Per away order seen: the sources seen nonzero at it, its program
+  // once compiled (for that support), and a number telling programs
+  // apart; live_id_ is the number of the program process_ was built from
+  // (0: assembled by build()).
+  struct Compiled {
+    std::vector<std::uint64_t> support;
+    std::optional<qbd::RateProgram> program;
+    std::uint64_t id = 0;
+  };
+  std::map<std::size_t, Compiled> programs_;
+  std::uint64_t compiled_ = 0, live_id_ = 0;
+  std::vector<std::uint64_t> support_;  // scratch of install()
   std::optional<qbd::QbdProcess> process_;
   // Block elimination of -T over the uncensored serving levels 1..k,
   // grown on demand by effective_quantum.

@@ -3,11 +3,13 @@
 #include <cmath>
 #include <utility>
 
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace gs::linalg {
 
 SpectralResult spectral_radius(const Matrix& a, double tol, int max_iter) {
+  obs::count("linalg.spectral_radius.calls");
   GS_CHECK(a.is_square(), "spectral_radius needs a square matrix");
   const std::size_t n = a.rows();
   for (std::size_t r = 0; r < n; ++r)

@@ -1,7 +1,10 @@
 #include "qbd/qbd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "linalg/gth.hpp"
 #include "markov/scc.hpp"
@@ -11,37 +14,421 @@ namespace gs::qbd {
 
 namespace {
 
-bool same_shape(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols();
-}
-
-bool same_shapes(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!same_shape(a[i], b[i])) return false;
-  return true;
+// `items` reordered so that kLanes consecutive groups advance in turn,
+// one item each, every group keeping its own order. `group[i]` numbers
+// item i's group, groups numbered in order of first appearance.
+template <class T>
+std::vector<T> interleave(const std::vector<T>& items,
+                          const std::vector<std::uint32_t>& group) {
+  constexpr std::uint32_t kLanes = 4;
+  std::uint32_t groups = 0;
+  for (std::uint32_t g : group) groups = std::max(groups, g + 1);
+  std::vector<std::uint32_t> first(groups + 1, 0);
+  for (std::uint32_t g : group) ++first[g + 1];
+  for (std::uint32_t g = 0; g < groups; ++g) first[g + 1] += first[g];
+  std::vector<std::uint32_t> members(items.size());
+  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+  for (std::uint32_t i = 0; i < items.size(); ++i)
+    members[fill[group[i]]++] = i;
+  std::vector<T> out;
+  out.reserve(items.size());
+  for (std::uint32_t g0 = 0; g0 < groups; g0 += kLanes) {
+    const std::uint32_t g1 = std::min(groups, g0 + kLanes);
+    for (std::uint32_t step = 0;; ++step) {
+      bool any = false;
+      for (std::uint32_t g = g0; g < g1; ++g) {
+        if (first[g] + step >= first[g + 1]) continue;
+        out.push_back(items[members[first[g] + step]]);
+        any = true;
+      }
+      if (!any) break;
+    }
+  }
+  return out;
 }
 
 }  // namespace
+
+const Matrix& BlockIds::of(const QbdBlocks& blocks, std::uint32_t id) {
+  const std::size_t b = blocks.diag.size();
+  if (id < b) return blocks.diag[id];
+  if (id < 2 * b) return blocks.up[id - b];
+  if (id < 3 * b) return blocks.down[id - 2 * b];
+  switch (id - 3 * b) {
+    case 0: return blocks.b11;
+    case 1: return blocks.a0;
+    case 2: return blocks.a1;
+    default: GS_ASSERT(id - 3 * b == 3); return blocks.a2;
+  }
+}
+
+Matrix& BlockIds::of(QbdBlocks& blocks, std::uint32_t id) {
+  return const_cast<Matrix&>(of(std::as_const(blocks), id));
+}
+
+RateProgram::RateProgram(std::vector<std::size_t> level_dims, std::size_t d,
+                         std::size_t out_slots, std::size_t value_count)
+    : level_dims_(std::move(level_dims)),
+      d_(d),
+      out_slots_(out_slots),
+      value_count_(value_count) {
+  GS_CHECK(d_ > 0, "RateProgram: the repeating level must be non-empty");
+  GS_CHECK(value_count_ >= 1, "RateProgram: values[0] = 1 is required");
+  const std::size_t b = level_dims_.size();
+  GS_CHECK(3 * b + 4 < 0xffffu, "RateProgram: too many boundary levels");
+  for (std::size_t n : level_dims_)
+    GS_CHECK(n > 0, "RateProgram: boundary levels must be non-empty");
+  const auto dim = [&](std::size_t i) { return i < b ? level_dims_[i] : d_; };
+  const BlockIds id = ids();
+  rows_.assign(id.count(), d_);
+  cols_.assign(id.count(), d_);
+  for (std::size_t i = 0; i < b; ++i) {
+    rows_[id.diag(i)] = cols_[id.diag(i)] = dim(i);
+    rows_[id.up(i)] = dim(i);
+    cols_[id.up(i)] = dim(i + 1);
+    rows_[id.down(i)] = dim(i + 1);
+    cols_[id.down(i)] = dim(i);
+  }
+  for (std::size_t k = 0; k < id.count(); ++k)
+    GS_CHECK(rows_[k] * cols_[k] < 0xffffffffu, "RateProgram: block too large");
+}
+
+void RateProgram::add(std::uint32_t block, std::size_t row, std::size_t col,
+                      std::uint32_t out, double coef, std::uint32_t src) {
+  GS_CHECK(!sealed_, "RateProgram: add after seal");
+  GS_CHECK(block < rows_.size() && row < rows_[block] && col < cols_[block],
+           "RateProgram: transition outside the blocks");
+  GS_CHECK(out == kNoOut || out < out_slots_,
+           "RateProgram: out-rate slot out of range");
+  GS_CHECK(src < value_count_, "RateProgram: rate source out of range");
+  all_.push_back({coef, src, static_cast<std::uint16_t>(block), 0,
+                  static_cast<std::uint32_t>(row * cols_[block] + col),
+                  out == kNoOut ? static_cast<std::uint32_t>(out_slots_)
+                                : out});
+}
+
+void RateProgram::subtract_out(std::uint32_t block, std::size_t row,
+                               std::uint32_t out) {
+  GS_CHECK(!sealed_, "RateProgram: subtract_out after seal");
+  const BlockIds id = ids();
+  GS_CHECK(block < id.b || block == id.b11() || block == id.a1(),
+           "RateProgram: only D_i, B11 and A1 carry a diagonal");
+  GS_CHECK(row < rows_[block], "RateProgram: diagonal row out of range");
+  GS_CHECK(out < out_slots_, "RateProgram: out-rate slot out of range");
+  diags_.push_back(
+      {{block, static_cast<std::uint32_t>(row * cols_[block] + row)}, out, 0});
+}
+
+void RateProgram::seal(const QbdBlocks& evaluated) {
+  GS_CHECK(!sealed_, "RateProgram: sealed twice");
+  const BlockIds id = ids();
+  const auto nb = static_cast<std::uint32_t>(id.count());
+  const auto sink_slot = static_cast<std::uint32_t>(out_slots_);
+  bool same_shape = evaluated.diag.size() == id.b && evaluated.a1.rows() == d_;
+  for (std::size_t i = 0; same_shape && i < id.b; ++i)
+    same_shape = evaluated.diag[i].rows() == level_dims_[i];
+  GS_CHECK(same_shape, "RateProgram::seal: blocks of another shape");
+  sealed_ = true;
+
+  // The structural cells (those a transition or a fix-up writes), in
+  // order of first write, numbered through a flat index of all cells.
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  std::vector<std::size_t> base(nb + 1, 0);
+  for (std::uint32_t k = 0; k < nb; ++k)
+    base[k + 1] = base[k] + rows_[k] * cols_[k];
+  std::vector<std::uint32_t> number(base[nb], kNone);
+  std::vector<Cell> cells;
+  std::vector<std::uint8_t> dynamic;  // per structural cell
+  const auto cell_of = [&](std::uint32_t block, std::uint32_t offset) {
+    std::uint32_t& n = number[base[block] + offset];
+    if (n == kNone) {
+      n = static_cast<std::uint32_t>(cells.size());
+      cells.push_back({block, offset});
+      dynamic.push_back(0);
+    }
+    return n;
+  };
+  std::vector<std::uint8_t> dyn_out(out_slots_ + 1, 0);
+  std::vector<std::uint32_t> op_cell(all_.size());
+  cells.reserve(all_.size() + diags_.size());
+  dynamic.reserve(all_.size() + diags_.size());
+  for (std::size_t i = 0; i < all_.size(); ++i) {
+    const Op& op = all_[i];
+    op_cell[i] = cell_of(op.block, op.offset);
+    if (op.src != 0) {
+      dynamic[op_cell[i]] = 1;
+      dyn_out[op.out] = 1;
+    }
+  }
+  dyn_out[sink_slot] = 0;
+  for (const Diagonal& dg : diags_) {
+    const std::uint32_t c = cell_of(dg.cell.block, dg.cell.offset);
+    if (dyn_out[dg.out]) dynamic[c] = 1;
+  }
+
+  // What a replay re-runs: every transition into a rewritten cell or a
+  // rewritten accumulator, the other target sent to the sink. Chains
+  // for interleaving: the runs of consecutive transitions with one
+  // accumulator (a sink transition joins the run it follows). Runs may
+  // interleave only if no cell is written from two runs; else the replay
+  // keeps the added order.
+  std::vector<Op> replay;
+  std::vector<std::uint32_t> chain;
+  replay.reserve(all_.size());
+  chain.reserve(all_.size());
+  std::vector<std::uint32_t> cell_chain(cells.size(), kNone);
+  bool separable = true;
+  std::uint32_t run_slot = kNone, runs = 0;
+  for (std::size_t i = 0; i < all_.size(); ++i) {
+    const Op& op = all_[i];
+    const bool cell = dynamic[op_cell[i]] != 0;
+    const bool acc = dyn_out[op.out] != 0;
+    if (!cell && !acc) continue;
+    if (runs == 0 || (op.out != sink_slot && op.out != run_slot)) {
+      ++runs;
+      if (op.out != sink_slot) run_slot = op.out;
+    }
+    if (cell) {
+      std::uint32_t& owner = cell_chain[op_cell[i]];
+      if (owner == kNone) owner = runs - 1;
+      separable = separable && owner == runs - 1;
+    }
+    replay.push_back({op.coef, op.src,
+                      static_cast<std::uint16_t>(cell ? op.block : nb), 0,
+                      cell ? op.offset : 0, acc ? op.out : sink_slot});
+    chain.push_back(runs - 1);
+  }
+  // A run's accumulator must not reappear in a later run either.
+  std::vector<std::uint32_t> slot_chain(out_slots_ + 1, kNone);
+  for (std::size_t i = 0; separable && i < replay.size(); ++i) {
+    if (replay[i].out == sink_slot) continue;
+    std::uint32_t& owner = slot_chain[replay[i].out];
+    if (owner == kNone) owner = chain[i];
+    separable = owner == chain[i];
+  }
+  replay_ = separable ? interleave(replay, chain) : std::move(replay);
+  // Each rewritten cell starts from +0.0 at its first write, a
+  // transition or else its diagonal fix-up (interleaving kept each
+  // cell's order, so the first write is the same either way).
+  std::vector<std::uint8_t> written(cells.size(), 0);
+  for (Op& op : replay_) {
+    if (op.block == nb) continue;
+    std::uint8_t& w = written[number[base[op.block] + op.offset]];
+    op.first = w == 0;
+    w = 1;
+  }
+  for (Diagonal dg : diags_) {
+    const std::uint32_t c = number[base[dg.cell.block] + dg.cell.offset];
+    if (!dynamic[c]) continue;
+    dg.first = written[c] == 0;
+    dyn_diags_.push_back(dg);
+  }
+
+  // Generator rows: boundary row (i, r) at off[i] + r, made of row r of
+  // D_i, U_i and L_{i-1}; level-b row r at D + r (B11, A0, L_{b-1});
+  // repeating row r at D + d + r (A0, A1, A2). A constant cell keeps its
+  // evaluated value; a rewritten one becomes a row term of each row it
+  // is in.
+  const std::size_t b = id.b;
+  std::vector<std::size_t> off(b + 1, 0);
+  for (std::size_t i = 0; i < b; ++i) off[i + 1] = off[i] + level_dims_[i];
+  const std::size_t D = off[b];
+  const std::size_t n_rows = D + 2 * d_;
+  std::vector<double> row_sum(n_rows, 0.0);
+  std::vector<std::uint8_t> touched(n_rows, 0);
+  std::vector<RowTerm> terms;
+  std::vector<std::uint32_t> term_row;
+  for (std::uint32_t c = 0; c < cells.size(); ++c) {
+    const Cell cell = cells[c];
+    const std::uint32_t k = cell.block;
+    const auto nc = static_cast<std::uint32_t>(cols_[k]);
+    const std::uint32_t r = cell.offset / nc;  // 32-bit: the cheap divide
+    std::size_t gen[2];
+    int n_gen = 0;
+    std::uint32_t scales = 1;
+    if (k < b) {
+      gen[n_gen++] = off[k] + r;
+    } else if (k < 2 * b) {
+      gen[n_gen++] = off[k - b] + r;
+      scales = 0;
+    } else if (k < 3 * b) {
+      const std::size_t level = k - 2 * b + 1;
+      gen[n_gen++] = level < b ? off[level] + r : D + r;
+      scales = 0;
+    } else if (k == id.b11()) {
+      gen[n_gen++] = D + r;
+    } else if (k == id.a0()) {
+      gen[n_gen++] = D + r;
+      gen[n_gen++] = D + d_ + r;
+    } else {
+      gen[n_gen++] = D + d_ + r;
+    }
+    if (dynamic[c]) {
+      for (int j = 0; j < n_gen; ++j) {
+        touched[gen[j]] = 1;
+        terms.push_back({cell, static_cast<std::uint32_t>(gen[j]), scales});
+        term_row.push_back(static_cast<std::uint32_t>(gen[j]));
+      }
+      continue;
+    }
+    const double v = BlockIds::of(evaluated, k).data()[cell.offset];
+    static_cells_.push_back({cell, v});
+    for (int j = 0; j < n_gen; ++j) row_sum[gen[j]] += v;
+    if (scales) static_max_abs_ = std::max(static_max_abs_, std::fabs(v));
+    const bool has_diagonal = k < b || k == id.b11() || k == id.a1();
+    if (!(has_diagonal && r == cell.offset - r * nc))
+      static_min_offdiag_ = std::min(static_min_offdiag_, v);
+  }
+  // Number the touched rows densely; the others are checked here.
+  std::vector<std::uint32_t> row_number(n_rows, kNone);
+  for (std::size_t g = 0; g < n_rows; ++g) {
+    const std::uint8_t kind = g < D ? 0 : g < D + d_ ? 1 : 2;
+    if (touched[g]) {
+      row_number[g] = static_cast<std::uint32_t>(row_kind_.size());
+      row_kind_.push_back(kind);
+      row_static_.push_back(row_sum[g]);
+    } else {
+      static_row_sum_[kind] =
+          std::max(static_row_sum_[kind], std::fabs(row_sum[g]));
+    }
+  }
+  for (std::size_t j = 0; j < terms.size(); ++j)
+    terms[j].row = term_row[j] = row_number[term_row[j]];
+  row_terms_ = interleave(terms, term_row);
+
+  std::vector<Op>().swap(all_);
+  std::vector<Diagonal>().swap(diags_);
+}
 
 QbdProcess::QbdProcess(QbdBlocks blocks) : blocks_(std::move(blocks)) {
   validate();
   for (const Matrix& m : blocks_.diag) boundary_size_ += m.rows();
 }
 
-void QbdProcess::revalue(const QbdBlocks& blocks) {
-  GS_CHECK(same_shapes(blocks.diag, blocks_.diag) &&
-               same_shapes(blocks.up, blocks_.up) &&
-               same_shapes(blocks.down, blocks_.down) &&
-               same_shape(blocks.b11, blocks_.b11) &&
-               same_shape(blocks.a0, blocks_.a0) &&
-               same_shape(blocks.a1, blocks_.a1) &&
-               same_shape(blocks.a2, blocks_.a2),
-           "QbdProcess::revalue: block shapes differ from the built "
-           "process; rebuild instead");
-  // Copy-assignment reuses each block's existing allocation.
-  blocks_ = blocks;
+QbdProcess::QbdProcess(const RateProgram& program, RateBuffers& buf) {
+  const std::size_t b = program.level_dims_.size();
+  blocks_.diag.resize(b);
+  blocks_.up.resize(b);
+  blocks_.down.resize(b);
+  const BlockIds id = program.ids();
+  for (std::uint32_t k = 0; k < id.count(); ++k)
+    BlockIds::of(blocks_, k).assign_zero(program.rows_[k], program.cols_[k]);
+  bind(program, buf);
+  if (program.sealed_) {
+    for (const RateProgram::StaticCell& sc : program.static_cells_)
+      buf.blocks[sc.cell.block][sc.cell.offset] = sc.value;
+    replay(program, buf);
+  } else {
+    double* const* cell = buf.blocks.data();
+    double* out = buf.out.data();
+    const double* val = buf.values.data();
+    bool ok = true;
+    for (const RateProgram::Op& op : program.all_) {
+      const double v = op.coef * val[op.src];
+      cell[op.block][op.offset] += v;
+      out[op.out] += v;
+      ok &= (v >= 0.0) & (v <= std::numeric_limits<double>::max());
+    }
+    GS_CHECK(ok, "QBD transition rates must be finite and non-negative");
+    for (const RateProgram::Diagonal& dg : program.diags_)
+      cell[dg.cell.block][dg.cell.offset] -= out[dg.out];
+  }
   validate();
+  for (const Matrix& m : blocks_.diag) boundary_size_ += m.rows();
+}
+
+void QbdProcess::bind(const RateProgram& program, RateBuffers& buf) {
+  const BlockIds id = program.ids();
+  bool same_shape = blocks_.diag.size() == id.b &&
+                    blocks_.a1.rows() == program.d_;
+  for (std::size_t i = 0; same_shape && i < id.b; ++i)
+    same_shape = blocks_.diag[i].rows() == program.level_dims_[i];
+  GS_CHECK(same_shape,
+           "QbdProcess: the rate program was built for another shape");
+  GS_CHECK(buf.values.size() == program.value_count_ && buf.values[0] == 1.0,
+           "RateProgram values must hold every source, with values[0] = 1");
+  bool finite = true;
+  for (double v : buf.values) finite &= std::isfinite(v);
+  GS_CHECK(finite, "RateProgram source values must be finite");
+  buf.blocks.resize(id.count() + 1);
+  for (std::uint32_t k = 0; k < id.count(); ++k)
+    buf.blocks[k] = BlockIds::of(blocks_, k).data();
+  buf.blocks[id.count()] = &buf.sink;
+  buf.out.assign(program.out_slots_ + 1, 0.0);
+}
+
+void QbdProcess::replay(const RateProgram& program, RateBuffers& buf) {
+  double* const* cell = buf.blocks.data();
+  double* out = buf.out.data();
+  const double* val = buf.values.data();
+  // A cell's first write starts it from +0.0: its old bits are masked
+  // off (branch-free, and exact for any old value).
+  const auto old_value = [](double c, std::uint32_t first) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(c) &
+                                 (std::uint64_t{first} - 1));
+  };
+  bool ok = true;
+  for (const RateProgram::Op& op : program.replay_) {
+    const double v = op.coef * val[op.src];
+    double& c = cell[op.block][op.offset];
+    c = old_value(c, op.first) + v;
+    out[op.out] += v;
+    ok &= (v >= 0.0) & (v <= std::numeric_limits<double>::max());
+  }
+  GS_CHECK(ok, "QBD transition rates must be finite and non-negative");
+  for (const RateProgram::Diagonal& dg : program.dyn_diags_) {
+    double& c = cell[dg.cell.block][dg.cell.offset];
+    c = old_value(c, dg.first) - out[dg.out];
+  }
+}
+
+void QbdProcess::revalue(const RateProgram& program, RateBuffers& buf) {
+  GS_CHECK(program.sealed_, "QbdProcess: the rate program is not sealed");
+  bind(program, buf);
+  replay(program, buf);
+  double* const* cell = buf.blocks.data();
+
+  // validate() on what changed, against validate()'s tolerance: the
+  // sums of the touched rows (constant part plus rewritten cells) and the
+  // largest entry, from the program's nonzeros (four running maxima, so
+  // the terms pipeline).
+  std::vector<double>& sums = buf.row_sums;
+  sums = program.row_static_;
+  double* sum = sums.data();
+  // Adds one term to its row and returns |value| if it sets the scale,
+  // else +0.0 (masked, not branched).
+  const auto term = [&](const RateProgram::RowTerm& t) {
+    const double x = cell[t.cell.block][t.cell.offset];
+    sum[t.row] += x;
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(std::fabs(x)) &
+                                 (std::uint64_t{0} - t.scales));
+  };
+  double top0 = std::max(program.static_max_abs_, 1.0);
+  double top1 = 0.0, top2 = 0.0, top3 = 0.0;
+  const RateProgram::RowTerm* terms = program.row_terms_.data();
+  const std::size_t n = program.row_terms_.size();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    top0 = std::max(top0, term(terms[j]));
+    top1 = std::max(top1, term(terms[j + 1]));
+    top2 = std::max(top2, term(terms[j + 2]));
+    top3 = std::max(top3, term(terms[j + 3]));
+  }
+  for (; j < n; ++j) top0 = std::max(top0, term(terms[j]));
+  const double scale = std::max(std::max(top0, top1), std::max(top2, top3));
+  const double tol = 1e-8 * scale;
+  double worst[3] = {program.static_row_sum_[0], program.static_row_sum_[1],
+                     program.static_row_sum_[2]};
+  for (std::size_t r = 0; r < sums.size(); ++r) {
+    double& w = worst[program.row_kind_[r]];
+    const double a = std::fabs(sum[r]);
+    w = a <= w ? w : a;  // a NaN sum is kept, and fails below
+  }
+  GS_CHECK(worst[0] <= tol, "QBD boundary row sums must vanish");
+  GS_CHECK(worst[1] <= tol, "QBD level-b row sums must vanish");
+  GS_CHECK(worst[2] <= tol, "QBD repeating row sums must vanish");
+  GS_CHECK(program.static_min_offdiag_ >= -tol,
+           "QBD block has a negative off-diagonal entry");
 }
 
 void QbdProcess::validate() const {

@@ -87,11 +87,12 @@ struct Workspace {
   // one squaring pass, gp_t_a the G/T carry pass.
   linalg::GemmPackA gp_h_a, gp_l_a, gp_t_a;
   linalg::GemmPackB gp_h_b, gp_l_b, gp_h_live_b, gp_l_live_b;
-  // Revalue staging for the gang fixed point: ClassProcess rebuilds its
-  // blocks here each iteration and QbdProcess::revalue copies them into
-  // the live process without reallocating; the away-period convolution
-  // assembles its total-order generator in conv_s/conv_alpha the same way.
-  QbdBlocks blocks;
+  // Revalue buffers for the gang fixed point: ClassProcess writes its
+  // away-period rate sources here each iteration and QbdProcess::revalue
+  // replays the compiled chain through them without allocating; the
+  // away-period convolution assembles its total-order generator in
+  // conv_s/conv_alpha the same way.
+  RateBuffers rates;
   Matrix conv_s;
   linalg::Vector conv_alpha;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
@@ -11,22 +12,24 @@
 
 namespace gs::qbd {
 
-QbdSolution::QbdSolution(std::vector<Vector> boundary_pi, Matrix r,
-                         double sp_r)
-    : boundary_pi_(std::move(boundary_pi)), r_(std::move(r)), sp_r_(sp_r) {
+QbdSolution::QbdSolution(std::vector<Vector> boundary_pi, Matrix r)
+    : boundary_pi_(std::move(boundary_pi)), r_(std::move(r)) {
   GS_ASSERT(!boundary_pi_.empty());
   i_minus_r_inv_ = linalg::inverse(Matrix::identity(r_.rows()) - r_);
 }
 
 QbdSolution::QbdSolution(std::vector<Vector> boundary_pi, Matrix r,
-                         Matrix i_minus_r_inv, double sp_r)
+                         Matrix i_minus_r_inv)
     : boundary_pi_(std::move(boundary_pi)),
       r_(std::move(r)),
-      i_minus_r_inv_(std::move(i_minus_r_inv)),
-      sp_r_(sp_r) {
+      i_minus_r_inv_(std::move(i_minus_r_inv)) {
   GS_ASSERT(!boundary_pi_.empty());
   GS_ASSERT(i_minus_r_inv_.rows() == r_.rows() &&
             i_minus_r_inv_.cols() == r_.cols());
+}
+
+double QbdSolution::spectral_radius_r() const {
+  return linalg::spectral_radius(r_).radius;
 }
 
 QbdSolution::TailScan::TailScan(const QbdSolution& sol)
@@ -166,6 +169,17 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
 
 namespace {
 
+// sp(R) < 1 read off (I-R)^{-1} e: true when R >= 0 entrywise and every
+// entry of `tail_weights` is positive (a NaN fails both tests).
+bool admits(const Matrix& r, const Vector& tail_weights) {
+  for (std::size_t i = 0; i < r.rows(); ++i)
+    for (std::size_t j = 0; j < r.cols(); ++j)
+      if (!(r(i, j) >= 0.0)) return false;
+  for (double x : tail_weights)
+    if (!(x > 0.0)) return false;
+  return true;
+}
+
 [[noreturn]] void throw_singular_boundary() {
   throw NumericalError(
       "QBD boundary system is singular — the chain is likely reducible "
@@ -240,16 +254,31 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
   Workspace& w = ws ? *ws : local;
   const QbdBlocks& blk = process.blocks();
 
-  const auto spec = linalg::spectral_radius(r);
-  if (!(spec.radius < 1.0)) {
-    throw NumericalError("sp(R) = " + std::to_string(spec.radius) +
-                         " >= 1: chain is not positive recurrent");
-  }
-
   obs::Span span("qbd.boundary");
   const std::size_t b = process.boundary_levels();
   const std::size_t d = process.repeating_size();
   obs::count("qbd.boundary.levels", b + 1);
+
+  // Admission (see solve_with_r's contract): (I-R)^{-1} e, which the
+  // normalization row needs anyway, is positive iff sp(R) < 1. A singular
+  // I - R keeps its LU error for where the inverse used to be formed, so
+  // a reducible boundary still reports first.
+  Matrix i_minus_r_inv;
+  Vector tail_weights;
+  std::exception_ptr inverse_error;
+  try {
+    i_minus_r_inv = linalg::inverse(Matrix::identity(d) - r);
+    tail_weights = i_minus_r_inv * linalg::ones(d);
+  } catch (const NumericalError&) {
+    inverse_error = std::current_exception();
+  }
+  if (inverse_error || !admits(r, tail_weights)) {
+    const double radius = linalg::spectral_radius(r).radius;
+    if (!(radius < 1.0)) {
+      throw NumericalError("sp(R) = " + std::to_string(radius) +
+                           " >= 1: chain is not positive recurrent");
+    }
+  }
 
   // Level b's block of the balance system (eqs. 21–22, 25–26): its own
   // rates plus the repeating tail folded back through R.
@@ -261,8 +290,7 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
   // normalization (eq. 24) x_b ((I-R)^{-1} e + P_{b-1} v_{b-1}) = 1 (the
   // balance equations have rank d-1 for an irreducible chain, so dropping
   // any single one is safe).
-  Matrix i_minus_r_inv = linalg::inverse(Matrix::identity(d) - r);
-  const Vector tail_weights = i_minus_r_inv * linalg::ones(d);
+  if (inverse_error) std::rethrow_exception(inverse_error);
   const Matrix& s_top = b > 0 ? w.bnd_s : w.ra2;
   Matrix& st = w.bnd_st;
   st.assign_zero(d, d);
@@ -326,8 +354,7 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
   }
   for (auto& lvl : boundary)
     for (double& x : lvl) x /= total;
-  return QbdSolution(std::move(boundary), r, std::move(i_minus_r_inv),
-                     spec.radius);
+  return QbdSolution(std::move(boundary), r, std::move(i_minus_r_inv));
 }
 
 }  // namespace gs::qbd

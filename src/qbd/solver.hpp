@@ -31,17 +31,15 @@ struct SolveOptions {
 class QbdSolution {
  public:
   /// Assembled by solve(); `boundary_pi` holds pi_0..pi_b already
-  /// normalized, `sp_r` the spectral radius of `r` (< 1 for a stable
-  /// chain).
-  QbdSolution(std::vector<Vector> boundary_pi, Matrix r, double sp_r);
+  /// normalized.
+  QbdSolution(std::vector<Vector> boundary_pi, Matrix r);
 
   /// As above but with (I-R)^{-1} supplied by the caller. The boundary
   /// stage already inverted I-R for the normalization row, and the same
   /// deterministic kernels on the same `r` produce the same bits, so
   /// handing the inverse over skips a redundant O(d^3) factorization per
   /// solve. `i_minus_r_inv` must be linalg::inverse(I - r) of this `r`.
-  QbdSolution(std::vector<Vector> boundary_pi, Matrix r, Matrix i_minus_r_inv,
-              double sp_r);
+  QbdSolution(std::vector<Vector> boundary_pi, Matrix r, Matrix i_minus_r_inv);
 
   /// pi_i for a boundary level 0 <= i <= b.
   const Vector& boundary_level(std::size_t i) const;
@@ -55,8 +53,12 @@ class QbdSolution {
 
   /// Neuts' rate matrix R (minimal nonnegative solution of eq. 23).
   const Matrix& r() const { return r_; }
-  /// sp(R); < 1 iff the repeating portion is positive recurrent.
-  double spectral_radius_r() const { return sp_r_; }
+  /// sp(R) by power iteration (linalg::spectral_radius); < 1 iff the
+  /// repeating portion is positive recurrent. Computed on every call and
+  /// not cached, so the solution stays immutable and safe to share across
+  /// threads: solve() admits R without it (see solve_with_r), and callers
+  /// that report it call this once per answer.
+  double spectral_radius_r() const;
 
   /// Mean level E[N] — the generalized eq. (37):
   /// sum_{i<b} i pi_i e + b pi_b (I-R)^{-1} e + pi_b R (I-R)^{-2} e.
@@ -114,7 +116,6 @@ class QbdSolution {
   std::vector<Vector> boundary_pi_;  // levels 0..b
   Matrix r_;
   Matrix i_minus_r_inv_;
-  double sp_r_ = 0.0;
 };
 
 /// Solve the QBD. Throws gs::NumericalError when the drift condition
@@ -129,8 +130,17 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts = {},
 
 /// The boundary stage of solve() for a caller that already has R in hand
 /// (an R computed by another algorithm, or a stage-by-stage replay):
-/// spectral-radius admission, the finite balance system, and
-/// normalization, bit-for-bit the tail of solve().
+/// admission of R, the finite balance system, and normalization,
+/// bit-for-bit the tail of solve().
+///
+/// Admission needs sp(R) < 1 but runs no power iteration: for R >= 0,
+/// I - R is a nonsingular M-matrix — equivalently sp(R) < 1 — exactly
+/// when (I-R)^{-1} e exists and is positive (Berman–Plemmons), and the
+/// normalization row needs that vector anyway. Only when the test fails,
+/// or I - R is singular, does the power iteration run, to name sp(R) in
+/// the gs::NumericalError ("sp(R) = ... >= 1") or to let a chain whose
+/// sp(R) it finds below 1 go on as before. An R with a negative (or NaN)
+/// entry raises linalg::spectral_radius's gs::InvalidArgument.
 /// Skips the drift check (the R computation already vouched for it).
 /// The boundary stage has no knobs: `opts` is read by nothing here.
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,

@@ -74,12 +74,12 @@ Dispatcher::~Dispatcher() { drain(); }
 
 void Dispatcher::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return admitted_ == 0; });
+  cv_.wait(lock, [&] { return unanswered_ == 0; });
 }
 
 bool Dispatcher::idle() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return admitted_ == 0;
+  return unanswered_ == 0;
 }
 
 void Dispatcher::on_open(std::uint64_t) {
@@ -193,6 +193,7 @@ void Dispatcher::on_line(std::uint64_t conn, std::string line) {
       return;
     }
     ++admitted_;
+    ++unanswered_;
     net_.inflight.store(static_cast<std::int64_t>(admitted_));
     obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
     if (coalescable) flights_.emplace(key, std::vector<Waiter>{});
@@ -216,12 +217,22 @@ void Dispatcher::execute(std::uint64_t conn, Json request, bool coalescable,
 
   const std::string text = response.dump();
   std::vector<Waiter> riders;
-  if (coalescable) {
+  // Release the queue slot before any response is queued: a client that
+  // sends its next request the moment it reads this answer must find the
+  // slot free, or it is shed while nothing runs. The flight leaves the
+  // coalescing table in the same step, so no rider can attach to a
+  // response already on its way.
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto it = flights_.find(key); it != flights_.end()) {
-      riders = std::move(it->second);
-      flights_.erase(it);
+    if (coalescable) {
+      if (auto it = flights_.find(key); it != flights_.end()) {
+        riders = std::move(it->second);
+        flights_.erase(it);
+      }
     }
+    --admitted_;
+    net_.inflight.store(static_cast<std::int64_t>(admitted_));
+    obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
   }
   server_->send(conn, text);
   for (const Waiter& w : riders)
@@ -229,14 +240,12 @@ void Dispatcher::execute(std::uint64_t conn, Json request, bool coalescable,
 
   if (service_.shutdown_requested()) server_->request_stop();
 
-  // Release the queue slot only after every response is queued, so
+  // Count the request answered only after every response is queued, so
   // idle() going true guarantees the loop has all the bytes to flush.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --admitted_;
-    net_.inflight.store(static_cast<std::int64_t>(admitted_));
-    obs::gauge_set("serve.net.inflight", static_cast<double>(admitted_));
-    // Notify under the lock: once drain() sees admitted_ == 0 it may
+    --unanswered_;
+    // Notify under the lock: once drain() sees unanswered_ == 0 it may
     // return and let ~Dispatcher destroy cv_, so the notify must finish
     // before the lock is released.
     cv_.notify_all();

@@ -81,9 +81,9 @@ class Dispatcher : public net::Handler {
   /// them; outlives any attachment since the caller owns both).
   NetStats& net_stats() { return net_; }
 
-  /// Block until every admitted request has been answered. Called after
-  /// the loop exits to let executor threads finish flights whose
-  /// responses will be dropped.
+  /// Block until every admitted request's responses are queued on the
+  /// loop. Called after the loop exits to let executor threads finish
+  /// flights whose responses will be dropped.
   void drain();
 
   // net::Handler
@@ -101,8 +101,8 @@ class Dispatcher : public net::Handler {
     json::Json id;
   };
 
-  /// Executor-side: run the request through the service, fan the
-  /// response out to the leader and any riders, release the queue slot.
+  /// Executor-side: run the request through the service, release the
+  /// queue slot, fan the response out to the leader and any riders.
   void execute(std::uint64_t conn, json::Json request, bool coalescable,
                std::uint64_t key);
   void send_shed(std::uint64_t conn, const json::Json& request);
@@ -114,9 +114,14 @@ class Dispatcher : public net::Handler {
   net::EventLoopServer* server_ = nullptr;
   NetStats net_;
 
-  mutable std::mutex mu_;  ///< guards admitted_ and flights_
-  std::condition_variable cv_;  ///< admitted_ dropped (drain)
+  mutable std::mutex mu_;  ///< guards admitted_, unanswered_, flights_
+  std::condition_variable cv_;  ///< unanswered_ dropped (drain)
+  /// Requests holding a queue slot: admitted, response not yet ready.
   std::size_t admitted_ = 0;
+  /// Admitted requests whose responses are not yet all queued on the
+  /// loop; a request leaves admitted_ before its responses are sent and
+  /// this count after, so drain() and idle() still cover the sends.
+  std::size_t unanswered_ = 0;
   /// Coalescing table: admission key of an in-flight solve -> the riders
   /// waiting on it. The leader itself is not in the list.
   std::unordered_map<std::uint64_t, std::vector<Waiter>> flights_;

@@ -57,7 +57,7 @@ struct NetStats {
   std::atomic<std::uint64_t> oversized{0};  ///< over-limit lines
   std::atomic<std::uint64_t> dropped{0};    ///< responses to gone clients
   std::atomic<std::int64_t> connections{0};  ///< currently open
-  std::atomic<std::int64_t> inflight{0};     ///< admitted, not yet answered
+  std::atomic<std::int64_t> inflight{0};     ///< holding a queue slot
   std::atomic<std::int64_t> executing{0};    ///< running on an executor
 };
 
@@ -160,6 +160,8 @@ class EvalService {
   /// not in deterministic mode) the stats op reports them under "net".
   /// The pointed-to struct must outlive the attachment.
   void attach_net_stats(const NetStats* stats) { net_stats_ = stats; }
+  /// The attached transport counters, or null.
+  const NetStats* net_stats() const { return net_stats_; }
 
   /// Persist the result cache and warm-start donor index as NDJSON (one
   /// canonical scenario + full report per line, least-recently-used

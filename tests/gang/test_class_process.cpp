@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "gang/away_period.hpp"
 #include "gang_test_util.hpp"
+#include "obs/obs.hpp"
 #include "phase/builders.hpp"
 #include "phase/fitting.hpp"
 #include "qbd/solver.hpp"
@@ -111,43 +116,121 @@ TEST(ClassProcess, RejectsDefectiveAwayPeriod) {
   EXPECT_THROW(ClassProcess(sys, 0, defective), gs::InvalidArgument);
 }
 
-// The revalue path: rebuilding a ClassProcess's blocks into the staged
-// workspace and revaluing the live QbdProcess must leave exactly the
-// blocks a from-scratch construction produces.
-TEST(ClassProcess, UpdateAwayMatchesFreshBuild) {
+// Blocks equal bit for bit: shapes, then memcmp of every block (a
+// max_abs_diff of 0 cannot tell +0.0 from -0.0).
+void expect_same_bits(const gs::qbd::QbdBlocks& a, const gs::qbd::QbdBlocks& b) {
+  const auto same = [](const gs::linalg::Matrix& x,
+                       const gs::linalg::Matrix& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(),
+                       x.rows() * x.cols() * sizeof(double)) == 0;
+  };
+  ASSERT_EQ(a.diag.size(), b.diag.size());
+  ASSERT_EQ(a.up.size(), b.up.size());
+  ASSERT_EQ(a.down.size(), b.down.size());
+  for (std::size_t i = 0; i < a.diag.size(); ++i) {
+    EXPECT_TRUE(same(a.diag[i], b.diag[i])) << "D_" << i;
+    EXPECT_TRUE(same(a.up[i], b.up[i])) << "U_" << i;
+    EXPECT_TRUE(same(a.down[i], b.down[i])) << "L_" << i;
+  }
+  EXPECT_TRUE(same(a.b11, b.b11)) << "B11";
+  EXPECT_TRUE(same(a.a0, b.a0)) << "A0";
+  EXPECT_TRUE(same(a.a1, b.a1)) << "A1";
+  EXPECT_TRUE(same(a.a2, b.a2)) << "A2";
+}
+
+// Chains whose rates are accumulated in an order that matters: the
+// paper's (Poisson arrivals, exponential service), PH arrivals (m_A > 1),
+// and Erlang-2 and H2 service on several partitions (more than one
+// service configuration per level, several transitions into one cell).
+std::vector<SystemParams> replay_systems() {
+  using namespace gs::phase;
   gs::workload::PaperKnobs knobs;
   knobs.arrival_rate = 0.4;
-  const SystemParams sys = gs::workload::paper_system(knobs);
+  const ClassParams other{exponential(0.3), exponential(2.0), erlang(2, 1.0),
+                          exponential(100.0), 4, "other"};
+  return {
+      gs::workload::paper_system(knobs),
+      SystemParams(4, {ClassParams{erlang(3, 2.0), exponential(1.0),
+                                   erlang(2, 1.0), exponential(100.0), 2,
+                                   "ph-arrivals"},
+                       other}),
+      SystemParams(4, {ClassParams{exponential(0.3), erlang(2, 1.0),
+                                   erlang(2, 1.0), exponential(100.0), 1,
+                                   "erlang-service"},
+                       other}),
+      SystemParams(4, {ClassParams{erlang(2, 3.0),
+                                   hyperexponential({0.3, 0.7}, {0.5, 3.0}),
+                                   erlang(3, 1.5), exponential(50.0), 2,
+                                   "h2-service"},
+                       other}),
+  };
+}
 
-  for (std::size_t p = 0; p < sys.num_classes(); ++p) {
-    SCOPED_TRACE("class " + std::to_string(p));
-    const PhaseType away0 = away_period_heavy_traffic(sys, p);
-    // A second away period with the same order but different rates: scale
-    // every class's quantum mean through the slice list.
-    std::vector<PhaseType> slices;
-    for (std::size_t q = 0; q < sys.num_classes(); ++q)
-      slices.push_back(sys.cls(q).quantum.scaled(1.7));
-    const PhaseType away1 = away_period(sys, p, slices);
-    ASSERT_EQ(away0.order(), away1.order());
-
-    gs::qbd::Workspace ws;
-    ClassProcess reused(sys, p, away0, &ws);
-    reused.update_away(away1);  // same shapes: exercises revalue
-    const ClassProcess fresh(sys, p, away1);
-
-    const gs::qbd::QbdBlocks& a = reused.process().blocks();
-    const gs::qbd::QbdBlocks& b = fresh.process().blocks();
-    ASSERT_EQ(a.diag.size(), b.diag.size());
-    for (std::size_t i = 0; i < a.diag.size(); ++i) {
-      EXPECT_EQ(gs::linalg::max_abs_diff(a.diag[i], b.diag[i]), 0.0);
-      EXPECT_EQ(gs::linalg::max_abs_diff(a.up[i], b.up[i]), 0.0);
-      EXPECT_EQ(gs::linalg::max_abs_diff(a.down[i], b.down[i]), 0.0);
-    }
-    EXPECT_EQ(gs::linalg::max_abs_diff(a.b11, b.b11), 0.0);
-    EXPECT_EQ(gs::linalg::max_abs_diff(a.a0, b.a0), 0.0);
-    EXPECT_EQ(gs::linalg::max_abs_diff(a.a1, b.a1), 0.0);
-    EXPECT_EQ(gs::linalg::max_abs_diff(a.a2, b.a2), 0.0);
+// The away period class p sees when every other class's slice is its
+// quantum scaled by `scale` (same order, different rates), or, with
+// `exponential_slices`, an exponential of that mean (a lower order).
+PhaseType scaled_away(const SystemParams& sys, std::size_t p, double scale,
+                      bool exponential_slices = false) {
+  std::vector<PhaseType> slices;
+  for (std::size_t q = 0; q < sys.num_classes(); ++q) {
+    const PhaseType& quantum = sys.cls(q).quantum;
+    slices.push_back(exponential_slices
+                         ? gs::phase::exponential(1.0 /
+                                                  (scale * quantum.mean()))
+                         : quantum.scaled(scale));
   }
+  return away_period(sys, p, slices);
+}
+
+// The revalue path: replaying the compiled chain for 20 successive away
+// periods of one order must leave, after every step, exactly the blocks
+// the reference assembly (build) and a from-scratch construction give.
+TEST(ClassProcess, UpdateAwayMatchesFreshBuild) {
+  for (const SystemParams& sys : replay_systems()) {
+    for (std::size_t p = 0; p < sys.num_classes(); ++p) {
+      SCOPED_TRACE(sys.cls(p).name + ", class " + std::to_string(p));
+      gs::qbd::Workspace ws;
+      ClassProcess reused(sys, p, scaled_away(sys, p, 1.0), &ws);
+      expect_same_bits(reused.process().blocks(), reused.build());
+      const std::size_t order = reused.away_phases();
+      for (int step = 1; step < 20; ++step) {
+        const PhaseType away = scaled_away(sys, p, 1.0 + 0.07 * step);
+        ASSERT_EQ(away.order(), order);
+        reused.update_away(away);
+        expect_same_bits(reused.process().blocks(), reused.build());
+        const ClassProcess fresh(sys, p, away);
+        expect_same_bits(reused.process().blocks(), fresh.process().blocks());
+      }
+    }
+  }
+}
+
+// A changed away order switches programs: an order's first away period
+// is assembled directly, its program is compiled at its second, and
+// moving back to an order later reuses that program.
+TEST(ClassProcess, UpdateAwayKeepsTheProgramOfEachAwayOrder) {
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  const auto compiled = [] {
+    return gs::obs::snapshot().counter_value("gang.revalue.compiled");
+  };
+  for (const SystemParams& sys : replay_systems()) {
+    SCOPED_TRACE(sys.cls(0).name);
+    gs::obs::reset();
+    ClassProcess cp(sys, 0, scaled_away(sys, 0, 1.0));
+    const std::size_t high = cp.away_phases();
+    EXPECT_EQ(compiled(), 0u);
+    for (int step = 1; step <= 6; ++step) {
+      const bool low = step % 2 == 1;
+      cp.update_away(scaled_away(sys, 0, 1.0 + 0.1 * step, low));
+      EXPECT_EQ(cp.away_phases() < high, low);
+      expect_same_bits(cp.process().blocks(), cp.build());
+      EXPECT_NO_THROW(gs::qbd::solve(cp.process()));
+    }
+    // Down, up, down, up, down, up: two orders, two compilations.
+    EXPECT_EQ(compiled(), 2u);
+  }
+  gs::obs::configure({});
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests of the solver's auxiliary outputs: the single-class heavy-traffic
-// solve (Figure 5's tool) and the queue-length variance.
+// solve (Figure 5's tool), the queue-length variance, and sp(R).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "gang/solver.hpp"
 #include "gang_test_util.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -80,6 +81,26 @@ TEST(VarianceOfN, GrowsWithLoad) {
     for (const auto& r : rep.per_class) total_var += r.var_jobs;
     EXPECT_GT(total_var, prev) << "lambda=" << lambda;
     prev = total_var;
+  }
+}
+
+// The per-class solves admit R from (I-R)^{-1} e and run no power
+// iteration: a Figure 2 answer with L classes computes sp(R) exactly L
+// times, once per class for its report, however many iterations the
+// fixed point takes — and reports the power iteration's value.
+TEST(GangSolver, PowerIterationRunsOncePerClassPerAnswer) {
+  const SystemParams sys = gt::paper_system(0.4, 1.0);
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  gs::obs::reset();
+  const SolveReport report = GangSolver(sys).solve();
+  const gs::obs::Snapshot snap = gs::obs::snapshot();
+  gs::obs::configure({});
+  ASSERT_GT(report.iterations, 1);
+  EXPECT_EQ(snap.counter_value("linalg.spectral_radius.calls"),
+            sys.num_classes());
+  for (const ClassResult& c : report.per_class) {
+    EXPECT_GT(c.sp_r, 0.0);
+    EXPECT_LT(c.sp_r, 1.0);
   }
 }
 

@@ -170,11 +170,29 @@ std::string sweep_line(int points, const std::string& id,
   return req.dump();
 }
 
-// A sweep that holds the only executor far longer than the tests' 200 ms
-// head start: 96 quantum means in [0.6, 5.35], about 1.2 s in a Release
-// build on a 4-core x86-64 host, and longer under sanitizers.
+// A sweep that holds the only executor far longer than the few requests
+// a test sends behind it take: 96 quantum means in [0.6, 5.35], about
+// 0.4 s in a Release build on one thread of a shared 4-core x86-64 host,
+// and longer under sanitizers. Tests wait until it holds its queue slot
+// (wait_for_inflight) instead of sleeping a guessed head start.
 std::string blocker_line() {
   return sweep_line(/*points=*/96, "blocker", /*spacing=*/0.05);
+}
+
+// Block until the server's dispatcher has `n` requests holding a queue
+// slot — the counter the stats op reports as net.inflight, read directly
+// because a stats request would itself queue behind a blocked executor.
+// Returns false after 30 s.
+bool wait_for_inflight(TestServer& server, std::int64_t n) {
+  const gs::serve::NetStats* net = server.service().net_stats();
+  if (net == nullptr) return false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (net->inflight.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // ----------------------------------------------------------- the tests
@@ -242,8 +260,8 @@ TEST(EventLoopDaemon, IdenticalConcurrentSolvesCoalesceToOneExecution) {
   Client blocker;
   blocker.connect(server.port());
   blocker.send_line(blocker_line());
-  // Give the loop time to admit the sweep and occupy the one executor.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // The sweep is admitted: every solve below queues behind it.
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   constexpr int kIdentical = 6;
   std::vector<Client> clients(kIdentical);
@@ -295,7 +313,7 @@ TEST(EventLoopDaemon, OverloadShedsWithStructuredErrors) {
   Client blocker;
   blocker.connect(server.port());
   blocker.send_line(blocker_line());
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   constexpr int kOffered = 4;
   std::vector<Client> clients(kOffered);
@@ -315,11 +333,10 @@ TEST(EventLoopDaemon, OverloadShedsWithStructuredErrors) {
   EXPECT_EQ(shed_ids.size(), kOffered);
 
   // The blocker finishes, the queue drains, and a shed client's retry
-  // succeeds on the same connection. (The executor releases the
-  // admission slot just after queueing the blocker's response, so give
-  // it a beat before retrying.)
+  // succeeds on the same connection. The executor releases the
+  // admission slot before it queues the blocker's response, so the retry
+  // may follow that response at once.
   EXPECT_FALSE(blocker.recv_line().empty());
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const Json retry = clients[0].request(solve_line(0.30, "retry"));
   EXPECT_EQ(retry.find("error"), nullptr);
   EXPECT_EQ(retry.at("id").as_string(), "retry");
@@ -346,7 +363,7 @@ TEST(EventLoopDaemon, ControlOpsBypassAdmissionControl) {
   Client blocker;
   blocker.connect(server.port());
   blocker.send_line(blocker_line());
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   // A solve behind the blocker is shed...
   Client shed;
@@ -400,6 +417,8 @@ TEST(EventLoopDaemon, PipelinedAndSplitWritesFrameCorrectly) {
 
   const std::string c = solve_line(0.33, "c");
   client.send_raw(c.substr(0, 10));
+  // Only makes the split likely to arrive as two reads; the framing the
+  // test checks is right for any timing.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   client.send_raw(c.substr(10));
   client.send_raw("\n");
@@ -464,7 +483,7 @@ TEST(EventLoopDaemon, ShutdownDrainsInFlightWork) {
   Client busy;
   busy.connect(server.port());
   busy.send_line(sweep_line(/*points=*/4, "slow"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   server.stop();  // shutdown while the sweep is mid-flight
 
@@ -491,7 +510,7 @@ TEST(EventLoopDaemon, HitIsAnsweredWhileTheOnlyWorkerIsBusy) {
   Client blocker;
   blocker.connect(server.port());
   blocker.send_line(blocker_line());
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   const Json hit = client.request(solve_line(0.30, "hit"));
   EXPECT_EQ(hit.at("id").as_string(), "hit");
@@ -558,7 +577,7 @@ TEST(EventLoopDaemon, FullQueueStillAnswersHitsButShedsMisses) {
   Client blocker;
   blocker.connect(server.port());
   blocker.send_line(blocker_line());
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(wait_for_inflight(server, 1));
 
   const Json hit = client.request(solve_line(0.30, "hit"));
   EXPECT_EQ(hit.find("error"), nullptr) << hit.dump();

@@ -65,7 +65,7 @@ void expect_matches_oracle(const QbdProcess& process) {
   const std::vector<Vector> ref = qt::dense_boundary(process, rres.r);
   ASSERT_EQ(sol.boundary_levels(), ref.size());
   EXPECT_LE(boundary_error(sol, ref), kRel);
-  const QbdSolution oracle(ref, rres.r, sol.spectral_radius_r());
+  const QbdSolution oracle(ref, rres.r);
   EXPECT_LE(rel(sol.mean_level(), oracle.mean_level()), kRel);
   EXPECT_NEAR(sol.total_mass(), 1.0, 1e-12);
 }
