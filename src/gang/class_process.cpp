@@ -180,6 +180,8 @@ void ClassProcess::install() {
   // and a program pays for its compilation over several replays.
   auto [it, first_sight] = programs_.try_emplace(m_f_);
   Compiled& c = it->second;
+  const bool live_order = process_ && live_order_ == m_f_;
+  live_order_ = m_f_;
   if (first_sight) {
     c.support = support_;
     process_.emplace(build());
@@ -200,12 +202,20 @@ void ClassProcess::install() {
     }
     return;
   }
-  // Compile for every source seen nonzero at this order, evaluate every
-  // transition once, then seal the program against that evaluation.
+  // Compile for every source seen nonzero at this order and seal the
+  // program against an evaluation of it. A live process of this order
+  // is one: its cells outside the program's reach hold constant rates
+  // only, and the support only grows, so they are the program's
+  // constant cells. Else evaluate every transition once.
   c.program.emplace(compile(c.support));
-  process_.emplace(*c.program, buf);
-  c.program->seal(process_->blocks());
   c.id = live_id_ = ++compiled_;
+  if (live_order) {
+    c.program->seal(process_->blocks());
+    process_->revalue(*c.program, buf);
+  } else {
+    process_.emplace(*c.program, buf);
+    c.program->seal(process_->blocks());
+  }
 }
 
 std::size_t ClassProcess::level_dim(std::size_t level) const {

@@ -241,6 +241,7 @@ class ClassProcess {
   };
   std::map<std::size_t, Compiled> programs_;
   std::uint64_t compiled_ = 0, live_id_ = 0;
+  std::size_t live_order_ = 0;  // m_f of process_
   std::vector<std::uint64_t> support_;  // scratch of install()
   std::optional<qbd::QbdProcess> process_;
   // Block elimination of -T over the uncensored serving levels 1..k,

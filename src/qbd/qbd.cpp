@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <utility>
 
@@ -14,31 +15,24 @@ namespace gs::qbd {
 
 namespace {
 
-// `items` reordered so that kLanes consecutive groups advance in turn,
-// one item each, every group keeping its own order. `group[i]` numbers
-// item i's group, groups numbered in order of first appearance.
+// `items`, which come in contiguous runs (run k is items[starts[k],
+// starts[k+1]); the last entry of `starts` is items.size()), reordered so
+// that kLanes consecutive runs advance in turn, one item each, every run
+// keeping its own order.
 template <class T>
 std::vector<T> interleave(const std::vector<T>& items,
-                          const std::vector<std::uint32_t>& group) {
-  constexpr std::uint32_t kLanes = 4;
-  std::uint32_t groups = 0;
-  for (std::uint32_t g : group) groups = std::max(groups, g + 1);
-  std::vector<std::uint32_t> first(groups + 1, 0);
-  for (std::uint32_t g : group) ++first[g + 1];
-  for (std::uint32_t g = 0; g < groups; ++g) first[g + 1] += first[g];
-  std::vector<std::uint32_t> members(items.size());
-  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
-  for (std::uint32_t i = 0; i < items.size(); ++i)
-    members[fill[group[i]]++] = i;
+                          const std::vector<std::uint32_t>& starts) {
+  constexpr std::size_t kLanes = 4;
   std::vector<T> out;
   out.reserve(items.size());
-  for (std::uint32_t g0 = 0; g0 < groups; g0 += kLanes) {
-    const std::uint32_t g1 = std::min(groups, g0 + kLanes);
+  const std::size_t runs = starts.size() - 1;
+  for (std::size_t r0 = 0; r0 < runs; r0 += kLanes) {
+    const std::size_t r1 = std::min(runs, r0 + kLanes);
     for (std::uint32_t step = 0;; ++step) {
       bool any = false;
-      for (std::uint32_t g = g0; g < g1; ++g) {
-        if (first[g] + step >= first[g + 1]) continue;
-        out.push_back(items[members[first[g] + step]]);
+      for (std::size_t r = r0; r < r1; ++r) {
+        if (starts[r] + step >= starts[r + 1]) continue;
+        out.push_back(items[starts[r] + step]);
         any = true;
       }
       if (!any) break;
@@ -105,6 +99,7 @@ void RateProgram::add(std::uint32_t block, std::size_t row, std::size_t col,
                   static_cast<std::uint32_t>(row * cols_[block] + col),
                   out == kNoOut ? static_cast<std::uint32_t>(out_slots_)
                                 : out});
+  all_rows_.push_back(static_cast<std::uint32_t>(row));
 }
 
 void RateProgram::subtract_out(std::uint32_t block, std::size_t row,
@@ -138,12 +133,15 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
     base[k + 1] = base[k] + rows_[k] * cols_[k];
   std::vector<std::uint32_t> number(base[nb], kNone);
   std::vector<Cell> cells;
-  std::vector<std::uint8_t> dynamic;  // per structural cell
-  const auto cell_of = [&](std::uint32_t block, std::uint32_t offset) {
+  std::vector<std::uint32_t> cell_row;  // per structural cell
+  std::vector<std::uint8_t> dynamic;
+  const auto cell_of = [&](std::uint32_t block, std::uint32_t offset,
+                           std::uint32_t row) {
     std::uint32_t& n = number[base[block] + offset];
     if (n == kNone) {
       n = static_cast<std::uint32_t>(cells.size());
       cells.push_back({block, offset});
+      cell_row.push_back(row);
       dynamic.push_back(0);
     }
     return n;
@@ -151,10 +149,11 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
   std::vector<std::uint8_t> dyn_out(out_slots_ + 1, 0);
   std::vector<std::uint32_t> op_cell(all_.size());
   cells.reserve(all_.size() + diags_.size());
+  cell_row.reserve(all_.size() + diags_.size());
   dynamic.reserve(all_.size() + diags_.size());
   for (std::size_t i = 0; i < all_.size(); ++i) {
     const Op& op = all_[i];
-    op_cell[i] = cell_of(op.block, op.offset);
+    op_cell[i] = cell_of(op.block, op.offset, all_rows_[i]);
     if (op.src != 0) {
       dynamic[op_cell[i]] = 1;
       dyn_out[op.out] = 1;
@@ -162,7 +161,10 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
   }
   dyn_out[sink_slot] = 0;
   for (const Diagonal& dg : diags_) {
-    const std::uint32_t c = cell_of(dg.cell.block, dg.cell.offset);
+    // A diagonal cell (r, r) sits at offset r * (cols + 1).
+    const auto row = static_cast<std::uint32_t>(
+        dg.cell.offset / (cols_[dg.cell.block] + 1));
+    const std::uint32_t c = cell_of(dg.cell.block, dg.cell.offset, row);
     if (dyn_out[dg.out]) dynamic[c] = 1;
   }
 
@@ -173,31 +175,33 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
   // interleave only if no cell is written from two runs; else the replay
   // keeps the added order.
   std::vector<Op> replay;
-  std::vector<std::uint32_t> chain;
+  std::vector<std::uint32_t> chain, starts;
   replay.reserve(all_.size());
   chain.reserve(all_.size());
   std::vector<std::uint32_t> cell_chain(cells.size(), kNone);
   bool separable = true;
-  std::uint32_t run_slot = kNone, runs = 0;
+  std::uint32_t run_slot = kNone;
   for (std::size_t i = 0; i < all_.size(); ++i) {
     const Op& op = all_[i];
     const bool cell = dynamic[op_cell[i]] != 0;
     const bool acc = dyn_out[op.out] != 0;
     if (!cell && !acc) continue;
-    if (runs == 0 || (op.out != sink_slot && op.out != run_slot)) {
-      ++runs;
+    if (starts.empty() || (op.out != sink_slot && op.out != run_slot)) {
+      starts.push_back(static_cast<std::uint32_t>(replay.size()));
       if (op.out != sink_slot) run_slot = op.out;
     }
+    const auto run = static_cast<std::uint32_t>(starts.size() - 1);
     if (cell) {
       std::uint32_t& owner = cell_chain[op_cell[i]];
-      if (owner == kNone) owner = runs - 1;
-      separable = separable && owner == runs - 1;
+      if (owner == kNone) owner = run;
+      separable = separable && owner == run;
     }
     replay.push_back({op.coef, op.src,
                       static_cast<std::uint16_t>(cell ? op.block : nb), 0,
                       cell ? op.offset : 0, acc ? op.out : sink_slot});
-    chain.push_back(runs - 1);
+    chain.push_back(run);
   }
+  starts.push_back(static_cast<std::uint32_t>(replay.size()));
   // A run's accumulator must not reappear in a later run either.
   std::vector<std::uint32_t> slot_chain(out_slots_ + 1, kNone);
   for (std::size_t i = 0; separable && i < replay.size(); ++i) {
@@ -206,7 +210,7 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
     if (owner == kNone) owner = chain[i];
     separable = owner == chain[i];
   }
-  replay_ = separable ? interleave(replay, chain) : std::move(replay);
+  replay_ = separable ? interleave(replay, starts) : std::move(replay);
   // Each rewritten cell starts from +0.0 at its first write, a
   // transition or else its diagonal fix-up (interleaving kept each
   // cell's order, so the first write is the same either way).
@@ -224,79 +228,91 @@ void RateProgram::seal(const QbdBlocks& evaluated) {
     dyn_diags_.push_back(dg);
   }
 
-  // Generator rows: boundary row (i, r) at off[i] + r, made of row r of
-  // D_i, U_i and L_{i-1}; level-b row r at D + r (B11, A0, L_{b-1});
-  // repeating row r at D + d + r (A0, A1, A2). A constant cell keeps its
-  // evaluated value; a rewritten one becomes a row term of each row it
-  // is in.
+  // Generator rows: boundary row (i, r), made of row r of D_i, U_i and
+  // L_{i-1}; level-b row r (B11, A0, L_{b-1}); repeating row r (A0, A1,
+  // A2). The structural cells, bucketed by block row, give each row's
+  // cells: a constant one keeps its evaluated value (recorded once, from
+  // its first row), a rewritten one becomes a row term.
   const std::size_t b = id.b;
-  std::vector<std::size_t> off(b + 1, 0);
-  for (std::size_t i = 0; i < b; ++i) off[i + 1] = off[i] + level_dims_[i];
-  const std::size_t D = off[b];
-  const std::size_t n_rows = D + 2 * d_;
-  std::vector<double> row_sum(n_rows, 0.0);
-  std::vector<std::uint8_t> touched(n_rows, 0);
+  std::vector<std::uint32_t> row_base(nb + 1, 0);
+  for (std::uint32_t k = 0; k < nb; ++k)
+    row_base[k + 1] = row_base[k] + static_cast<std::uint32_t>(rows_[k]);
+  std::vector<std::uint32_t> bucket(row_base[nb] + 1, 0);
+  for (std::uint32_t c = 0; c < cells.size(); ++c)
+    ++bucket[row_base[cells[c].block] + cell_row[c] + 1];
+  for (std::size_t j = 0; j + 1 < bucket.size(); ++j) bucket[j + 1] += bucket[j];
+  std::vector<std::uint32_t> by_row(cells.size());
+  {
+    std::vector<std::uint32_t> fill(bucket.begin(), bucket.end() - 1);
+    for (std::uint32_t c = 0; c < cells.size(); ++c)
+      by_row[fill[row_base[cells[c].block] + cell_row[c]]++] = c;
+  }
   std::vector<RowTerm> terms;
-  std::vector<std::uint32_t> term_row;
-  for (std::uint32_t c = 0; c < cells.size(); ++c) {
-    const Cell cell = cells[c];
-    const std::uint32_t k = cell.block;
-    const auto nc = static_cast<std::uint32_t>(cols_[k]);
-    const std::uint32_t r = cell.offset / nc;  // 32-bit: the cheap divide
-    std::size_t gen[2];
-    int n_gen = 0;
-    std::uint32_t scales = 1;
-    if (k < b) {
-      gen[n_gen++] = off[k] + r;
-    } else if (k < 2 * b) {
-      gen[n_gen++] = off[k - b] + r;
-      scales = 0;
-    } else if (k < 3 * b) {
-      const std::size_t level = k - 2 * b + 1;
-      gen[n_gen++] = level < b ? off[level] + r : D + r;
-      scales = 0;
-    } else if (k == id.b11()) {
-      gen[n_gen++] = D + r;
-    } else if (k == id.a0()) {
-      gen[n_gen++] = D + r;
-      gen[n_gen++] = D + d_ + r;
-    } else {
-      gen[n_gen++] = D + d_ + r;
-    }
-    if (dynamic[c]) {
-      for (int j = 0; j < n_gen; ++j) {
-        touched[gen[j]] = 1;
-        terms.push_back({cell, static_cast<std::uint32_t>(gen[j]), scales});
-        term_row.push_back(static_cast<std::uint32_t>(gen[j]));
+  std::vector<std::uint32_t> term_starts;
+  std::vector<std::uint8_t> recorded(cells.size(), 0);
+  terms.reserve(cells.size());
+  static_cells_.reserve(cells.size());
+  const auto has_diagonal = [&](std::uint32_t k) {
+    return k < b || k == id.b11() || k == id.a1();
+  };
+  const auto scan_row = [&](std::uint8_t kind, std::size_t r,
+                            std::initializer_list<std::uint32_t> blocks) {
+    const auto first = static_cast<std::uint32_t>(terms.size());
+    const auto row = static_cast<std::uint32_t>(row_kind_.size());
+    double sum = 0.0;
+    for (const std::uint32_t k : blocks) {
+      // validate()'s scale reads the D_i, B11, A0, A1, A2, not U_i, L_i.
+      const std::uint32_t scales = k < b || k >= id.b11() ? 1 : 0;
+      const double* value = BlockIds::of(evaluated, k).data();
+      const std::size_t diagonal = r * cols_[k] + r;
+      const std::uint32_t key = row_base[k] + static_cast<std::uint32_t>(r);
+      for (std::uint32_t j = bucket[key]; j < bucket[key + 1]; ++j) {
+        const std::uint32_t n = by_row[j];
+        const std::uint32_t offset = cells[n].offset;
+        if (dynamic[n]) {
+          terms.push_back({{k, offset}, row, scales});
+          continue;
+        }
+        const double v = value[offset];
+        sum += v;
+        if (recorded[n]) continue;
+        recorded[n] = 1;
+        static_cells_.push_back({{k, offset}, v});
+        if (scales) static_max_abs_ = std::max(static_max_abs_, std::fabs(v));
+        if (!(has_diagonal(k) && offset == diagonal))
+          static_min_offdiag_ = std::min(static_min_offdiag_, v);
       }
-      continue;
     }
-    const double v = BlockIds::of(evaluated, k).data()[cell.offset];
-    static_cells_.push_back({cell, v});
-    for (int j = 0; j < n_gen; ++j) row_sum[gen[j]] += v;
-    if (scales) static_max_abs_ = std::max(static_max_abs_, std::fabs(v));
-    const bool has_diagonal = k < b || k == id.b11() || k == id.a1();
-    if (!(has_diagonal && r == cell.offset - r * nc))
-      static_min_offdiag_ = std::min(static_min_offdiag_, v);
-  }
-  // Number the touched rows densely; the others are checked here.
-  std::vector<std::uint32_t> row_number(n_rows, kNone);
-  for (std::size_t g = 0; g < n_rows; ++g) {
-    const std::uint8_t kind = g < D ? 0 : g < D + d_ ? 1 : 2;
-    if (touched[g]) {
-      row_number[g] = static_cast<std::uint32_t>(row_kind_.size());
+    if (terms.size() > first) {
+      term_starts.push_back(first);
       row_kind_.push_back(kind);
-      row_static_.push_back(row_sum[g]);
+      row_static_.push_back(sum);
     } else {
-      static_row_sum_[kind] =
-          std::max(static_row_sum_[kind], std::fabs(row_sum[g]));
+      static_row_sum_[kind] = std::max(static_row_sum_[kind], std::fabs(sum));
+    }
+  };
+  for (std::size_t i = 0; i < b; ++i)
+    for (std::size_t r = 0; r < level_dims_[i]; ++r) {
+      if (i > 0) {
+        scan_row(0, r, {id.diag(i), id.up(i), id.down(i - 1)});
+      } else {
+        scan_row(0, r, {id.diag(i), id.up(i)});
+      }
+    }
+  for (std::size_t r = 0; r < d_; ++r) {
+    if (b > 0) {
+      scan_row(1, r, {id.b11(), id.a0(), id.down(b - 1)});
+    } else {
+      scan_row(1, r, {id.b11(), id.a0()});
     }
   }
-  for (std::size_t j = 0; j < terms.size(); ++j)
-    terms[j].row = term_row[j] = row_number[term_row[j]];
-  row_terms_ = interleave(terms, term_row);
+  for (std::size_t r = 0; r < d_; ++r)
+    scan_row(2, r, {id.a0(), id.a1(), id.a2()});
+  term_starts.push_back(static_cast<std::uint32_t>(terms.size()));
+  row_terms_ = interleave(terms, term_starts);
 
   std::vector<Op>().swap(all_);
+  std::vector<std::uint32_t>().swap(all_rows_);
   std::vector<Diagonal>().swap(diags_);
 }
 

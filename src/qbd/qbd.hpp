@@ -99,7 +99,10 @@ struct RateBuffers {
 /// bits as any assembly that adds the same rates in the same order.
 /// Skipping a zero rate changes no bits (x + 0.0 == x for every x that is
 /// not -0.0, and a cell built from +0.0 by adding rates is never -0.0),
-/// so a producer may drop the transitions whose coefficient is zero.
+/// so a producer may drop the transitions whose coefficient is zero, and
+/// those whose source is zero in every evaluation the program is to
+/// serve; conversely a recorded transition whose source reads zero is
+/// harmless.
 class RateProgram {
  public:
   /// Out-rate slot of a transition that feeds no accumulator.
@@ -182,8 +185,10 @@ class RateProgram {
   std::vector<std::size_t> rows_, cols_;  // per block id
   bool sealed_ = false;
 
-  // Until seal: every transition and diagonal fix-up, in order.
+  // Until seal: every transition and diagonal fix-up, in order, and the
+  // block row each transition writes.
   std::vector<Op> all_;
+  std::vector<std::uint32_t> all_rows_;
   std::vector<Diagonal> diags_;
   // After seal. The transitions and the row terms are interleaved a few
   // independent chains at a time (transitions that share no cell and no
@@ -225,14 +230,14 @@ class QbdProcess {
 
   /// Re-evaluate, in place, the part of a sealed `program` that its
   /// non-constant sources reach, at new `buf.values`. `program` must be
-  /// the one this process was built from. The checks run on what can change: every
-  /// replayed rate (finite, non-negative), every source value (finite),
-  /// and the row sums of every generator row the replay touched, summed
-  /// from the program's nonzeros against validate()'s tolerance; the
-  /// constant entries, checked when the program was sealed, are re-tested
-  /// against that tolerance in O(1).
-  /// This is the fixed-point iteration's revalue path: the gang chains
-  /// keep their shapes while only the away-period rates change.
+  /// the one this process was built from. The checks run on what can
+  /// change: every replayed rate (finite, non-negative), every source
+  /// value (finite), and the row sums of every generator row the replay
+  /// touched, summed from the program's nonzeros against validate()'s
+  /// tolerance; the constant entries, checked when the program was
+  /// sealed, are re-tested against that tolerance in O(1). This is the
+  /// fixed-point iteration's revalue path: the gang chains keep their
+  /// shapes while only the away-period rates change.
   void revalue(const RateProgram& program, RateBuffers& buf);
 
   const QbdBlocks& blocks() const { return blocks_; }

@@ -183,6 +183,19 @@ PhaseType scaled_away(const SystemParams& sys, std::size_t p, double scale,
   return away_period(sys, p, slices);
 }
 
+// The same away order with more nonzero rates: every other class's slice
+// a two-phase hyperexponential (order 2, like the Erlang-2 quanta, but
+// both phases exit and both can start) with `scale` times its quantum's
+// mean.
+PhaseType h2_away(const SystemParams& sys, std::size_t p, double scale) {
+  std::vector<PhaseType> slices;
+  for (std::size_t q = 0; q < sys.num_classes(); ++q) {
+    const PhaseType h2 = gs::phase::hyperexponential({0.4, 0.6}, {0.5, 3.0});
+    slices.push_back(h2.scaled(scale * sys.cls(q).quantum.mean() / h2.mean()));
+  }
+  return away_period(sys, p, slices);
+}
+
 // The revalue path: replaying the compiled chain for 20 successive away
 // periods of one order must leave, after every step, exactly the blocks
 // the reference assembly (build) and a from-scratch construction give.
@@ -229,6 +242,33 @@ TEST(ClassProcess, UpdateAwayKeepsTheProgramOfEachAwayOrder) {
     }
     // Down, up, down, up, down, up: two orders, two compilations.
     EXPECT_EQ(compiled(), 2u);
+  }
+  gs::obs::configure({});
+}
+
+// An away period of a compiled order with a rate the program skipped
+// (zero until now) recompiles the order for both supports; the wider
+// program then serves both kinds of away period.
+TEST(ClassProcess, UpdateAwayRecompilesForANewNonzeroRate) {
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  const auto compiled = [] {
+    return gs::obs::snapshot().counter_value("gang.revalue.compiled");
+  };
+  for (const SystemParams& sys : replay_systems()) {
+    SCOPED_TRACE(sys.cls(0).name);
+    gs::obs::reset();
+    ClassProcess cp(sys, 0, scaled_away(sys, 0, 1.0));
+    const std::size_t order = cp.away_phases();
+    const std::uint64_t expected[] = {1, 2, 2, 2, 2};
+    for (int step = 1; step <= 5; ++step) {
+      const bool h2 = step % 2 == 0;
+      const double scale = 1.0 + 0.1 * step;
+      cp.update_away(h2 ? h2_away(sys, 0, scale) : scaled_away(sys, 0, scale));
+      ASSERT_EQ(cp.away_phases(), order);
+      EXPECT_EQ(compiled(), expected[step - 1]) << "step " << step;
+      expect_same_bits(cp.process().blocks(), cp.build());
+      EXPECT_NO_THROW(gs::qbd::solve(cp.process()));
+    }
   }
   gs::obs::configure({});
 }
