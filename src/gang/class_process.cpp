@@ -292,8 +292,10 @@ void ClassProcess::enumerate(Sink& sink) const {
         for (std::size_t n = 0; n < m_b_; ++n) {
           const double rate = sa0[ja] * alpha_a[ja2] * beta[n];
           if (rate == 0.0) continue;
+          Config cfg(m_b_, 0);
+          cfg[n] = 1;
           const std::size_t idx_to =
-              index(1, ja2, cfgs_.added_index(0, 0, n), m_q_ + jf);
+              index(1, ja2, cfgs_.index_of(cfg), m_q_ + jf);
           from_boundary(0, from, 1, idx_to, sink.constant(rate));
         }
       }
@@ -317,10 +319,9 @@ void ClassProcess::enumerate(Sink& sink) const {
   // (target_level, target_idx, rate) with target_idx computed in the
   // target level's own layout.
   auto enumerate_level = [&](std::size_t i, std::size_t ja,
-                             std::size_t cfg_idx, std::size_t k,
-                             auto&& emit) {
+                             const Config& cfg, std::size_t k, auto&& emit) {
     GS_ASSERT(i >= 1 && i <= c_);
-    const Config& cfg = cfgs_.configs(i)[cfg_idx];
+    const std::size_t cfg_idx = cfgs_.index_of(cfg);
     // Arrival-phase internals.
     for (std::size_t ja2 = 0; ja2 < m_a_; ++ja2) {
       if (ja2 != ja)
@@ -333,7 +334,8 @@ void ClassProcess::enumerate(Sink& sink) const {
       if (i < c_) {
         for (std::size_t n = 0; n < m_b_; ++n) {
           if (beta[n] == 0.0) continue;
-          emit(i + 1, index(i + 1, ja2, cfgs_.added_index(i, cfg_idx, n), k),
+          const Config up = cfgs_.with_added(cfg, n);
+          emit(i + 1, index(i + 1, ja2, cfgs_.index_of(up), k),
                sink.constant(base * beta[n]));
         }
       } else {
@@ -350,8 +352,8 @@ void ClassProcess::enumerate(Sink& sink) const {
           if (n2 == n) continue;
           const double rate = jobs * sb(n, n2);
           if (rate == 0.0) continue;
-          emit(i, index(i, ja, cfgs_.moved_index(i, cfg_idx, n, n2), k),
-               sink.constant(rate));
+          const Config moved = cfgs_.with_moved(cfg, n, n2);
+          emit(i, index(i, ja, cfgs_.index_of(moved), k), sink.constant(rate));
         }
         // Completion.
         const double crate = jobs * sb0[n];
@@ -362,7 +364,8 @@ void ClassProcess::enumerate(Sink& sink) const {
             emit(0, index_level0(ja, jf2), sink.phi_times(crate, jf2));
         } else {
           // A partition goes idle; no queued job to take it.
-          emit(i - 1, index(i - 1, ja, cfgs_.removed_index(i, cfg_idx, n), k),
+          const Config down = cfgs_.with_removed(cfg, n);
+          emit(i - 1, index(i - 1, ja, cfgs_.index_of(down), k),
                sink.constant(crate));
         }
       }
@@ -392,9 +395,9 @@ void ClassProcess::enumerate(Sink& sink) const {
   // Boundary-interior levels 1..c-1.
   for (std::size_t i = 1; i < c_; ++i) {
     for (std::size_t ja = 0; ja < m_a_; ++ja) {
-      for (std::size_t cfg = 0; cfg < cfgs_.count(i); ++cfg) {
+      for (const Config& cfg : cfgs_.configs(std::min(i, c_))) {
         for (std::size_t k = 0; k < w_; ++k) {
-          const std::size_t from = index(i, ja, cfg, k);
+          const std::size_t from = index(i, ja, cfgs_.index_of(cfg), k);
           enumerate_level(i, ja, cfg, k,
                           [&](std::size_t lvl, std::size_t idx, auto rate) {
                             from_boundary(i, from, lvl, idx, rate);
@@ -413,14 +416,12 @@ void ClassProcess::enumerate(Sink& sink) const {
   // out-rate (completion totals are independent of whether the freed
   // partition is refilled).
   for (std::size_t ja = 0; ja < m_a_; ++ja) {
-    for (std::size_t cfg_idx = 0; cfg_idx < cfgs_.count(c_); ++cfg_idx) {
-      const Config& cfg = cfgs_.configs(c_)[cfg_idx];
+    for (const Config& cfg : cfgs_.configs(c_)) {
       for (std::size_t k = 0; k < w_; ++k) {
-        const std::size_t from = index(c_, ja, cfg_idx, k);
+        const std::size_t from = index(c_, ja, cfgs_.index_of(cfg), k);
         const std::uint32_t out = slot(D + from);
         enumerate_level(
-            c_, ja, cfg_idx, k,
-            [&](std::size_t lvl, std::size_t idx, auto rate) {
+            c_, ja, cfg, k, [&](std::size_t lvl, std::size_t idx, auto rate) {
               if (lvl == c_) {
                 sink.emit(id.b11(), from, idx, out, rate);
                 sink.emit(id.a1(), from, idx, kNoOut, rate);
@@ -436,11 +437,12 @@ void ClassProcess::enumerate(Sink& sink) const {
           if (cfg[n] == 0) continue;
           const double crate = static_cast<double>(cfg[n]) * sb0[n];
           if (crate == 0.0) continue;
-          const std::size_t freed = cfgs_.removed_index(c_, cfg_idx, n);
           for (std::size_t n2 = 0; n2 < m_b_; ++n2) {
             if (beta[n2] == 0.0) continue;
-            const std::size_t refilled = cfgs_.added_index(c_ - 1, freed, n2);
-            sink.emit(id.a2(), from, index(c_, ja, refilled, k), kNoOut,
+            const Config refilled =
+                cfgs_.with_added(cfgs_.with_removed(cfg, n), n2);
+            sink.emit(id.a2(), from,
+                      index(c_, ja, cfgs_.index_of(refilled), k), kNoOut,
                       sink.constant(crate * beta[n2]));
           }
         }

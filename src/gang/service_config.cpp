@@ -37,59 +37,6 @@ ServiceConfigSpace::ServiceConfigSpace(std::size_t num_phases,
     for (std::size_t idx = 0; idx < bucket.size(); ++idx)
       index_[key_of(bucket[idx])] = idx;
   }
-
-  const std::size_t m = num_phases_;
-  added_.resize(max_jobs_ + 1);
-  removed_.resize(max_jobs_ + 1);
-  moved_.resize(max_jobs_ + 1);
-  for (std::size_t total = 0; total <= max_jobs_; ++total) {
-    const auto& bucket = by_total_[total];
-    added_[total].assign(bucket.size() * m, kNone);
-    removed_[total].assign(bucket.size() * m, kNone);
-    moved_[total].assign(bucket.size() * m * m, kNone);
-    for (std::size_t idx = 0; idx < bucket.size(); ++idx) {
-      const Config& cfg = bucket[idx];
-      for (std::size_t n = 0; n < m; ++n) {
-        if (total < max_jobs_)
-          added_[total][idx * m + n] =
-              static_cast<std::uint32_t>(index_of(with_added(cfg, n)));
-        if (cfg[n] == 0) continue;
-        removed_[total][idx * m + n] =
-            static_cast<std::uint32_t>(index_of(with_removed(cfg, n)));
-        for (std::size_t to = 0; to < m; ++to)
-          moved_[total][(idx * m + n) * m + to] =
-              static_cast<std::uint32_t>(index_of(with_moved(cfg, n, to)));
-      }
-    }
-  }
-}
-
-std::size_t ServiceConfigSpace::added_index(std::size_t total, std::size_t idx,
-                                            std::size_t phase) const {
-  GS_ASSERT(total < max_jobs_ && idx < by_total_[total].size() &&
-            phase < num_phases_);
-  return added_[total][idx * num_phases_ + phase];
-}
-
-std::size_t ServiceConfigSpace::removed_index(std::size_t total,
-                                              std::size_t idx,
-                                              std::size_t phase) const {
-  GS_ASSERT(total <= max_jobs_ && idx < by_total_[total].size() &&
-            phase < num_phases_);
-  const std::uint32_t out = removed_[total][idx * num_phases_ + phase];
-  GS_CHECK(out != kNone, "cannot remove a job from an empty phase");
-  return out;
-}
-
-std::size_t ServiceConfigSpace::moved_index(std::size_t total, std::size_t idx,
-                                            std::size_t from,
-                                            std::size_t to) const {
-  GS_ASSERT(total <= max_jobs_ && idx < by_total_[total].size() &&
-            from < num_phases_ && to < num_phases_);
-  const std::uint32_t out =
-      moved_[total][(idx * num_phases_ + from) * num_phases_ + to];
-  GS_CHECK(out != kNone, "invalid phase move");
-  return out;
 }
 
 std::uint64_t ServiceConfigSpace::key_of(const Config& cfg) const {

@@ -44,18 +44,6 @@ class ServiceConfigSpace {
   Config with_moved(const Config& cfg, std::size_t from,
                     std::size_t to) const;
 
-  /// The neighbours above by index, from tables built with the space:
-  /// the index (within its own total) of with_added, with_removed or
-  /// with_moved applied to configs(total)[idx]. The same requirements
-  /// hold (total < max_jobs to add; a job in the phase to remove or move
-  /// from).
-  std::size_t added_index(std::size_t total, std::size_t idx,
-                          std::size_t phase) const;
-  std::size_t removed_index(std::size_t total, std::size_t idx,
-                            std::size_t phase) const;
-  std::size_t moved_index(std::size_t total, std::size_t idx,
-                          std::size_t from, std::size_t to) const;
-
  private:
   std::uint64_t key_of(const Config& cfg) const;
 
@@ -63,10 +51,6 @@ class ServiceConfigSpace {
   std::size_t max_jobs_;
   std::vector<std::vector<Config>> by_total_;              // [total][idx]
   std::unordered_map<std::uint64_t, std::size_t> index_;   // key -> idx
-  // [total][idx * m_B + phase] and [total][(idx * m_B + from) * m_B + to];
-  // kNone where the neighbour does not exist.
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-  std::vector<std::vector<std::uint32_t>> added_, removed_, moved_;
 };
 
 }  // namespace gs::gang

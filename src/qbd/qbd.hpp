@@ -116,7 +116,6 @@ class RateProgram {
 
   /// The block numbering of this program's shape.
   BlockIds ids() const { return {level_dims_.size()}; }
-  std::size_t value_count() const { return value_count_; }
 
   /// Append a transition into cell (row, col) of block `block`; throws
   /// gs::InvalidArgument when the cell, slot or source is out of range.
@@ -136,10 +135,6 @@ class RateProgram {
   /// generator rows no non-constant source touches. Drops the full
   /// transition list. Call once, after the last add.
   void seal(const QbdBlocks& evaluated);
-  bool sealed() const { return sealed_; }
-
-  /// Transitions a replay re-runs.
-  std::size_t replayed_transitions() const { return replay_.size(); }
 
  private:
   friend class QbdProcess;

@@ -82,32 +82,4 @@ TEST(ServiceConfig, UnknownConfigThrows) {
   EXPECT_THROW(s.index_of(Config{5, 5}), gs::InvalidArgument);
 }
 
-// The index tables agree with index_of over the Config-valued
-// neighbours, for every configuration, phase and move.
-TEST(ServiceConfig, NeighbourIndicesMatchConfigNeighbours) {
-  for (std::size_t phases : {1u, 2u, 3u, 4u}) {
-    const std::size_t max_jobs = 5;
-    const ServiceConfigSpace s(phases, max_jobs);
-    for (std::size_t t = 0; t <= max_jobs; ++t) {
-      for (std::size_t idx = 0; idx < s.count(t); ++idx) {
-        const Config& cfg = s.configs(t)[idx];
-        for (std::size_t n = 0; n < phases; ++n) {
-          if (t < max_jobs)
-            EXPECT_EQ(s.added_index(t, idx, n),
-                      s.index_of(s.with_added(cfg, n)));
-          if (cfg[n] == 0) {
-            EXPECT_THROW(s.removed_index(t, idx, n), gs::InvalidArgument);
-            continue;
-          }
-          EXPECT_EQ(s.removed_index(t, idx, n),
-                    s.index_of(s.with_removed(cfg, n)));
-          for (std::size_t to = 0; to < phases; ++to)
-            EXPECT_EQ(s.moved_index(t, idx, n, to),
-                      s.index_of(s.with_moved(cfg, n, to)));
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
