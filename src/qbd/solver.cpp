@@ -261,8 +261,8 @@ QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
 
   // Admission (see solve_with_r's contract): (I-R)^{-1} e, which the
   // normalization row needs anyway, is positive iff sp(R) < 1. A singular
-  // I - R keeps its LU error for where the inverse used to be formed, so
-  // a reducible boundary still reports first.
+  // I - R rethrows its LU error after the level reduction, so a reducible
+  // boundary reports its own error first.
   Matrix i_minus_r_inv;
   Vector tail_weights;
   std::exception_ptr inverse_error;
