@@ -598,20 +598,41 @@ ClassProcess::ArrivalView ClassProcess::arrival_view(
 }
 
 ClassProcess::TruncScan ClassProcess::truncation_scan(
-    const qbd::QbdSolution& sol, const TruncationOptions& trunc) const {
+    const qbd::QbdSolution& sol, const TruncationOptions& trunc,
+    Vector& xi) const {
   // Truncation depth: deep enough that the remaining geometric tail is
   // below tail_eps. The lazy scan consumes the identical incremental
   // dot/multiply chain as the eager tail_mass_sequence did, but stops
   // paying the O(d^2) advance at l_max instead of always walking out to
   // max_levels — the old scan's dominant cost at moderate loads.
+  //
+  // Slice beginnings (the initial vector xi of Theorem 4.3) are the flow
+  // through the away-exit transitions; the level-0 flow is the atom
+  // (zero-length slice). Levels 1..b come from the boundary vectors, and
+  // each level b+k above from the scan's own pi_b R^k, the vector it has
+  // just weighed: one carried vector, advanced one multiply per level,
+  // serves both the depth test and xi.
+  const std::size_t b = sol.boundary_levels() - 1;
+  GS_ASSERT(b == c_);  // the class chain's boundary is levels 0..c_
+  TruncScan out;
+  const Vector& sf0 = away_.exit_rates();
+  const Vector& pi0 = sol.boundary_level(0);
+  for (std::size_t ja = 0; ja < m_a_; ++ja)
+    for (std::size_t jf = 0; jf < m_f_; ++jf)
+      out.atom_flow += pi0[index_level0(ja, jf)] * sf0[jf];
+  xi.clear();
+  for (std::size_t i = 1; i <= b; ++i)
+    add_slice_starts(sol.boundary_level(i), i, xi);
+
   qbd::QbdSolution::TailScan scan = sol.tail_scan();
   scan.next();  // entry 0 (tail at the last boundary level): never tested
-  TruncScan out;
   out.l_max = c_ + 1;
   out.cap_tail = scan.next();
+  add_slice_starts(scan.level_vector(), out.l_max, xi);
   while (out.l_max < trunc.max_levels && out.cap_tail > trunc.tail_eps) {
     ++out.l_max;
     out.cap_tail = scan.next();
+    add_slice_starts(scan.level_vector(), out.l_max, xi);
   }
   if (out.cap_tail > trunc.tail_eps && out.cap_tail <= trunc.saturated_tail) {
     log::debug("effective quantum truncation capped at ", trunc.max_levels,
@@ -779,70 +800,73 @@ void ClassProcess::serving_row(std::size_t level, bool censored,
   }
 }
 
-double ClassProcess::slice_start_vector(const qbd::QbdSolution& sol,
-                                        std::size_t l_max, Vector& xi) const {
+void ClassProcess::add_slice_starts(const Vector& pi, std::size_t level,
+                                    Vector& xi) const {
   const Vector& alpha_g = quantum_.alpha();
   const Vector& sf0 = away_.exit_rates();
-
-  // Initial vector xi: the Palm distribution of slice beginnings — flow
-  // through the away-exit transitions, split by the quantum's initial
-  // vector; the level-0 flow is the atom (zero-length slice).
-  std::size_t total_dim = 0;
-  for (std::size_t i = 1; i <= l_max; ++i) total_dim += serving_dim(i);
-  xi.assign(total_dim, 0.0);
-  double atom_flow = 0.0;
-  {
-    const Vector& pi0 = sol.boundary_level(0);
-    for (std::size_t ja = 0; ja < m_a_; ++ja)
+  const std::size_t block_off = xi.size();
+  xi.resize(block_off + serving_dim(level), 0.0);
+  const std::size_t s = std::min(level, c_);
+  for (std::size_t ja = 0; ja < m_a_; ++ja) {
+    for (std::size_t cfg = 0; cfg < cfgs_.count(s); ++cfg) {
+      double flow = 0.0;
       for (std::size_t jf = 0; jf < m_f_; ++jf)
-        atom_flow += pi0[index_level0(ja, jf)] * sf0[jf];
-  }
-  // Walk the levels with one carried pi_b R^k vector: level(i) recomputes
-  // the whole power chain from pi_b each call, and advancing the carried
-  // vector one multiply per level consumes the identical chain, so the
-  // bits match while the cost drops from O(l_max^2 d^2) to O(l_max d^2).
-  const std::size_t b = sol.boundary_levels() - 1;
-  Vector carried;
-  std::size_t block_off = 0;
-  for (std::size_t i = 1; i <= l_max; ++i) {
-    const Vector* pi;
-    if (i <= b) {
-      pi = &sol.boundary_level(i);
-    } else {
-      carried = i == b + 1 ? sol.boundary_level(b) * sol.r()
-                           : carried * sol.r();
-      pi = &carried;
+        flow += pi[index(level, ja, cfg, m_q_ + jf)] * sf0[jf];
+      if (flow == 0.0) continue;
+      for (std::size_t kq = 0; kq < m_q_; ++kq)
+        xi[block_off + serving_index(level, ja, cfg, kq)] +=
+            flow * alpha_g[kq];
     }
-    const std::size_t s = std::min(i, c_);
-    for (std::size_t ja = 0; ja < m_a_; ++ja) {
-      for (std::size_t cfg = 0; cfg < cfgs_.count(s); ++cfg) {
-        double flow = 0.0;
-        for (std::size_t jf = 0; jf < m_f_; ++jf)
-          flow += (*pi)[index(i, ja, cfg, m_q_ + jf)] * sf0[jf];
-        if (flow == 0.0) continue;
-        for (std::size_t kq = 0; kq < m_q_; ++kq)
-          xi[block_off + serving_index(i, ja, cfg, kq)] += flow * alpha_g[kq];
-      }
-    }
-    block_off += serving_dim(i);
   }
-  return atom_flow;
+}
+
+const ClassProcess::RepeatingRows& ClassProcess::repeating_rows() {
+  if (!repeating_rows_) {
+    RepeatingRows& rows = repeating_rows_.emplace();
+    serving_row(c_ + 1, /*censored=*/false, rows.lower, rows.diag,
+                rows.upper);
+    rows.lower *= -1.0;
+    rows.diag *= -1.0;
+    rows.upper *= -1.0;
+    Matrix lower, upper;
+    serving_row(c_ + 1, /*censored=*/true, lower, rows.censored_diag, upper);
+    rows.censored_diag *= -1.0;
+  }
+  return *repeating_rows_;
+}
+
+void ClassProcess::grow_serving_factor(std::size_t levels) {
+  // Rows 1..c_ differ level by level and are assembled as pushed (each
+  // once per object); every row above c_ is the same block row.
+  Matrix lower, diag, upper;
+  while (serving_factor_.levels() < levels) {
+    const std::size_t level = serving_factor_.levels() + 1;
+    if (level > c_) {
+      const RepeatingRows& rows = repeating_rows();
+      serving_factor_.push(rows.lower, rows.diag, rows.upper);
+      continue;
+    }
+    serving_row(level, /*censored=*/false, lower, diag, upper);
+    lower *= -1.0;
+    diag *= -1.0;
+    upper *= -1.0;
+    serving_factor_.push(lower, diag, upper);
+  }
 }
 
 EffectiveQuantum ClassProcess::effective_quantum(
     const qbd::QbdSolution& sol, const TruncationOptions& trunc,
     bool want_exact) {
   obs::count("gang.effq.calls");
-  const TruncScan scan = truncation_scan(sol, trunc);
+  Vector& xi = xi_;
+  const TruncScan scan = truncation_scan(sol, trunc, xi);
   const std::size_t l_max = scan.l_max;
   if (scan.cap_tail > trunc.saturated_tail) {
     log::debug("effective quantum saturated (tail mass ", scan.cap_tail,
                " at the level cap); using the full quantum");
     return saturated_quantum(sol, l_max, want_exact);
   }
-
-  Vector xi;
-  const double atom_flow = slice_start_vector(sol, l_max, xi);
+  const double atom_flow = scan.atom_flow;
   const std::size_t total_dim = xi.size();
 
   double total_flow = atom_flow;
@@ -855,31 +879,32 @@ EffectiveQuantum ClassProcess::effective_quantum(
   out.atom = atom_flow / total_flow;
   out.truncation_levels = l_max;
 
-  // Eliminate -T's uncensored levels up to the cut (only the levels no
-  // earlier call reached), then factor the censored last level alone.
-  Matrix lower, diag, upper;
-  const std::size_t factored = serving_factor_.levels();
-  while (serving_factor_.levels() < l_max) {
-    serving_row(serving_factor_.levels() + 1, /*censored=*/false, lower, diag,
-                upper);
-    lower *= -1.0;
-    diag *= -1.0;
-    upper *= -1.0;
-    serving_factor_.push(lower, diag, upper);
+  // Moments via two solves with -T: E[T~^k] = k! xi (-T)^{-k} e. The
+  // solves depend on the depth alone; a depth other than the kept one
+  // eliminates -T's uncensored levels up to the cut (only the levels no
+  // earlier call reached), factors the censored last level alone, and
+  // replaces the kept pair.
+  if (l_max == kept_depth_) {
+    obs::count("gang.effq.depth_reused");
+  } else {
+    const std::size_t factored = serving_factor_.levels();
+    grow_serving_factor(l_max);
+    obs::count("gang.effq.levels_factored",
+               serving_factor_.levels() - factored);
+    kept_depth_ = 0;  // a throw below leaves no stale pair behind
+    // The cut is above level c_ (truncation_scan starts at c_ + 1), where
+    // the censored row is the same at every depth.
+    const linalg::BlockTridiagFactor::Truncated neg_t =
+        serving_factor_.truncate(l_max, repeating_rows().censored_diag);
+    neg_t.solve_into(linalg::ones(total_dim), kept_v1_);
+    neg_t.solve_into(kept_v1_, kept_v2_);
+    kept_depth_ = l_max;
   }
-  obs::count("gang.effq.levels_factored", serving_factor_.levels() - factored);
-  serving_row(l_max, /*censored=*/true, lower, diag, upper);
-  diag *= -1.0;
-  const linalg::BlockTridiagFactor::Truncated neg_t =
-      serving_factor_.truncate(l_max, diag);
-
-  // Moments via two solves with -T: E[T~^k] = k! xi (-T)^{-k} e.
-  const Vector v1 = neg_t.solve(linalg::ones(total_dim));
-  out.m1 = linalg::dot(xi, v1);
-  const Vector v2 = neg_t.solve(v1);
-  out.m2 = 2.0 * linalg::dot(xi, v2);
+  out.m1 = linalg::dot(xi, kept_v1_);
+  out.m2 = 2.0 * linalg::dot(xi, kept_v2_);
 
   if (want_exact) {
+    Matrix lower, diag, upper;
     Matrix t(total_dim, total_dim);
     std::size_t roff = 0;
     for (std::size_t i = 1; i <= l_max; ++i) {

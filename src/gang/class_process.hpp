@@ -167,8 +167,12 @@ class ClassProcess {
   /// The serving-state generator T depends on the arrival, service and
   /// quantum laws and c_p but never on the away period, so its block
   /// elimination is kept for the object's life (across update_away) and
-  /// only grown when a call truncates deeper than any before. Not safe to
-  /// call concurrently on one object.
+  /// only grown when a call truncates deeper than any before; its rows
+  /// above level c_p, all alike, are assembled once. (-T_n)^{-1} e and
+  /// (-T_n)^{-2} e are kept for the last depth n, so a call that cuts at
+  /// the previous call's depth pays for the tail scan and two dot products
+  /// with its slice-start vector (counted as gang.effq.depth_reused). Not
+  /// safe to call concurrently on one object.
   EffectiveQuantum effective_quantum(const qbd::QbdSolution& sol,
                                      const TruncationOptions& trunc = {},
                                      bool want_exact = false);
@@ -195,11 +199,15 @@ class ClassProcess {
   struct TruncScan {
     std::size_t l_max = 0;    // truncation depth the scan settled on
     double cap_tail = 0.0;    // tail mass at that depth
+    double atom_flow = 0.0;   // slice-start flow at level 0 (the atom)
   };
-  // Incremental tail-mass scan for the truncation depth (the lazy twin
-  // of the old eager tail_mass_sequence scan, same consumed bits).
+  // One walk over the levels: the incremental tail-mass scan for the
+  // truncation depth (the lazy twin of the old eager tail_mass_sequence
+  // scan, same consumed bits) also fills the unnormalized slice-start
+  // vector xi (levels 1..l_max) from each level vector it weighs.
   TruncScan truncation_scan(const qbd::QbdSolution& sol,
-                            const TruncationOptions& trunc) const;
+                            const TruncationOptions& trunc,
+                            linalg::Vector& xi) const;
   // Theorem 4.1's saturated regime: atom from the captured slice-start
   // flow, moments of the full quantum.
   EffectiveQuantum saturated_quantum(const qbd::QbdSolution& sol,
@@ -215,10 +223,19 @@ class ClassProcess {
   // are dropped from the out-rate and it has no upper block.
   void serving_row(std::size_t level, bool censored, linalg::Matrix& lower,
                    linalg::Matrix& diag, linalg::Matrix& upper) const;
-  // Fill the unnormalized slice-start vector xi (sized for l_max levels)
-  // and return the level-0 atom flow.
-  double slice_start_vector(const qbd::QbdSolution& sol, std::size_t l_max,
-                            linalg::Vector& xi) const;
+  // Append level `level`'s block of the unnormalized slice-start vector
+  // to xi: the away-exit flow out of the level vector `pi`, split by the
+  // quantum's initial vector.
+  void add_slice_starts(const linalg::Vector& pi, std::size_t level,
+                        linalg::Vector& xi) const;
+  // -T's block rows above level c_ (see repeating_rows_), assembled on
+  // first use.
+  struct RepeatingRows {
+    linalg::Matrix lower, diag, upper, censored_diag;
+  };
+  const RepeatingRows& repeating_rows();
+  // Grow serving_factor_ to `levels` rows of -T.
+  void grow_serving_factor(std::size_t levels);
 
   std::size_t p_;
   std::size_t c_;        // partitions (P / g)
@@ -244,9 +261,20 @@ class ClassProcess {
   std::size_t live_order_ = 0;  // m_f of process_
   std::vector<std::uint64_t> support_;  // scratch of install()
   std::optional<qbd::QbdProcess> process_;
+  // Theorem 4.3's serving chain T never sees F_p, so all below but the
+  // xi_ scratch is kept across update_away.
   // Block elimination of -T over the uncensored serving levels 1..k,
   // grown on demand by effective_quantum.
   linalg::BlockTridiagFactor serving_factor_;
+  // -T's block row at every level above c_ (they are all the same
+  // matrices) and the censored last row's diagonal there, assembled once.
+  std::optional<RepeatingRows> repeating_rows_;
+  // (-T_n)^{-1} e and (-T_n)^{-2} e for the last truncation depth n
+  // solved (0: none yet). Only that one depth is kept, so the memory
+  // stays that of one solve however the depth moves.
+  std::size_t kept_depth_ = 0;
+  linalg::Vector kept_v1_, kept_v2_;
+  linalg::Vector xi_;  // scratch: the slice-start vector of a call
 };
 
 }  // namespace gs::gang

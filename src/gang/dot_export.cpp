@@ -71,7 +71,11 @@ std::size_t write_dot(std::ostream& os, const ClassProcess& chain,
   const linalg::Matrix q = chain.process().corner(repeating + 1);
 
   auto node_name = [](std::size_t level, std::size_t local) {
-    return "s" + std::to_string(level) + "_" + std::to_string(local);
+    std::string name = "s";
+    name += std::to_string(level);
+    name += '_';
+    name += std::to_string(local);
+    return name;
   };
   auto level_of = [&](std::size_t global) {
     std::size_t lvl = 0;

@@ -2,15 +2,14 @@
 
 #include <algorithm>
 
-#include "linalg/gemm.hpp"
 #include "util/error.hpp"
 
 namespace gs::linalg {
 
 namespace {
 
-constexpr std::size_t MR = kGemmMr;
-constexpr std::size_t NR = kGemmNr;
+constexpr std::size_t MR = kBatchGemmMr;
+constexpr std::size_t NR = kBatchGemmNr;
 
 // One MR x NR tile of W-wide lane accumulators over a panel's retained
 // k-slices — the batch twin of gemm.cpp's micro_kernel. Per lane and per

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 
 namespace gs::linalg {
@@ -34,6 +33,13 @@ namespace gs::linalg {
 /// per lane) fixed-size. 16 lanes of doubles fill two cache lines — wider
 /// batches stop paying anyway because the working set scales with W.
 constexpr std::size_t kMaxBatchLanes = 16;
+
+/// Rows per packed A panel / columns per packed B panel of the batched
+/// GEMM's register tile. The batch kernel walks each tile in lane-wide
+/// register sub-tiles, so it keeps the 4 x 8 shape the scalar kernel
+/// (linalg/gemm.hpp) gave up for its own accumulator budget.
+constexpr std::size_t kBatchGemmMr = 4;
+constexpr std::size_t kBatchGemmNr = 8;
 
 /// Which lanes of a batch an operation touches. Lanes outside the mask
 /// are left bit-for-bit untouched by every kernel in this header.
@@ -99,8 +105,8 @@ class BatchMatrix {
   std::vector<double> data_;
 };
 
-/// The left operand of a batched GEMM, repacked into kGemmMr-row panels
-/// of W-wide lane vectors: panel p holds rows [p*MR, p*MR + MR) k-major,
+/// The left operand of a batched GEMM, repacked into kBatchGemmMr-row
+/// panels of W-wide lane vectors: panel p holds rows [p*MR, p*MR + MR) k-major,
 /// slice t of panel p storing the MR x W doubles [t*MR*W + r*W + l], so
 /// the micro-kernel reads contiguous lane vectors. Packing keeps the
 /// scalar GemmPackA's sparsity awareness under the batch contract: a
@@ -118,10 +124,12 @@ class BatchGemmPackA {
   std::size_t rows() const { return rows_; }
   std::size_t depth() const { return depth_; }
   std::size_t width() const { return width_; }
-  std::size_t panels() const { return (rows_ + kGemmMr - 1) / kGemmMr; }
-  /// Panel p: panel_len(p) retained slices of kGemmMr * width doubles.
+  std::size_t panels() const {
+    return (rows_ + kBatchGemmMr - 1) / kBatchGemmMr;
+  }
+  /// Panel p: panel_len(p) retained slices of kBatchGemmMr * width doubles.
   const double* panel(std::size_t p) const {
-    return buf_.data() + p * depth_ * kGemmMr * width_;
+    return buf_.data() + p * depth_ * kBatchGemmMr * width_;
   }
   /// Ascending original k of each retained slice in panel p.
   const std::uint32_t* panel_k(std::size_t p) const {
@@ -139,7 +147,7 @@ class BatchGemmPackA {
   std::vector<std::uint32_t> len_;
 };
 
-/// The right operand of a batched GEMM, repacked into kGemmNr-column
+/// The right operand of a batched GEMM, repacked into kBatchGemmNr-column
 /// panels of W-wide lane vectors: value (k, c, l) of panel p lives at
 /// [k*NR*W + c*W + l], zero-padded past the column edge. No drop rule —
 /// the A-side pack owns sparsity, exactly like the scalar GemmPackB.
@@ -151,10 +159,12 @@ class BatchGemmPackB {
   std::size_t cols() const { return cols_; }
   std::size_t depth() const { return depth_; }
   std::size_t width() const { return width_; }
-  std::size_t panels() const { return (cols_ + kGemmNr - 1) / kGemmNr; }
-  /// Panel p: depth * kGemmNr * width doubles (see the class comment).
+  std::size_t panels() const {
+    return (cols_ + kBatchGemmNr - 1) / kBatchGemmNr;
+  }
+  /// Panel p: depth * kBatchGemmNr * width doubles (see the class comment).
   const double* panel(std::size_t p) const {
-    return buf_.data() + p * depth_ * kGemmNr * width_;
+    return buf_.data() + p * depth_ * kBatchGemmNr * width_;
   }
 
  private:

@@ -60,7 +60,7 @@ void BlockTridiagFactor::OffDiag::multiply(Vector& out,
   if (csr) {
     multiply_into(out, *csr, x);
   } else {
-    out = dense * x;
+    multiply_into(out, dense, x);
   }
 }
 
@@ -122,11 +122,21 @@ std::size_t BlockTridiagFactor::Truncated::size() const {
 }
 
 Vector BlockTridiagFactor::Truncated::solve(const Vector& b) const {
+  Vector x;
+  solve_into(b, x);
+  return x;
+}
+
+void BlockTridiagFactor::Truncated::solve_into(const Vector& b,
+                                               Vector& x) const {
   GS_CHECK(b.size() == size(), "rhs length mismatch");
+  GS_CHECK(&x != &b, "block tridiagonal solve_into: x aliases b");
   const std::vector<Row>& rows = f_->rows_;
   const std::vector<Lu>& pivots = f_->pivots_;
-  Vector x = b;
-  Vector seg, t;
+  x = b;
+  // Scratch shared by every level: a row's segment of x, the off-diagonal
+  // product, and the pivot solve. Each grows to the widest block once.
+  Vector seg, t, u;
   auto load = [&](std::size_t i) {
     const auto first = x.begin() + static_cast<std::ptrdiff_t>(rows[i].offset);
     seg.assign(first, first + static_cast<std::ptrdiff_t>(rows[i].dim));
@@ -139,8 +149,8 @@ Vector BlockTridiagFactor::Truncated::solve(const Vector& b) const {
   // Forward sweep, in place: y_{i+1} = b_{i+1} - L_i D'^{-1}_i y_i.
   for (std::size_t i = 0; i + 1 < n_; ++i) {
     load(i);
-    const Vector dinv_y = pivots[i].solve(seg);
-    rows[i + 1].lower.multiply(t, dinv_y);
+    pivots[i].solve_into(seg, u);
+    rows[i + 1].lower.multiply(t, u);
     double* y = x.data() + rows[i + 1].offset;
     for (std::size_t r = 0; r < t.size(); ++r) y[r] -= t[r];
   }
@@ -148,15 +158,16 @@ Vector BlockTridiagFactor::Truncated::solve(const Vector& b) const {
   // Back substitution: x_{n-1} = D'^{-1}_{n-1} y_{n-1};
   // x_i = D'^{-1}_i (y_i - U_i x_{i+1}).
   load(n_ - 1);
-  store(n_ - 1, last_.solve(seg));
+  last_.solve_into(seg, u);
+  store(n_ - 1, u);
   for (std::size_t i = n_ - 1; i-- > 0;) {
     load(i + 1);
     rows[i].upper.multiply(t, seg);
     load(i);
     for (std::size_t r = 0; r < seg.size(); ++r) seg[r] -= t[r];
-    store(i, pivots[i].solve(seg));
+    pivots[i].solve_into(seg, u);
+    store(i, u);
   }
-  return x;
 }
 
 Vector block_tridiag_solve(const std::vector<Matrix>& diag,

@@ -13,7 +13,9 @@
 // diagonal block differs. BlockTridiagFactor therefore keeps the forward
 // elimination of a growable prefix of block rows, and each depth costs one
 // LU of its replaced last pivot plus one forward/back sweep per right-hand
-// side.
+// side. A sweep runs on scratch vectors reused from level to level (no
+// heap vector per level); the caller (gang::ClassProcess) keeps the two
+// solutions of its last depth, so a depth that repeats costs no sweep.
 #pragma once
 
 #include <optional>
@@ -43,6 +45,11 @@ class BlockTridiagFactor {
     /// Solve M_n x = b; `b` is the concatenation of the per-block
     /// right-hand sides of the first n rows.
     Vector solve(const Vector& b) const;
+    /// solve() into `x`, reusing its storage; bit for bit the same. The
+    /// sweeps reuse three per-call scratch vectors across all n levels, so
+    /// a solve allocates a fixed handful of vectors, never one per level.
+    /// `x` must not alias `b`.
+    void solve_into(const Vector& b, Vector& x) const;
     /// Total dimension of the truncated system.
     std::size_t size() const;
 

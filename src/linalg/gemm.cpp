@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -13,22 +14,57 @@ namespace {
 constexpr std::size_t MR = kGemmMr;
 constexpr std::size_t NR = kGemmNr;
 
-// One MR x NR register tile over a panel's retained k-slices. Per
-// accumulator the surviving k terms arrive in ascending order, one
-// multiply and one add each — the bitwise contract (dropped slices were
-// all-zero, so their terms were no-ops). The MR*NR accumulators live in
-// registers for the whole loop; the A slices are contiguous and the B
-// rows are fetched by the slice's original k.
+// Two doubles of one vector register (an SSE2 xmm register on the x86-64
+// baseline). GCC/Clang vector arithmetic is elementwise IEEE, one rounding
+// per multiply and per add, so each lane rounds exactly as scalar code
+// would; -ffp-contract=off keeps the pairs unfused.
+typedef double V2 __attribute__((vector_size(2 * sizeof(double))));
+
+inline V2 load2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+// One MR x NR register tile over a panel's retained k-slices, stored
+// into the mr x nr corner of `out` (row stride ldo). Per accumulator the
+// surviving k terms arrive in ascending order, one multiply and one add
+// each — the bitwise contract (dropped slices were all-zero, so their
+// terms were no-ops). The accumulators are MR x NR/2 register pairs for
+// the whole depth loop (see gemm.hpp for the budget); the A slices are
+// contiguous and the B rows are fetched by the slice's original k.
+// Padded rows/columns computed +0.0 and are never stored; every loop
+// runs a fixed trip count, so the accumulators never go to memory.
 inline void micro_kernel(const double* ap, const std::uint32_t* ki,
-                         std::size_t len, const double* bp, double* acc) {
-  for (std::size_t x = 0; x < MR * NR; ++x) acc[x] = 0.0;
+                         std::size_t len, const double* bp, double* out,
+                         std::size_t ldo, std::size_t mr, std::size_t nr) {
+  static_assert(NR == 4, "the tile store below is written for 4 columns");
+  V2 acc[MR][NR / 2] = {};  // +0.0 in every lane
   for (std::size_t t = 0; t < len; ++t) {
     const double* av = ap + t * MR;
     const double* bv = bp + ki[t] * NR;
+    const V2 b0 = load2(bv);
+    const V2 b1 = load2(bv + 2);
     for (std::size_t r = 0; r < MR; ++r) {
-      const double ar = av[r];
-      double* arow = acc + r * NR;
-      for (std::size_t c = 0; c < NR; ++c) arow[c] += ar * bv[c];
+      const V2 ar = {av[r], av[r]};
+      acc[r][0] += ar * b0;
+      acc[r][1] += ar * b1;
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    if (r >= mr) break;
+    double* orow = out + r * ldo;
+    if (nr >= 2) {
+      store2(orow, acc[r][0]);
+    } else {
+      orow[0] = acc[r][0][0];
+    }
+    if (nr == 4) {
+      store2(orow + 2, acc[r][1]);
+    } else if (nr == 3) {
+      orow[2] = acc[r][1][0];
     }
   }
 }
@@ -53,7 +89,6 @@ void gemm_packed_counted(Matrix& out, const GemmPackA& a, const GemmPackB& b,
   const std::size_t n = a.rows();
   const std::size_t m = b.cols();
   out.assign_zero(n, m);
-  double acc[MR * NR];
   const std::size_t pa_count = a.panels();
   const std::size_t pb_count = b.panels();
   std::uint64_t slices = 0;
@@ -64,16 +99,12 @@ void gemm_packed_counted(Matrix& out, const GemmPackA& a, const GemmPackB& b,
     const std::uint32_t* ki = a.panel_k(pa);
     const std::size_t len = a.panel_len(pa);
     slices += len;
+    if (len == 0) continue;  // all-zero rows: out's +0.0 fill stands
     for (std::size_t pb = 0; pb < pb_count; ++pb) {
       const std::size_t j0 = pb * NR;
       const std::size_t nr = std::min(NR, m - j0);
-      micro_kernel(ap, ki, len, b.panel(pb), acc);
-      // Masked store: padded rows/columns computed +0.0 and are dropped.
-      for (std::size_t r = 0; r < mr; ++r) {
-        double* orow = out.data() + (i0 + r) * m + j0;
-        const double* arow = acc + r * NR;
-        for (std::size_t c = 0; c < nr; ++c) orow[c] = arow[c];
-      }
+      micro_kernel(ap, ki, len, b.panel(pb), out.data() + i0 * m + j0, m,
+                   mr, nr);
     }
   }
   ctr.tiles += pa_count * pb_count;
@@ -97,6 +128,27 @@ void GemmPackA::pack(const Matrix& a) {
     double* dst = buf_.data() + p * depth_ * MR;
     std::uint32_t* ki = idx_.data() + p * depth_;
     std::size_t len = 0;
+    if (mr == MR) {
+      // Full panel, branch-free: every slice is written at position len,
+      // and len advances past it only when it holds a nonzero, so an
+      // all-zero slice is overwritten by the next one (or left unread
+      // past panel_len).
+      const double* row[MR];
+      for (std::size_t r = 0; r < MR; ++r)
+        row[r] = a.data() + (i0 + r) * depth_;
+      for (std::size_t k = 0; k < depth_; ++k) {
+        double* out = dst + len * MR;
+        bool nonzero = false;
+        for (std::size_t r = 0; r < MR; ++r) {
+          out[r] = row[r][k];
+          nonzero |= row[r][k] != 0.0;
+        }
+        ki[len] = static_cast<std::uint32_t>(k);
+        len += nonzero ? 1 : 0;
+      }
+      len_[p] = static_cast<std::uint32_t>(len);
+      continue;
+    }
     for (std::size_t k = 0; k < depth_; ++k) {
       double slice[MR];
       bool nonzero = false;

@@ -13,6 +13,13 @@
 // what one log-reduction iteration needs (H and L each appear in three
 // of the four squaring products).
 //
+// The tile is 4 x 4: its 16 double accumulators fill 8 of the 16 xmm
+// registers of the x86-64 baseline (SSE2, two doubles each), leaving the
+// rest for the broadcast A value and the B row. A 4 x 8 tile needs all 16
+// registers for its accumulators alone, so the compiler spills them on
+// every k step. The narrower tile also pads the thin d x 2 products of the
+// log reduction (L, G on A2's two live columns) by 2 columns instead of 6.
+//
 // Bitwise discipline (the same contract as linalg/sparse.hpp and
 // linalg/batch.hpp): for every output element (i, j) the terms
 // a(i, k) * b(k, j) are accumulated in ascending-k order, one rounded
@@ -45,8 +52,9 @@ namespace gs::linalg {
 
 /// Rows per packed A panel / per register tile.
 constexpr std::size_t kGemmMr = 4;
-/// Columns per packed B panel / per register tile.
-constexpr std::size_t kGemmNr = 8;
+/// Columns per packed B panel / per register tile (see the file comment
+/// for the register budget).
+constexpr std::size_t kGemmNr = 4;
 
 /// The left operand of a GEMM, repacked into kGemmMr-row panels: panel p
 /// holds rows [p*MR, p*MR + MR) k-major, so the micro-kernel reads MR

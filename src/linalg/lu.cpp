@@ -76,12 +76,16 @@ void Lu::factor(const Matrix& a, double pivot_tol) {
   perm_sign_ = 1;
   const double scale = std::max(a.max_abs(), 1.0);
 
-  for (std::size_t k = 0; k < n_; ++k) {
+  // Elimination on row pointers into the packed factor: row k is the
+  // pivot row, row r the one being updated.
+  const std::size_t n = n_;
+  double* m = lu_.data();
+  for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: bring the largest remaining entry of column k up.
     std::size_t piv = k;
-    double best = std::fabs(lu_(k, k));
-    for (std::size_t r = k + 1; r < n_; ++r) {
-      const double v = std::fabs(lu_(r, k));
+    double best = std::fabs(m[k * n + k]);
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const double v = std::fabs(m[r * n + k]);
       if (v > best) {
         best = v;
         piv = r;
@@ -90,70 +94,48 @@ void Lu::factor(const Matrix& a, double pivot_tol) {
     if (best < pivot_tol * scale) {
       throw NumericalError("LU: matrix is singular to working precision");
     }
+    double* rk = m + k * n;
     if (piv != k) {
-      for (std::size_t c = 0; c < n_; ++c) std::swap(lu_(k, c), lu_(piv, c));
+      std::swap_ranges(rk, rk + n, m + piv * n);
       std::swap(perm_[k], perm_[piv]);
       perm_sign_ = -perm_sign_;
     }
-    const double inv_pivot = 1.0 / lu_(k, k);
-    for (std::size_t r = k + 1; r < n_; ++r) {
-      const double m = lu_(r, k) * inv_pivot;
-      lu_(r, k) = m;
-      if (m == 0.0) continue;
-      for (std::size_t c = k + 1; c < n_; ++c) lu_(r, c) -= m * lu_(k, c);
-    }
-  }
-
-  // Compress the off-diagonal pattern of the factor when it keeps at most
-  // half its entries: the factors of the QBD chains' -A1 blocks retain a
-  // few-percent fill, and the right-division sweeps then visit stored
-  // nonzeros only. The O(n^2) scan is negligible next to the O(n^3)
-  // factorization above.
-  std::size_t nnz = 0;
-  for (std::size_t r = 0; r < n_; ++r)
-    for (std::size_t c = 0; c < n_; ++c)
-      if (c != r && lu_(r, c) != 0.0) ++nnz;
-  factor_sparse_ = n_ > 0 && 2 * nnz <= n_ * (n_ - 1);
-  upper_ptr_.assign(1, 0);
-  lower_ptr_.assign(1, 0);
-  upper_idx_.clear();
-  lower_idx_.clear();
-  upper_val_.clear();
-  lower_val_.clear();
-  if (factor_sparse_) {
-    for (std::size_t r = 0; r < n_; ++r) {
-      for (std::size_t c = r + 1; c < n_; ++c)
-        if (lu_(r, c) != 0.0) {
-          upper_idx_.push_back(c);
-          upper_val_.push_back(lu_(r, c));
-        }
-      upper_ptr_.push_back(upper_idx_.size());
-      for (std::size_t c = 0; c < r; ++c)
-        if (lu_(r, c) != 0.0) {
-          lower_idx_.push_back(c);
-          lower_val_.push_back(lu_(r, c));
-        }
-      lower_ptr_.push_back(lower_idx_.size());
+    const double inv_pivot = 1.0 / rk[k];
+    for (std::size_t r = k + 1; r < n; ++r) {
+      double* rr = m + r * n;
+      const double mult = rr[k] * inv_pivot;
+      rr[k] = mult;
+      if (mult == 0.0) continue;
+      for (std::size_t c = k + 1; c < n; ++c) rr[c] -= mult * rk[c];
     }
   }
 }
 
-Vector Lu::solve(const Vector& b) const {
+void Lu::solve_into(const Vector& b, Vector& x) const {
   GS_CHECK(b.size() == n_, "LU solve: rhs length mismatch");
-  Vector y(n_);
+  GS_CHECK(&x != &b, "LU solve_into: x aliases b");
+  x.resize(n_);
+  const double* lu = lu_.data();
   // Forward substitution with L (unit diagonal), applying P to b.
   for (std::size_t i = 0; i < n_; ++i) {
+    const double* lrow = lu + i * n_;
     double s = b[perm_[i]];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * y[j];
-    y[i] = s;
+    for (std::size_t j = 0; j < i; ++j) s -= lrow[j] * x[j];
+    x[i] = s;
   }
   // Back substitution with U.
   for (std::size_t ii = n_; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t j = ii + 1; j < n_; ++j) s -= lu_(ii, j) * y[j];
-    y[ii] = s / lu_(ii, ii);
+    const double* urow = lu + ii * n_;
+    double s = x[ii];
+    for (std::size_t j = ii + 1; j < n_; ++j) s -= urow[j] * x[j];
+    x[ii] = s / urow[ii];
   }
-  return y;
+}
+
+Vector Lu::solve(const Vector& b) const {
+  Vector x;
+  solve_into(b, x);
+  return x;
 }
 
 Matrix Lu::solve(const Matrix& b) const {
@@ -203,49 +185,50 @@ void Lu::solve_right_into(const Matrix& b, Matrix& x) const {
   GS_CHECK(b.cols() == n_, "LU solve_right: rhs column count mismatch");
   GS_CHECK(&x != &b, "LU solve_right_into: x aliases b");
   x.assign_zero(b.rows(), n_);
-  // Right-looking sweeps: once y[j] (respectively z[j]) is final, its
-  // contribution is subtracted from every later unknown in one pass over
-  // the contiguous row j of the factor. Each inner loop is an axpy, so it
-  // vectorizes without reassociating any floating-point sum.
-  Vector y(n_), z(n_);  // scratch shared by every row
+  // When the factor keeps at most half its off-diagonal entries (the
+  // factors of the QBD chains' -A1 blocks retain a few-percent fill), the
+  // sweeps visit its nonzeros only and skip zero unknowns. The pattern is
+  // read here, its one reader, by scanning the factor once per call.
+  std::size_t nnz = 0;
+  for (std::size_t r = 0; r < n_; ++r)
+    for (std::size_t c = 0; c < n_; ++c)
+      if (c != r && lu_(r, c) != 0.0) ++nnz;
+  const bool sparse = n_ > 0 && 2 * nnz <= n_ * (n_ - 1);
+  // Right-looking sweeps: once y[j] is final, its contribution is
+  // subtracted from every later unknown in one pass over the contiguous
+  // row j of the factor. Each inner loop is an axpy, so it vectorizes
+  // without reassociating any floating-point sum.
+  Vector y(n_);  // scratch shared by every row
   for (std::size_t r = 0; r < b.rows(); ++r) {
     const double* brow = b.data() + r * n_;
     // U^T y = b (forward, with division by the U diagonal).
     for (std::size_t i = 0; i < n_; ++i) y[i] = brow[i];
-    if (factor_sparse_) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        y[j] /= lu_(j, j);
-        const double yj = y[j];
+    for (std::size_t j = 0; j < n_; ++j) {
+      const double* ujrow = lu_.data() + j * n_;
+      y[j] /= ujrow[j];
+      const double yj = y[j];
+      if (sparse) {
         if (yj == 0.0) continue;
-        for (std::size_t e = upper_ptr_[j]; e < upper_ptr_[j + 1]; ++e)
-          y[upper_idx_[e]] -= upper_val_[e] * yj;
-      }
-    } else {
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double* ujrow = lu_.data() + j * n_;
-        y[j] /= ujrow[j];
-        const double yj = y[j];
+        for (std::size_t i = j + 1; i < n_; ++i)
+          if (ujrow[i] != 0.0) y[i] -= ujrow[i] * yj;
+      } else {
         for (std::size_t i = j + 1; i < n_; ++i) y[i] -= ujrow[i] * yj;
       }
     }
-    // L^T z = y (backward, unit diagonal).
-    for (std::size_t i = 0; i < n_; ++i) z[i] = y[i];
-    if (factor_sparse_) {
-      for (std::size_t j = n_; j-- > 1;) {
-        const double zj = z[j];
+    // L^T z = y (backward, unit diagonal), in place.
+    for (std::size_t j = n_; j-- > 1;) {
+      const double* ljrow = lu_.data() + j * n_;
+      const double zj = y[j];
+      if (sparse) {
         if (zj == 0.0) continue;
-        for (std::size_t e = lower_ptr_[j]; e < lower_ptr_[j + 1]; ++e)
-          z[lower_idx_[e]] -= lower_val_[e] * zj;
-      }
-    } else {
-      for (std::size_t j = n_; j-- > 1;) {
-        const double* ljrow = lu_.data() + j * n_;
-        const double zj = z[j];
-        for (std::size_t i = 0; i < j; ++i) z[i] -= ljrow[i] * zj;
+        for (std::size_t i = 0; i < j; ++i)
+          if (ljrow[i] != 0.0) y[i] -= ljrow[i] * zj;
+      } else {
+        for (std::size_t i = 0; i < j; ++i) y[i] -= ljrow[i] * zj;
       }
     }
     double* xrow = x.data() + r * n_;
-    for (std::size_t i = 0; i < n_; ++i) xrow[perm_[i]] = z[i];
+    for (std::size_t i = 0; i < n_; ++i) xrow[perm_[i]] = y[i];
   }
 }
 

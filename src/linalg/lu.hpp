@@ -5,6 +5,12 @@
 // (e.g. (I-U)^{-1} inside logarithmic reduction), so the factorization is a
 // first-class object that can be reused across right-hand sides. Row
 // systems x A = b reuse the same factors via A^T = U^T L^T P.
+//
+// The factor is lean: factor() eliminates on row pointers into one packed
+// matrix and keeps nothing else but the permutation, because the log-
+// reduction R solve factors ~16 small pivots for each right division it
+// runs. The sparsity pattern the right division exploits is counted by
+// solve_right_into itself.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -32,6 +38,10 @@ class Lu {
 
   /// Solve A x = b (column system).
   Vector solve(const Vector& b) const;
+  /// Solve A x = b into `x`, reusing its storage (no allocation when it
+  /// already holds size() entries). Same sweeps in the same order as
+  /// solve(const Vector&), bit for bit. `x` must not alias `b`.
+  void solve_into(const Vector& b, Vector& x) const;
   /// Solve A X = B column-by-column.
   Matrix solve(const Matrix& b) const;
   /// Solve A X = B into `x`, reusing its storage (no allocation when the
@@ -48,8 +58,10 @@ class Lu {
   /// division R = A0 (-U)^{-1} that ends the log-reduction R solve,
   /// replacing an explicitly formed inverse. The sweeps run in
   /// right-looking (axpy) order over contiguous rows of the factor, so
-  /// they vectorize without FP reassociation, and when the factor kept at
-  /// most half its entries they visit stored nonzeros only.
+  /// they vectorize without FP reassociation, and when the factor keeps
+  /// at most half its off-diagonal entries they visit its nonzeros only
+  /// (the pattern is counted here, not by factor(): this is its only
+  /// reader, and it runs once per R solve against ~16 factorizations).
   /// The result is deterministic for a fixed factor but may differ from
   /// solve_left in the last ulp (update order of the back substitution is
   /// reversed; skipped +-0.0 terms). `x` must not alias `b`.
@@ -64,13 +76,6 @@ class Lu {
  private:
   std::size_t n_ = 0;
   Matrix lu_;  // packed L (unit diagonal implied) and U
-  // Off-diagonal nonzeros of the factor by row (built only when the
-  // factor is at most half dense): strictly-upper entries drive the
-  // forward right-division sweep, strictly-lower the backward one.
-  bool factor_sparse_ = false;
-  std::vector<std::size_t> upper_ptr_{0}, upper_idx_;
-  std::vector<std::size_t> lower_ptr_{0}, lower_idx_;
-  std::vector<double> upper_val_, lower_val_;
   // Row permutation: row i of PA is row perm_[i] of A.
   std::vector<std::size_t> perm_;
   int perm_sign_ = 1;

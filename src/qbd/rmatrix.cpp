@@ -90,8 +90,8 @@ RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
   span.arg("d", static_cast<std::int64_t>(d));
   obs::count("qbd.rsolve.logreduction.count");
 
-  Workspace local;
-  Workspace& w = ws ? *ws : local;
+  std::optional<Workspace> local;  // only when the caller passed none
+  Workspace& w = ws ? *ws : local.emplace();
   // Stage spans: setup (LU of -A1, H/L seeds), the squaring loop, and the
   // final R-from-G stage plus residual check.
   std::optional<obs::Span> stage;

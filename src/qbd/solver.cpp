@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <optional>
 
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
@@ -45,7 +46,8 @@ double QbdSolution::TailScan::next() {
   if (first_) {
     first_ = false;
   } else {
-    v_ = v_ * sol_.r_;
+    linalg::multiply_left_into(next_v_, v_, sol_.r_);
+    v_.swap(next_v_);
   }
   return linalg::dot(v_, w_);
 }
@@ -148,8 +150,8 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
   span.arg("boundary", static_cast<std::int64_t>(process.boundary_size()));
   span.arg("repeating", static_cast<std::int64_t>(process.repeating_size()));
   obs::count("qbd.solve.count");
-  Workspace local;
-  Workspace& w = ws ? *ws : local;
+  std::optional<Workspace> local;  // only when the caller passed none
+  Workspace& w = ws ? *ws : local.emplace();
   const QbdBlocks& blk = process.blocks();
 
   if (!opts.skip_stability_check) {
@@ -250,8 +252,8 @@ void reduce_levels(const QbdBlocks& blk, Workspace& w) {
 
 QbdSolution solve_with_r(const QbdProcess& process, const Matrix& r,
                          const SolveOptions& /*opts*/, Workspace* ws) {
-  Workspace local;
-  Workspace& w = ws ? *ws : local;
+  std::optional<Workspace> local;  // only when the caller passed none
+  Workspace& w = ws ? *ws : local.emplace();
   const QbdBlocks& blk = process.blocks();
 
   obs::Span span("qbd.boundary");

@@ -81,11 +81,16 @@ class QbdSolution {
   /// bit-for-bit the same arithmetic (one carried v = v R per step), but
   /// stops paying the O(d^2) step the moment the caller stops asking —
   /// the truncation scan in gang::ClassProcess reads ~l_max entries where
-  /// the eager sequence always computed max_levels of them.
+  /// the eager sequence always computed max_levels of them. The carried
+  /// vector advances between two buffers, so a step allocates nothing.
   class TailScan {
    public:
     /// tail_mass_from(k) where k counts prior next() calls (0-based).
     double next();
+    /// pi_{b+k} = pi_b R^k of the last next() (k as there): the level
+    /// vector the scan just weighed, bit for bit level(b + k), for callers
+    /// that walk the levels anyway. Valid until the next next().
+    const Vector& level_vector() const { return v_; }
 
    private:
     friend class QbdSolution;
@@ -93,6 +98,7 @@ class QbdSolution {
     const QbdSolution& sol_;
     Vector v_;   // pi_b R^k, advanced one multiply per next() after the first
     Vector w_;   // (I-R)^{-1} e, fixed
+    Vector next_v_;  // storage the advance writes into, swapped with v_
     bool first_ = true;
   };
 

@@ -134,10 +134,10 @@ util::Table sweep_table(const std::string& x_name,
       !points.empty() && !points.front().sim_n.empty();
   std::vector<std::string> headers = {x_name};
   for (std::size_t p = 0; p < num_classes; ++p)
-    headers.push_back("N" + std::to_string(p));
+    headers.push_back(std::string("N").append(std::to_string(p)));
   if (with_sim) {
     for (std::size_t p = 0; p < num_classes; ++p)
-      headers.push_back("sim_N" + std::to_string(p));
+      headers.push_back(std::string("sim_N").append(std::to_string(p)));
   }
   headers.push_back("note");
 

@@ -6,11 +6,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang_test_util.hpp"
+#include "obs/obs.hpp"
 #include "phase/builders.hpp"
 #include "qbd/solver.hpp"
 
@@ -70,6 +73,25 @@ TEST(EffectiveQuantum, ExactRepresentationMatchesMoments) {
   EXPECT_NEAR(ex.eq.exact->atom_at_zero(), ex.eq.atom, 1e-9);
   EXPECT_NEAR(ex.eq.exact->moment(1), ex.eq.m1, 1e-8);
   EXPECT_NEAR(ex.eq.exact->moment(2), ex.eq.m2, 1e-7);
+}
+
+TEST(EffectiveQuantum, ShallowCutMatchesTheDenseCensoredGenerator) {
+  // At a shallow cut the censored last level carries real mass, so the
+  // block solves must use its row (arrivals dropped from the out-rate)
+  // exactly as the dense generator of the exact representation does,
+  // which is assembled level by level without the kept rows.
+  TruncationOptions shallow;
+  shallow.tail_eps = 1e-3;
+  for (const SystemParams& sys :
+       {gt::paper_system(0.4, 1.0), gt::two_class_small(0.3, 0.3)}) {
+    ClassProcess proc(sys, 0, away_period_heavy_traffic(sys, 0));
+    const auto sol = gs::qbd::solve(proc.process());
+    const EffectiveQuantum eq =
+        proc.effective_quantum(sol, shallow, /*want_exact=*/true);
+    ASSERT_TRUE(eq.exact.has_value());
+    EXPECT_NEAR(eq.exact->moment(1), eq.m1, 1e-12 * eq.m1);
+    EXPECT_NEAR(eq.exact->moment(2), eq.m2, 1e-12 * eq.m2);
+  }
 }
 
 TEST(EffectiveQuantum, FittedMatchesAtomAndMoments) {
@@ -187,6 +209,99 @@ TEST(EffectiveQuantum, ReusedFactorMatchesFreshExact) {
   expect_reuse_matches_fresh(sys, 0, /*want_exact=*/true);
   expect_reuse_matches_fresh(gt::two_class_small(0.3, 0.3), 0,
                              /*want_exact=*/true);
+}
+
+// A ClassProcess keeps (-T_n)^{-1} e and (-T_n)^{-2} e for the depth n of
+// its last extraction. A call after update_away that cuts at that depth
+// reuses the pair; its moments must be memcmp-equal to those of a fresh
+// object built with the same away period. Each away period below is
+// followed by a copy moved in its ninth digit, which lands on the same
+// depth, and the periods cut deeper and then shallower in turn.
+struct KeptDepthRun {
+  std::vector<std::size_t> depth;
+  std::uint64_t reused = 0;  // gang.effq.depth_reused over the run
+};
+
+KeptDepthRun expect_kept_depth_matches_fresh(
+    const SystemParams& sys, std::size_t p,
+    const std::vector<PhaseType>& periods, bool want_exact = false) {
+  auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  std::vector<PhaseType> aways;
+  for (const PhaseType& f : periods) {
+    aways.push_back(f);
+    // The same law with every rate scaled by 1 + 1e-9.
+    gs::linalg::Matrix s = f.generator();
+    s *= 1.0 + 1e-9;
+    aways.emplace_back(f.alpha(), std::move(s));
+  }
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  gs::obs::reset();
+  KeptDepthRun run;
+  ClassProcess reused(sys, p, aways[0]);
+  for (std::size_t k = 0; k < aways.size(); ++k) {
+    SCOPED_TRACE("away period " + std::to_string(k));
+    if (k > 0) reused.update_away(aways[k]);
+    const EffectiveQuantum a = reused.effective_quantum(
+        gs::qbd::solve(reused.process()), {}, want_exact);
+    run.depth.push_back(a.truncation_levels);
+    // Counted before the fresh object's own (never reused) extraction.
+    run.reused = gs::obs::snapshot().counter_value("gang.effq.depth_reused");
+    ClassProcess fresh(sys, p, aways[k]);
+    const EffectiveQuantum b = fresh.effective_quantum(
+        gs::qbd::solve(fresh.process()), {}, want_exact);
+    EXPECT_TRUE(same(a.m1, b.m1));
+    EXPECT_TRUE(same(a.m2, b.m2));
+    EXPECT_TRUE(same(a.atom, b.atom));
+    EXPECT_EQ(a.truncation_levels, b.truncation_levels);
+    EXPECT_EQ(a.exact.has_value(), want_exact);
+    if (want_exact && a.exact && b.exact) {
+      const gs::linalg::Matrix& ta = a.exact->generator();
+      const gs::linalg::Matrix& tb = b.exact->generator();
+      EXPECT_TRUE(ta.rows() == tb.rows() &&
+                  std::memcmp(ta.data(), tb.data(),
+                              ta.rows() * ta.cols() * sizeof(double)) == 0);
+    }
+  }
+  gs::obs::configure({});
+  // Every perturbed copy repeated its original's depth and reused it.
+  for (std::size_t k = 1; k < aways.size(); k += 2)
+    EXPECT_EQ(run.depth[k], run.depth[k - 1]) << "away period " << k;
+  EXPECT_EQ(run.reused, periods.size());
+  return run;
+}
+
+TEST(EffectiveQuantum, KeptDepthMatchesFreshAfterUpdateAway) {
+  namespace ph = gs::phase;
+  // Erlang-2 quanta, exponential service; Erlang-2, exponential and H2
+  // away periods, cutting deeper (mean 4 after mean 0.5) and then
+  // shallower.
+  const std::vector<PhaseType> periods = {
+      ph::erlang(2, 0.5), ph::erlang(2, 4.0), ph::exponential(1.0 / 1.5),
+      ph::hyperexponential({0.4, 0.6}, {0.5, 3.0})};
+  const SystemParams sys = gt::paper_system(0.4, 1.0);
+  const KeptDepthRun run = expect_kept_depth_matches_fresh(sys, 0, periods);
+  EXPECT_GT(run.depth[2], run.depth[1]);  // deeper cut
+  EXPECT_LT(run.depth[4], run.depth[3]);  // shallower cut
+  expect_kept_depth_matches_fresh(sys, 3, periods);
+  expect_kept_depth_matches_fresh(sys, 1, periods, /*want_exact=*/true);
+}
+
+TEST(EffectiveQuantum, KeptDepthMatchesFreshForPhaseTypeService) {
+  namespace ph = gs::phase;
+  const std::vector<PhaseType> periods = {
+      ph::erlang(2, 0.5), ph::erlang(2, 0.1),
+      ph::hyperexponential({0.3, 0.7}, {2.0, 8.0})};
+  // H2 and Erlang-2 service: several configurations per level.
+  ClassParams h2{ph::exponential(0.2),
+                 ph::hyperexponential({0.3, 0.7}, {0.5, 2.0}),
+                 ph::erlang(2, 1.0), ph::exponential(100.0), 1, "h2"};
+  expect_kept_depth_matches_fresh(SystemParams(2, {h2}), 0, periods);
+  ClassParams e2{ph::exponential(0.5), ph::erlang(2, 1.5),
+                 ph::erlang(2, 1.0), ph::exponential(100.0), 1, "e2"};
+  expect_kept_depth_matches_fresh(SystemParams(3, {e2}), 0, periods,
+                                  /*want_exact=*/true);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 
 namespace {

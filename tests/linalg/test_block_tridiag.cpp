@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "linalg/lu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -192,6 +194,26 @@ TEST(BlockTridiagFactor, PrefixSolveIsBitwiseIndependentOfDepth) {
   EXPECT_EQ(shallow.truncate(n, ch.censored[n - 1]).solve(b), x);
   // The second solve against the same cut matches a fresh cut too.
   EXPECT_EQ(deep.truncate(n, ch.censored[n - 1]).solve(x), cut.solve(x));
+}
+
+TEST(BlockTridiagFactor, SolveIntoReusesStorageBitwise) {
+  const Chain ch = random_chain(25, 13);
+  BlockTridiagFactor f;
+  grow(f, ch, 25);
+  Vector x(3, 5.0);  // reused across cuts: stale length and contents
+  for (std::size_t n : {std::size_t{25}, std::size_t{1}, std::size_t{8}}) {
+    const auto cut = f.truncate(n, ch.censored[n - 1]);
+    const Vector b = rhs(cut.size(), 40 + n);
+    const Vector ref = cut.solve(b);
+    cut.solve_into(b, x);
+    ASSERT_EQ(x.size(), ref.size());
+    EXPECT_EQ(std::memcmp(x.data(), ref.data(), x.size() * sizeof(double)),
+              0)
+        << "n = " << n;
+  }
+  const auto cut = f.truncate(4, ch.censored[3]);
+  Vector b = rhs(cut.size(), 2);
+  EXPECT_THROW(cut.solve_into(b, b), gs::InvalidArgument);
 }
 
 TEST(BlockTridiagFactor, TruncatedSolveMatchesDenseLu) {

@@ -2,12 +2,14 @@
 // grouped entry points both have to reproduce multiply_into bit for bit
 // (gemm.hpp documents why the included +-0.0 terms cannot move a bit),
 // across square, rectangular, and odd shapes that exercise every
-// edge-tile path of the 4x8 micro-kernel.
+// edge-tile path of the 4x4 micro-kernel.
 #include "linalg/gemm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -67,7 +69,7 @@ void check_shape(std::size_t n, std::size_t k, std::size_t m,
 }
 
 TEST(Gemm, MatchesMultiplyIntoAcrossShapes) {
-  // Exact multiples of the 4x8 tile, sub-tile sizes, odd primes, and the
+  // Exact multiples of the 4x4 tile, sub-tile sizes, odd primes, and the
   // paper-range square sizes.
   const std::size_t sizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 28, 31, 64};
   std::uint64_t seed = 1;
@@ -136,6 +138,75 @@ TEST(Gemm, PackBuffersAreReusable) {
   pb.pack(b);
   gemm_packed_into(out, pa, pb);
   EXPECT_EQ(max_abs_diff(out, ref), 0.0);
+}
+
+// Byte equality, so a -0.0 where multiply_into has +0.0 fails too.
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+// A left operand whose every other 4-row panel has an all-zero k-slice
+// (dropped by the pack) next to mixed slices (kept with their zeros), and
+// negative entries, so products of opposite signs meet in the sums.
+Matrix slice_pattern(std::size_t rows, std::size_t depth, std::uint64_t seed) {
+  Matrix m = random_matrix(rows, depth, seed);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t k = 0; k < depth; ++k) {
+      if (k % 3 == 1) m(i, k) = 0.0;                      // all-zero slice
+      if (k % 3 == 2 && (i + k) % 2 == 0) m(i, k) = 0.0;  // mixed slice
+    }
+  return m;
+}
+
+TEST(Gemm, PackedAndGroupedAreBitwiseMultiplyIntoAtTheTile) {
+  // The Figure 2 block (12 x 12), the log reduction's thin products on
+  // A2's two live columns (12 x 2 and 2 x 12), an odd shape with edge
+  // tiles on both sides (13 x 5), and single rows.
+  struct Shape {
+    std::size_t n, k, m;
+  };
+  const Shape shapes[] = {{12, 12, 12}, {12, 12, 2}, {12, 2, 2}, {2, 12, 12},
+                          {2, 2, 12},   {13, 7, 5},  {13, 13, 5}, {1, 9, 1},
+                          {1, 12, 12},  {1, 1, 3}};
+  std::uint64_t seed = 40;
+  for (const Shape& s : shapes) {
+    for (const bool all_zero : {false, true}) {
+      SCOPED_TRACE(std::to_string(s.n) + "x" + std::to_string(s.k) + "x" +
+                   std::to_string(s.m) + (all_zero ? " zero" : " mixed"));
+      const Matrix a = all_zero ? Matrix(s.n, s.k, 0.0)
+                                : slice_pattern(s.n, s.k, ++seed);
+      const Matrix b = slice_pattern(s.k, s.m, ++seed);
+      Matrix ref;
+      multiply_into(ref, a, b);
+      GemmPackA pa;
+      GemmPackB pb;
+      pa.pack(a);
+      pb.pack(b);
+      Matrix out(3, 3, 7.0);  // stale contents must not survive
+      gemm_packed_into(out, pa, pb);
+      EXPECT_TRUE(same_bytes(out, ref));
+
+      // The same product twice in one grouped pass, beside its transpose
+      // pair, over shared packs.
+      const Matrix bt = b.transpose();
+      const Matrix at = a.transpose();
+      GemmPackA pbt;
+      GemmPackB pat;
+      pbt.pack(bt);
+      pat.pack(at);
+      Matrix g1, g2, g3;
+      const GemmOp ops[3] = {
+          {&g1, &pa, &pb}, {&g2, &pbt, &pat}, {&g3, &pa, &pb}};
+      gemm_grouped(ops, 3);
+      Matrix ref_t;
+      multiply_into(ref_t, bt, at);
+      EXPECT_TRUE(same_bytes(g1, ref));
+      EXPECT_TRUE(same_bytes(g2, ref_t));
+      EXPECT_TRUE(same_bytes(g3, ref));
+    }
+  }
 }
 
 TEST(Gemm, RejectsShapeMismatch) {

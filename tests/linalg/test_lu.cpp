@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -116,6 +117,137 @@ TEST(Lu, SolveRightIntoSparseFactorPath) {
     for (std::size_t c = 0; c < n; ++c) brow[c] = b(r, c);
     const Vector xl = lu.solve_left(brow);
     for (std::size_t c = 0; c < n; ++c) EXPECT_NEAR(x(r, c), xl[c], 1e-11);
+  }
+}
+
+bool same_bytes(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(Lu, SolveIntoVectorIsBitwiseSolve) {
+  gs::util::Rng rng(99);
+  Vector x(5, 3.0);  // reused across shapes: stale length and contents
+  for (std::size_t n = 1; n <= 13; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if ((i * 7 + j * 3) % 4 != 0) a(i, j) = rng.uniform() * 2.0 - 1.0;
+    for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.5;
+    Vector b(n);
+    for (std::size_t i = 0; i < n; ++i)
+      b[i] = i % 3 == 0 ? 0.0 : rng.uniform() - 0.5;
+    const Lu lu(a);
+    const Vector ref = lu.solve(b);
+    lu.solve_into(b, x);
+    ASSERT_EQ(x.size(), n);
+    EXPECT_TRUE(same_bytes(x.data(), ref.data(), n));
+    // The blocked matrix solve's one-column edge block sweeps alike.
+    Matrix bm(n, 1), xm;
+    for (std::size_t i = 0; i < n; ++i) bm(i, 0) = b[i];
+    lu.solve_into(bm, xm);
+    EXPECT_TRUE(same_bytes(xm.data(), ref.data(), n));
+  }
+  const Lu lu(Matrix{{2.0, 1.0}, {1.0, 3.0}});
+  Vector b{1.0, 2.0};
+  EXPECT_THROW(lu.solve_into(b, b), gs::InvalidArgument);
+  EXPECT_THROW(lu.solve_into(Vector{1.0}, x), gs::InvalidArgument);
+}
+
+// The right division as computed when factor() still compressed the
+// off-diagonal pattern into row lists: the same partial-pivot elimination,
+// then sweeps over the listed nonzeros when at most half the off-diagonal
+// entries survive. solve_right_into must keep these bits.
+Matrix listed_pattern_right_division(const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.rows();
+  Matrix lu = a;
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t piv = k;
+    double best = std::fabs(lu(k, k));
+    for (std::size_t r = k + 1; r < n; ++r)
+      if (std::fabs(lu(r, k)) > best) {
+        best = std::fabs(lu(r, k));
+        piv = r;
+      }
+    if (piv != k) {
+      for (std::size_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(piv, c));
+      std::swap(perm[k], perm[piv]);
+    }
+    const double inv_pivot = 1.0 / lu(k, k);
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const double m = lu(r, k) * inv_pivot;
+      lu(r, k) = m;
+      if (m == 0.0) continue;
+      for (std::size_t c = k + 1; c < n; ++c) lu(r, c) -= m * lu(k, c);
+    }
+  }
+  std::size_t nnz = 0;
+  std::vector<std::vector<std::size_t>> upper(n), lower(n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      if (c != r && lu(r, c) != 0.0) {
+        ++nnz;
+        (c > r ? upper : lower)[r].push_back(c);
+      }
+  const bool sparse = 2 * nnz <= n * (n - 1);
+  Matrix x(b.rows(), n);
+  for (std::size_t r = 0; r < b.rows(); ++r) {
+    Vector y(n);
+    for (std::size_t i = 0; i < n; ++i) y[i] = b(r, i);
+    for (std::size_t j = 0; j < n; ++j) {
+      y[j] /= lu(j, j);
+      const double yj = y[j];
+      if (sparse) {
+        if (yj == 0.0) continue;
+        for (std::size_t c : upper[j]) y[c] -= lu(j, c) * yj;
+      } else {
+        for (std::size_t i = j + 1; i < n; ++i) y[i] -= lu(j, i) * yj;
+      }
+    }
+    Vector z = y;
+    for (std::size_t j = n; j-- > 1;) {
+      const double zj = z[j];
+      if (sparse) {
+        if (zj == 0.0) continue;
+        for (std::size_t c : lower[j]) z[c] -= lu(j, c) * zj;
+      } else {
+        for (std::size_t i = 0; i < j; ++i) z[i] -= lu(j, i) * zj;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) x(r, perm[i]) = z[i];
+  }
+  return x;
+}
+
+TEST(Lu, SolveRightIntoKeepsTheListedPatternBits) {
+  gs::util::Rng rng(2024);
+  const std::size_t n = 12;
+  // Sparse (a QBD-like -A1: diagonal, a band and a far entry, pivots that
+  // swap) and dense factors, right-hand sides with zero entries.
+  Matrix sparse(n, n), dense(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sparse(i, i) = i % 4 == 1 ? 0.25 : 3.0 + 0.1 * static_cast<double>(i);
+    if (i + 1 < n) sparse(i, i + 1) = -1.0 - 0.05 * static_cast<double>(i);
+    if (i >= 2) sparse(i, i - 2) = 2.0;
+    for (std::size_t j = 0; j < n; ++j)
+      dense(i, j) = rng.uniform() - 0.5 + (i == j ? 4.0 : 0.0);
+  }
+  sparse(0, n - 1) = 0.75;
+  Matrix b(5, n);
+  for (std::size_t r = 0; r < 5; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      b(r, c) = (r + c) % 3 == 0 ? 0.0 : rng.uniform() * 2.0 - 1.0;
+  for (const Matrix* a : {&sparse, &dense}) {
+    const Matrix ref = listed_pattern_right_division(*a, b);
+    Lu lu;
+    lu.factor(*a);
+    Matrix x(2, 2, 9.0);
+    lu.solve_right_into(b, x);
+    ASSERT_EQ(x.rows(), b.rows());
+    ASSERT_EQ(x.cols(), n);
+    EXPECT_TRUE(same_bytes(x.data(), ref.data(), b.rows() * n));
   }
 }
 

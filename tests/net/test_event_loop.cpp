@@ -216,8 +216,10 @@ TEST(EventLoopDaemon, Serves16ConcurrentClients) {
       // overlap on the executors.
       const double rate = 0.30 + 0.02 * (c % 4);
       for (int rep = 0; rep < 2; ++rep) {
-        const std::string id =
-            "c" + std::to_string(c) + "r" + std::to_string(rep);
+        std::string id = "c";
+        id += std::to_string(c);
+        id += 'r';
+        id += std::to_string(rep);
         clients[c].send_line(solve_line(rate, id));
         const std::string resp = clients[c].recv_line();
         if (resp.empty()) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "qbd/solver.hpp"
 #include "qbd_test_util.hpp"
 
@@ -24,6 +26,24 @@ TEST(TailSequence, TailScanMatchesEagerSequenceBitwise) {
   auto scan = sol.tail_scan();
   for (std::size_t k = 0; k < seq.size(); ++k)
     EXPECT_EQ(scan.next(), seq[k]) << "k=" << k;
+}
+
+TEST(TailSequence, TailScanLevelVectorIsTheLevelBitwise) {
+  // The vector the scan just weighed is pi_{b+k}, byte for byte what
+  // level() computes: gang::ClassProcess reads its slice starts from it.
+  const auto sol = gs::qbd::solve(qt::me21(0.7, 1.0));
+  const std::size_t b = sol.boundary_levels() - 1;
+  auto scan = sol.tail_scan();
+  for (std::size_t k = 0; k < 30; ++k) {
+    scan.next();
+    const gs::linalg::Vector want = sol.level(b + k);
+    const gs::linalg::Vector& got = scan.level_vector();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "k=" << k;
+  }
 }
 
 TEST(TailSequence, GeometricDecayOnMm1) {
