@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/lu.hpp"
 #include "obs/obs.hpp"
@@ -629,10 +630,29 @@ ClassProcess::TruncScan ClassProcess::truncation_scan(
   out.l_max = c_ + 1;
   out.cap_tail = scan.next();
   add_slice_starts(scan.level_vector(), out.l_max, xi);
+  // A class near its stability boundary walks to max_levels and takes
+  // the saturated path, which reads neither xi nor the deeper tail. Stop
+  // at the first level whose tail, times the scan's decay floor to the
+  // power of the levels left (`reach`), stays above both tail_eps and
+  // saturated_tail: the walk would then go on to max_levels and end
+  // saturated there.
+  const double decay = scan.decay_floor();
+  const double stays_above = std::max(trunc.tail_eps, trunc.saturated_tail);
+  double reach =
+      decay > 0.0 && out.l_max < trunc.max_levels
+          ? std::pow(decay, static_cast<double>(trunc.max_levels - out.l_max))
+          : 0.0;
+  if (reach < std::numeric_limits<double>::min()) reach = 0.0;  // no subnormals
   while (out.l_max < trunc.max_levels && out.cap_tail > trunc.tail_eps) {
+    if (out.cap_tail * reach > stays_above) {
+      out.l_max = trunc.max_levels;
+      out.cap_tail *= reach;  // a floor on the tail at the cap
+      return out;
+    }
     ++out.l_max;
     out.cap_tail = scan.next();
     add_slice_starts(scan.level_vector(), out.l_max, xi);
+    reach = decay > 0.0 ? reach / decay : 0.0;
   }
   if (out.cap_tail > trunc.tail_eps && out.cap_tail <= trunc.saturated_tail) {
     log::debug("effective quantum truncation capped at ", trunc.max_levels,
@@ -802,21 +822,20 @@ void ClassProcess::serving_row(std::size_t level, bool censored,
 
 void ClassProcess::add_slice_starts(const Vector& pi, std::size_t level,
                                     Vector& xi) const {
+  // A level's states are (j_a, cfg) groups, ascending, of w_ phases in pi
+  // (see index) and of m_q_ phases in xi (see serving_index).
   const Vector& alpha_g = quantum_.alpha();
   const Vector& sf0 = away_.exit_rates();
+  const std::size_t groups = m_a_ * cfgs_.count(std::min(level, c_));
   const std::size_t block_off = xi.size();
-  xi.resize(block_off + serving_dim(level), 0.0);
-  const std::size_t s = std::min(level, c_);
-  for (std::size_t ja = 0; ja < m_a_; ++ja) {
-    for (std::size_t cfg = 0; cfg < cfgs_.count(s); ++cfg) {
-      double flow = 0.0;
-      for (std::size_t jf = 0; jf < m_f_; ++jf)
-        flow += pi[index(level, ja, cfg, m_q_ + jf)] * sf0[jf];
-      if (flow == 0.0) continue;
-      for (std::size_t kq = 0; kq < m_q_; ++kq)
-        xi[block_off + serving_index(level, ja, cfg, kq)] +=
-            flow * alpha_g[kq];
-    }
+  xi.resize(block_off + groups * m_q_, 0.0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const double* away = pi.data() + g * w_ + m_q_;
+    double flow = 0.0;
+    for (std::size_t jf = 0; jf < m_f_; ++jf) flow += away[jf] * sf0[jf];
+    if (flow == 0.0) continue;
+    double* out = xi.data() + block_off + g * m_q_;
+    for (std::size_t kq = 0; kq < m_q_; ++kq) out[kq] += flow * alpha_g[kq];
   }
 }
 
@@ -862,8 +881,8 @@ EffectiveQuantum ClassProcess::effective_quantum(
   const TruncScan scan = truncation_scan(sol, trunc, xi);
   const std::size_t l_max = scan.l_max;
   if (scan.cap_tail > trunc.saturated_tail) {
-    log::debug("effective quantum saturated (tail mass ", scan.cap_tail,
-               " at the level cap); using the full quantum");
+    log::debug("effective quantum saturated (tail mass at least ",
+               scan.cap_tail, " at the level cap); using the full quantum");
     return saturated_quantum(sol, l_max, want_exact);
   }
   const double atom_flow = scan.atom_flow;

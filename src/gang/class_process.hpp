@@ -198,13 +198,16 @@ class ClassProcess {
   // Stages of the effective-quantum extraction.
   struct TruncScan {
     std::size_t l_max = 0;    // truncation depth the scan settled on
-    double cap_tail = 0.0;    // tail mass at that depth
+    double cap_tail = 0.0;    // tail mass at that depth, or a floor on it
     double atom_flow = 0.0;   // slice-start flow at level 0 (the atom)
   };
   // One walk over the levels: the incremental tail-mass scan for the
   // truncation depth (the lazy twin of the old eager tail_mass_sequence
   // scan, same consumed bits) also fills the unnormalized slice-start
-  // vector xi (levels 1..l_max) from each level vector it weighs.
+  // vector xi (levels 1..l_max) from each level vector it weighs. A walk
+  // the tail's decay floor proves saturated stops where the proof holds,
+  // at l_max = max_levels with xi unfinished (the saturated path reads
+  // none of it).
   TruncScan truncation_scan(const qbd::QbdSolution& sol,
                             const TruncationOptions& trunc,
                             linalg::Vector& xi) const;

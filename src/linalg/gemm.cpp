@@ -127,41 +127,28 @@ void GemmPackA::pack(const Matrix& a) {
     const std::size_t mr = std::min(MR, rows_ - i0);
     double* dst = buf_.data() + p * depth_ * MR;
     std::uint32_t* ki = idx_.data() + p * depth_;
-    std::size_t len = 0;
-    if (mr == MR) {
-      // Full panel, branch-free: every slice is written at position len,
-      // and len advances past it only when it holds a nonzero, so an
-      // all-zero slice is overwritten by the next one (or left unread
-      // past panel_len).
-      const double* row[MR];
-      for (std::size_t r = 0; r < MR; ++r)
-        row[r] = a.data() + (i0 + r) * depth_;
-      for (std::size_t k = 0; k < depth_; ++k) {
-        double* out = dst + len * MR;
-        bool nonzero = false;
-        for (std::size_t r = 0; r < MR; ++r) {
-          out[r] = row[r][k];
-          nonzero |= row[r][k] != 0.0;
-        }
-        ki[len] = static_cast<std::uint32_t>(k);
-        len += nonzero ? 1 : 0;
-      }
-      len_[p] = static_cast<std::uint32_t>(len);
-      continue;
+    // Branch-free: rows past mr read a single +0.0 (stride 0), every
+    // slice is written at position len, and len advances past it only
+    // when it holds a nonzero, so an all-zero slice (a bitwise no-op) is
+    // overwritten by the next one or left unread past panel_len.
+    static constexpr double kZero = 0.0;
+    const double* row[MR];
+    std::size_t step[MR];
+    for (std::size_t r = 0; r < MR; ++r) {
+      row[r] = r < mr ? a.data() + (i0 + r) * depth_ : &kZero;
+      step[r] = r < mr ? 1 : 0;
     }
+    std::size_t len = 0;
     for (std::size_t k = 0; k < depth_; ++k) {
-      double slice[MR];
-      bool nonzero = false;
-      for (std::size_t r = 0; r < mr; ++r) {
-        slice[r] = a(i0 + r, k);
-        nonzero = nonzero || slice[r] != 0.0;
-      }
-      if (!nonzero) continue;  // all-zero slice: a bitwise no-op, dropped
-      for (std::size_t r = mr; r < MR; ++r) slice[r] = 0.0;
       double* out = dst + len * MR;
-      for (std::size_t r = 0; r < MR; ++r) out[r] = slice[r];
+      bool nonzero = false;
+      for (std::size_t r = 0; r < MR; ++r) {
+        out[r] = *row[r];
+        nonzero |= *row[r] != 0.0;
+        row[r] += step[r];
+      }
       ki[len] = static_cast<std::uint32_t>(k);
-      ++len;
+      len += nonzero ? 1 : 0;
     }
     len_[p] = static_cast<std::uint32_t>(len);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <optional>
 
 #include "linalg/gth.hpp"
@@ -50,6 +51,12 @@ double QbdSolution::TailScan::next() {
     v_.swap(next_v_);
   }
   return linalg::dot(v_, w_);
+}
+
+double QbdSolution::TailScan::decay_floor() const {
+  double w_min = std::numeric_limits<double>::infinity();
+  for (double x : w_) w_min = std::min(w_min, x);
+  return w_min > 1.0 ? 1.0 - 1.0 / w_min : 0.0;
 }
 
 const Vector& QbdSolution::boundary_level(std::size_t i) const {

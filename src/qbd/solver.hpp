@@ -91,6 +91,12 @@ class QbdSolution {
     /// vector the scan just weighed, bit for bit level(b + k), for callers
     /// that walk the levels anyway. Valid until the next next().
     const Vector& level_vector() const { return v_; }
+    /// A floor on the tail's decay per level: each next() returns at
+    /// least decay_floor() times the one before it, so n levels on the
+    /// tail is at least decay_floor()^n times what it is now. With
+    /// w = (I-R)^{-1} e >= e, R w = w - e >= (1 - 1/min_i w_i) w, and
+    /// R >= 0 carries that through R^n. In [0, 1); 0 when no floor holds.
+    double decay_floor() const;
 
    private:
     friend class QbdSolution;

@@ -8,6 +8,7 @@
 #include "gang/class_process.hpp"
 #include "gang_test_util.hpp"
 #include "qbd/solver.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -85,6 +86,54 @@ TEST(SaturatedQuantum, NormalOperationUnaffected) {
   const EffectiveQuantum b = proc.effective_quantum(sol, generous);
   EXPECT_DOUBLE_EQ(a.m1, b.m1);
   EXPECT_DOUBLE_EQ(a.atom, b.atom);
+}
+
+TEST(SaturatedQuantum, EarlyStopKeepsTheFullWalksVerdict) {
+  // The truncation scan stops as soon as the tail's decay floor proves the
+  // walk would end saturated at max_levels. At loads that straddle the
+  // verdict (a proof at the first level, one a few hundred levels in, no
+  // proof, and unsaturated cuts at the cap and below it) every answer must
+  // be the one the full walk decides: the saturated moments exactly, or
+  // the walk's own depth.
+  double lo = 0.1, hi = 2.0;  // class 0's stability boundary in lambda
+  for (int it = 0; it < 40; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    const SystemParams sys = gt::paper_system(mid, 1.0);
+    try {
+      ClassProcess proc(sys, 0, away_period_heavy_traffic(sys, 0));
+      gs::qbd::solve(proc.process());
+      lo = mid;
+    } catch (const gs::NumericalError&) {
+      hi = mid;
+    }
+  }
+  std::size_t saturated_points = 0, unsaturated_points = 0;
+  for (double f : {1.0 - 2e-5, 1.0 - 1e-3, 0.998, 0.997, 0.9965, 0.95}) {
+    const SystemParams sys = gt::paper_system(lo * f, 1.0);
+    ClassProcess proc(sys, 0, away_period_heavy_traffic(sys, 0));
+    const auto sol = gs::qbd::solve(proc.process());
+    const TruncationOptions trunc;
+    auto scan = sol.tail_scan();
+    scan.next();
+    std::size_t l = sol.boundary_levels();  // the first repeating level
+    double tail = scan.next();
+    while (l < trunc.max_levels && tail > trunc.tail_eps) {
+      ++l;
+      tail = scan.next();
+    }
+    const bool saturated = tail > trunc.saturated_tail;
+    (saturated ? saturated_points : unsaturated_points) += 1;
+    const EffectiveQuantum eq = proc.effective_quantum(sol, trunc);
+    EXPECT_EQ(eq.truncation_levels, l) << "f=" << f;
+    const double full = (1.0 - eq.atom) * sys.cls(0).quantum.moment(1);
+    if (saturated) {
+      EXPECT_EQ(eq.m1, full) << "f=" << f;
+    } else {
+      EXPECT_LT(eq.m1, full) << "f=" << f;
+    }
+  }
+  EXPECT_EQ(saturated_points, 4u);
+  EXPECT_EQ(unsaturated_points, 2u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "qbd/solver.hpp"
 #include "qbd_test_util.hpp"
@@ -43,6 +44,31 @@ TEST(TailSequence, TailScanLevelVectorIsTheLevelBitwise) {
                           want.size() * sizeof(double)),
               0)
         << "k=" << k;
+  }
+}
+
+TEST(TailSequence, DecayFloorBoundsEveryStep) {
+  // decay_floor() = 1 - 1/min_i ((I-R)^{-1} e)_i is a proven floor on the
+  // tail's ratio per step (gang's truncation scan stops on it); on M/M/1,
+  // where (I-R)^{-1} e is the scalar 1/(1-rho), it is rho itself.
+  const std::vector<gs::qbd::QbdProcess> chains = {
+      qt::mm1(0.8, 1.0), qt::mmc(3.0, 1.0, 4), qt::me21(0.7, 1.0),
+      qt::me21(0.95, 1.0)};
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    const auto sol = gs::qbd::solve(chains[c]);
+    auto scan = sol.tail_scan();
+    const double floor = scan.decay_floor();
+    EXPECT_GE(floor, 0.0) << "chain " << c;
+    EXPECT_LT(floor, 1.0) << "chain " << c;
+    if (c == 0) {
+      EXPECT_NEAR(floor, 0.8, 1e-12);
+    }
+    double prev = scan.next();
+    for (std::size_t k = 1; k < 300 && prev > 1e-250; ++k) {
+      const double t = scan.next();
+      EXPECT_GE(t, floor * prev * (1.0 - 1e-12)) << "chain " << c << " k=" << k;
+      prev = t;
+    }
   }
 }
 
