@@ -199,22 +199,17 @@ void BM_RMatrixLogReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_RMatrixLogReduction);
 
-// Uniformization on the away-period generator (block bidiagonal, far
-// under half dense): exp_action auto-selects the CSR path, the _dense
-// entry point is the forced-dense reference it matches bit for bit.
+// Uniformization on the away-period generator (block bidiagonal).
 void BM_UniformizationExpAction(benchmark::State& state) {
   const auto sys = gs::workload::paper_system({});
   const auto away = gs::gang::away_period_heavy_traffic(sys, 0);
-  const bool sparse = state.range(0) != 0;
   const double t = away.mean();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sparse ? gs::phase::exp_action(away.alpha(), away.generator(), t)
-               : gs::phase::exp_action_dense(away.alpha(), away.generator(),
-                                             t));
+        gs::phase::exp_action(away.alpha(), away.generator(), t));
   }
 }
-BENCHMARK(BM_UniformizationExpAction)->Arg(0)->Arg(1);
+BENCHMARK(BM_UniformizationExpAction);
 
 void BM_ClassChainBuild(benchmark::State& state) {
   const auto sys = gs::workload::paper_system({});

@@ -1,7 +1,7 @@
 #include "linalg/block_tridiag.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
 #include "util/error.hpp"
 
@@ -31,38 +31,7 @@ void validate(const std::vector<Matrix>& diag,
   GS_CHECK(b.size() == total, "rhs length mismatch");
 }
 
-// Compress a block when at least half its entries are zero — the arrival
-// and completion off-diagonals of the serving-state chain are O(rows)
-// dense. A non-finite entry disables compression for the block: the
-// sparse kernels' bitwise-identity guarantee (see sparse.hpp) requires
-// finite operands.
-std::optional<SparseMatrix> try_compress(const Matrix& m) {
-  std::size_t nz = 0;
-  const double* p = m.data();
-  const std::size_t total = m.rows() * m.cols();
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!std::isfinite(p[i])) return std::nullopt;
-    if (p[i] != 0.0) ++nz;
-  }
-  if (2 * nz > total) return std::nullopt;
-  return SparseMatrix::from_dense(m);
-}
-
 }  // namespace
-
-void BlockTridiagFactor::OffDiag::assign(const Matrix& m) {
-  csr = try_compress(m);
-  if (!csr) dense = m;
-}
-
-void BlockTridiagFactor::OffDiag::multiply(Vector& out,
-                                           const Vector& x) const {
-  if (csr) {
-    multiply_into(out, *csr, x);
-  } else {
-    multiply_into(out, dense, x);
-  }
-}
 
 void BlockTridiagFactor::push(const Matrix& lower, const Matrix& diag,
                               const Matrix& upper) {
@@ -79,28 +48,22 @@ void BlockTridiagFactor::push(const Matrix& lower, const Matrix& diag,
     GS_CHECK(lower.empty(), "the first block row has no lower block");
   } else {
     const Row& prev = rows_.back();
-    GS_CHECK(pending_upper_.rows() == prev.dim &&
-                 pending_upper_.cols() == diag.rows(),
+    GS_CHECK(prev.upper.rows() == prev.dim && prev.upper.cols() == diag.rows(),
              "upper block shape mismatch");
     GS_CHECK(lower.rows() == diag.rows() && lower.cols() == prev.dim,
              "lower block shape mismatch");
     row.offset = prev.offset + prev.dim;
     // D'_i = D_i - L_{i-1} D'^{-1}_{i-1} U_{i-1}.
     pivot.emplace(pending_);
-    const Matrix dinv_u = pivot->solve(pending_upper_);
-    row.lower.assign(lower);
-    if (row.lower.csr) {
-      multiply_into(row.schur, *row.lower.csr, dinv_u);
-    } else {
-      multiply_into(row.schur, lower, dinv_u);
-    }
+    const Matrix dinv_u = pivot->solve(prev.upper);
+    multiply_into(row.schur, lower, dinv_u);
     dprime -= row.schur;
+    row.lower = lower;
   }
-  row.upper.assign(upper);
+  row.upper = upper;
   if (pivot) pivots_.push_back(std::move(*pivot));
   rows_.push_back(std::move(row));
   pending_ = std::move(dprime);
-  pending_upper_ = upper;
 }
 
 BlockTridiagFactor::Truncated BlockTridiagFactor::truncate(
@@ -150,7 +113,7 @@ void BlockTridiagFactor::Truncated::solve_into(const Vector& b,
   for (std::size_t i = 0; i + 1 < n_; ++i) {
     load(i);
     pivots[i].solve_into(seg, u);
-    rows[i + 1].lower.multiply(t, u);
+    multiply_into(t, rows[i + 1].lower, u);
     double* y = x.data() + rows[i + 1].offset;
     for (std::size_t r = 0; r < t.size(); ++r) y[r] -= t[r];
   }
@@ -162,7 +125,7 @@ void BlockTridiagFactor::Truncated::solve_into(const Vector& b,
   store(n_ - 1, u);
   for (std::size_t i = n_ - 1; i-- > 0;) {
     load(i + 1);
-    rows[i].upper.multiply(t, seg);
+    multiply_into(t, rows[i].upper, seg);
     load(i);
     for (std::size_t r = 0; r < seg.size(); ++r) seg[r] -= t[r];
     pivots[i].solve_into(seg, u);

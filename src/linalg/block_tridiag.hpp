@@ -18,12 +18,10 @@
 // solutions of its last depth, so a depth that repeats costs no sweep.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse.hpp"
 
 namespace gs::linalg {
 
@@ -33,7 +31,7 @@ namespace gs::linalg {
 /// i-1). Blocks may differ in size. The factor keeps, per pushed row, the
 /// LU of the eliminated pivot D'_i = D_i - L_{i-1} D'^{-1}_{i-1} U_{i-1},
 /// the Schur term L_{i-1} D'^{-1}_{i-1} U_{i-1}, and the off-diagonal
-/// blocks (compressed when at most half dense) — nothing else.
+/// blocks — nothing else.
 class BlockTridiagFactor {
  public:
   /// The system formed by the first n block rows with D_{n-1} replaced:
@@ -78,16 +76,9 @@ class BlockTridiagFactor {
   Truncated truncate(std::size_t n, const Matrix& last_diag) const;
 
  private:
-  // An off-diagonal block, compressed when that pays (see try_compress).
-  struct OffDiag {
-    std::optional<SparseMatrix> csr;
-    Matrix dense;  // kept only when not compressed
-    void assign(const Matrix& m);
-    void multiply(Vector& out, const Vector& x) const;
-  };
   struct Row {
-    OffDiag lower;           // L_{i-1}; empty at i = 0
-    OffDiag upper;           // U_i; empty on a final row
+    Matrix lower;            // L_{i-1}; empty at i = 0
+    Matrix upper;            // U_i; empty on a final row
     Matrix schur;            // L_{i-1} D'^{-1}_{i-1} U_{i-1}; empty at i = 0
     std::size_t offset = 0;  // first index of the row's block in x
     std::size_t dim = 0;     // n_i
@@ -96,7 +87,6 @@ class BlockTridiagFactor {
   std::vector<Row> rows_;
   std::vector<Lu> pivots_;  // LU of D'_i for every row but the last
   Matrix pending_;          // D'_i of the last row, factored by the next push
-  Matrix pending_upper_;    // U_i of the last row, dense, for that Schur term
 };
 
 /// Solve M x = b where M consists of diagonal blocks diag[i], super-

@@ -1,9 +1,11 @@
 #include "phase/uniformization.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <utility>
 
-#include "linalg/sparse.hpp"
 #include "util/error.hpp"
 
 namespace gs::phase {
@@ -13,11 +15,21 @@ using linalg::Vector;
 
 namespace {
 
-Vector exp_action_impl(const Vector& v, const Matrix& m, double t,
-                       double tail_eps, bool allow_sparse) {
+std::string qt_too_large(double qt) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "exp_action: q*t = %.6g exceeds %.6g",
+                qt, kExpActionMaxQt);
+  return buf;
+}
+
+}  // namespace
+
+Vector exp_action(const Vector& v, const Matrix& m, double t,
+                  double tail_eps) {
   GS_CHECK(m.is_square() && v.size() == m.rows(),
            "exp_action shape mismatch");
   GS_CHECK(t >= 0.0, "exp_action needs t >= 0");
+  GS_CHECK(std::isfinite(t), "exp_action needs a finite t");
   const std::size_t n = m.rows();
   if (t == 0.0 || n == 0) return v;
 
@@ -25,22 +37,14 @@ Vector exp_action_impl(const Vector& v, const Matrix& m, double t,
   for (std::size_t i = 0; i < n; ++i) q = std::max(q, -m(i, i));
   if (q == 0.0) return v;  // M == 0
   q *= 1.0 + 1e-12;        // guard against P picking up a negative diagonal
+  const double qt = q * t;
+  GS_CHECK(qt <= kExpActionMaxQt, qt_too_large(qt));
 
   // P = M/q + I.
   Matrix p = m;
   p *= 1.0 / q;
   for (std::size_t i = 0; i < n; ++i) p(i, i) += 1.0;
 
-  // Run the power iteration on a CSR copy when P is at most half dense
-  // (identical bits either way; see sparse.hpp).
-  linalg::SparseMatrix p_csr;
-  bool sparse = false;
-  if (allow_sparse) {
-    p_csr.assign_from_dense(p);
-    sparse = 2 * p_csr.nnz() <= n * n;
-  }
-
-  const double qt = q * t;
   // Accumulate sum_k w_k * (v P^k) with w_k the Poisson(qt) pmf, computed
   // iteratively; scale to avoid underflow of e^{-qt} for large qt.
   Vector term = v;          // v P^k
@@ -51,36 +55,20 @@ Vector exp_action_impl(const Vector& v, const Matrix& m, double t,
   // For large qt start accumulating only near the mode; terms far below
   // the mode carry negligible weight but we keep the simple forward loop —
   // weights underflow harmlessly to 0 via exp().
-  const int k_max =
-      static_cast<int>(qt + 10.0 * std::sqrt(qt + 1.0) + 50.0);
-  for (int k = 0; k <= k_max; ++k) {
+  const auto k_max =
+      static_cast<std::int64_t>(qt + 10.0 * std::sqrt(qt + 1.0) + 50.0);
+  for (std::int64_t k = 0; k <= k_max; ++k) {
     const double w = std::exp(log_w);
     if (w > 0.0) {
       for (std::size_t i = 0; i < n; ++i) acc[i] += w * term[i];
       cum += w;
       if (1.0 - cum <= tail_eps) break;
     }
-    if (sparse) {
-      linalg::multiply_left_into(next, term, p_csr);
-    } else {
-      linalg::multiply_left_into(next, term, p);
-    }
+    linalg::multiply_left_into(next, term, p);
     std::swap(term, next);
     log_w += std::log(qt) - std::log1p(static_cast<double>(k));
   }
   return acc;
-}
-
-}  // namespace
-
-Vector exp_action(const Vector& v, const Matrix& m, double t,
-                  double tail_eps) {
-  return exp_action_impl(v, m, t, tail_eps, /*allow_sparse=*/true);
-}
-
-Vector exp_action_dense(const Vector& v, const Matrix& m, double t,
-                        double tail_eps) {
-  return exp_action_impl(v, m, t, tail_eps, /*allow_sparse=*/false);
 }
 
 Matrix exp_dense(const Matrix& m, double t, double tail_eps) {

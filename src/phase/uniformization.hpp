@@ -13,21 +13,21 @@
 
 namespace gs::phase {
 
+/// Largest q t that exp_action accepts. The power series walks every
+/// Poisson term up to about q t + 10 sqrt(q t), one vector-matrix product
+/// each, including the underflowed terms below the mode, so its cost
+/// grows linearly in q t: an order-2 Erlang at q t = 2e8 took 8 s on a
+/// 4-core x86-64 host. The cap keeps a call on a small generator to a few
+/// seconds and leaves room for stiff inputs, such as a phase-type law
+/// convolved with an exponential of rate 1e7 (q t up to 1.7e7 in the
+/// phase tests).
+constexpr double kExpActionMaxQt = 1e8;
+
 /// v exp(Mt) for a generator or sub-generator M (off-diagonal >= 0, row
-/// sums <= 0). Returns v unchanged when t == 0. When P = M/q + I is at
-/// most half dense — true for the block-bidiagonal away-period generators
-/// of Theorem 4.1 — the power series runs on a CSR copy of P; the sparse
-/// kernel is bitwise identical to the dense one (linalg/sparse.hpp), so
-/// the result never depends on the representation chosen.
+/// sums <= 0). Returns v unchanged when t == 0. Throws gs::InvalidArgument
+/// when t is negative or not finite, or when q t exceeds kExpActionMaxQt.
 linalg::Vector exp_action(const linalg::Vector& v, const linalg::Matrix& m,
                           double t, double tail_eps = 1e-14);
-
-/// exp_action forced onto the dense kernel — the reference the sparse
-/// path is diffed against in tests and benchmarked against in
-/// bench/micro_kernels. Bitwise identical to exp_action.
-linalg::Vector exp_action_dense(const linalg::Vector& v,
-                                const linalg::Matrix& m, double t,
-                                double tail_eps = 1e-14);
 
 /// Dense exp(Mt) by applying exp_action to each unit row. Fine at the
 /// state-space sizes this library handles.

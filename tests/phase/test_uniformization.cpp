@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 
 #include "linalg/matrix.hpp"
+#include "phase/builders.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -12,8 +16,13 @@ namespace {
 using gs::linalg::Matrix;
 using gs::linalg::Vector;
 using gs::phase::exp_action;
-using gs::phase::exp_action_dense;
 using gs::phase::exp_dense;
+
+std::string hex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
 
 TEST(Uniformization, ScalarExponential) {
   // exp(-a t) for the 1x1 sub-generator [-a].
@@ -44,6 +53,23 @@ TEST(Uniformization, SemigroupProperty) {
   const Vector direct = exp_action(v, q, 1.7);
   const Vector stepped = exp_action(exp_action(v, q, 0.9), q, 0.8);
   EXPECT_LT(gs::linalg::max_abs_diff(direct, stepped), 1e-10);
+
+  // A block-bidiagonal sub-generator like the away-period chains of
+  // Theorem 4.1: mostly zeros, and mass leaves through the last phase.
+  const std::size_t n = 8;
+  Matrix s(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s(i, i) = -1.0 - 0.1 * static_cast<double>(i);
+    if (i + 1 < n) s(i, i + 1) = 1.0 + 0.05 * static_cast<double>(i);
+  }
+  Vector w(n, 0.0);
+  w[0] = 0.7;
+  w[3] = 0.3;
+  for (double t : {0.1, 1.0, 7.5}) {
+    const Vector whole = exp_action(w, s, 2.0 * t);
+    const Vector halves = exp_action(exp_action(w, s, t), s, t);
+    EXPECT_LT(gs::linalg::max_abs_diff(whole, halves), 1e-12) << "t=" << t;
+  }
 }
 
 TEST(Uniformization, MatchesTwoStateClosedForm) {
@@ -92,36 +118,32 @@ TEST(Uniformization, RejectsNegativeTime) {
   EXPECT_THROW(exp_action({1.0}, Matrix{{-1.0}}, -0.5), gs::InvalidArgument);
 }
 
-TEST(Uniformization, SparsePathBitwiseEqualsDense) {
-  // A block-bidiagonal sub-generator like the away-period chains of
-  // Theorem 4.1 (well under half dense -> exp_action takes the CSR path);
-  // the result must match the forced-dense reference bit for bit.
-  const std::size_t n = 8;
-  Matrix s(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    s(i, i) = -1.0 - 0.1 * static_cast<double>(i);
-    if (i + 1 < n) s(i, i + 1) = 1.0 + 0.05 * static_cast<double>(i);
-  }
-  Vector v(n, 0.0);
-  v[0] = 0.7;
-  v[3] = 0.3;
-  for (double t : {0.1, 1.0, 7.5}) {
-    const Vector fast = exp_action(v, s, t);
-    const Vector ref = exp_action_dense(v, s, t);
-    EXPECT_EQ(gs::linalg::max_abs_diff(fast, ref), 0.0) << "t=" << t;
+TEST(Uniformization, RejectsInfiniteTime) {
+  const auto e = gs::phase::erlang(2, 1.0);
+  EXPECT_THROW(e.cdf(std::numeric_limits<double>::infinity()),
+               gs::InvalidArgument);
+}
+
+TEST(Uniformization, RejectsRateTimeAboveTheCap) {
+  // Erlang-2 with mean 1 uniformizes at q = 2 (1 + 1e-12), so this t puts
+  // q t just above kExpActionMaxQt; the message names q t.
+  const auto e = gs::phase::erlang(2, 1.0);
+  const double t = 0.5 * gs::phase::kExpActionMaxQt * (1.0 + 1e-9);
+  try {
+    e.cdf(t);
+    FAIL() << "cdf(" << t << ") did not throw";
+  } catch (const gs::InvalidArgument& err) {
+    EXPECT_NE(std::string(err.what()).find("q*t = 1e+08 exceeds 1e+08"),
+              std::string::npos)
+        << err.what();
   }
 }
 
-TEST(Uniformization, DensePathUnchangedByToggle) {
-  // A fully dense generator never takes the CSR path; both entry points
-  // must agree trivially.
-  const Matrix q{{-3.0, 1.0, 2.0},
-                 {0.5, -1.5, 1.0},
-                 {0.25, 0.25, -0.5}};
-  const Vector v{0.2, 0.5, 0.3};
-  const Vector a = exp_action(v, q, 1.3);
-  const Vector b = exp_action_dense(v, q, 1.3);
-  EXPECT_EQ(gs::linalg::max_abs_diff(a, b), 0.0);
+TEST(Uniformization, ErlangTailBitsUnchangedBelowTheCap) {
+  const auto e = gs::phase::erlang(2, 1.0);
+  EXPECT_EQ(hex(e.cdf(50.0)), "0x1p+0");
+  EXPECT_EQ(hex(e.sf(50.0)), "0x1.4f290867ade4cp-138");
+  EXPECT_EQ(hex(e.cdf(3.0)), "0x1.f71dbc268752ep-1");
 }
 
 TEST(Uniformization, StiffLargeRateStillAccurate) {
