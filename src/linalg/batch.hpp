@@ -16,9 +16,9 @@
 // lane (the scalar pack drops per lane). Including a lane's 0.0 * b term
 // adds +-0.0 to an accumulator that starts at +0.0 and therefore never
 // holds -0.0, which is a bitwise no-op — provided the operands are
-// finite, the same precondition linalg/sparse.hpp documents for the CSR
-// kernels. A masked-out lane is never written: its storage keeps its
-// bits.
+// finite, the same precondition linalg/gemm.hpp spells out for the
+// scalar kernel. A masked-out lane is never written: its storage keeps
+// its bits.
 #pragma once
 
 #include <cstddef>

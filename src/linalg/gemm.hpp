@@ -20,26 +20,25 @@
 // every k step. The narrower tile also pads the thin d x 2 products of the
 // log reduction (L, G on A2's two live columns) by 2 columns instead of 6.
 //
-// Bitwise discipline (the same contract as linalg/sparse.hpp and
-// linalg/batch.hpp): for every output element (i, j) the terms
-// a(i, k) * b(k, j) are accumulated in ascending-k order, one rounded
-// multiply and one rounded add per term, starting from +0.0. Where this
-// kernel and multiply_into differ in *which* terms they touch, the
-// difference is confined to zero a(i, k) terms, which cannot move a bit:
-// 0.0 * b is +-0.0, and adding +-0.0 to an accumulator that starts at
-// +0.0 (and therefore never holds -0.0) is a bitwise no-op — provided
-// the operands are finite, the precondition all structured kernels in
-// this library share. Concretely, packing drops k-slices whose kGemmMr
-// A-values are all zero (the QBD iterates are not uniformly dense, so
-// this matters as much as the register tiling), while mixed slices keep
-// their embedded zeros; multiply_into instead skips zero a(i, k)
-// individually. Edge padding is all-zero and padded
-// lanes are never stored. The kernel translation unit is compiled with
+// Bitwise discipline (the same contract as linalg/batch.hpp): for every
+// output element (i, j) the terms a(i, k) * b(k, j) are accumulated in
+// ascending-k order, one rounded multiply and one rounded add per term,
+// starting from +0.0. Where this kernel and multiply_into differ in
+// *which* terms they touch, the difference is confined to zero a(i, k)
+// terms, which cannot move a bit: 0.0 * b is +-0.0, and adding +-0.0 to an
+// accumulator that starts at +0.0 (and therefore never holds -0.0) is a
+// bitwise no-op — provided the operands are finite, the precondition all
+// structured kernels in this library share. Concretely, packing drops
+// k-slices whose kGemmMr A-values are all zero (the QBD iterates are not
+// uniformly dense, so this matters as much as the register tiling), while
+// mixed slices keep their embedded zeros; multiply_into instead skips zero
+// a(i, k) individually. Edge padding is all-zero and padded lanes are
+// never stored. The kernel translation unit is compiled with
 // -ffp-contract=off alongside the rest of gs_linalg, so no
 // fused-multiply-add contraction can break the two-roundings-per-term
 // equality. tests/linalg/test_gemm.cpp pins gemm_packed_into ==
 // multiply_into bit for bit across square, rectangular, and odd shapes,
-// sparse and dense.
+// mostly-zero and dense.
 #pragma once
 
 #include <cstddef>
