@@ -55,7 +55,8 @@ TEST(Uniformization, SemigroupProperty) {
   EXPECT_LT(gs::linalg::max_abs_diff(direct, stepped), 1e-10);
 
   // A block-bidiagonal sub-generator like the away-period chains of
-  // Theorem 4.1: mostly zeros, and mass leaves through the last phase.
+  // Theorem 4.1: mostly zeros, with mass leaving every phase but the
+  // first.
   const std::size_t n = 8;
   Matrix s(n, n);
   for (std::size_t i = 0; i < n; ++i) {
