@@ -6,7 +6,6 @@
 #include "gang/away_period.hpp"
 #include "gang/class_process.hpp"
 #include "gang/solver.hpp"
-#include "linalg/gemm.hpp"
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
 #include "phase/builders.hpp"
@@ -86,58 +85,6 @@ BENCHMARK(BM_MatmulBlocked)
     ->Arg(256)
     ->Arg(512);
 
-// The GEMM kernel-shape sweep over the sizes the QBD iterates actually
-// take (d ~ 16..128): the blocked kernel (BM_MatmulBlocked above) vs the
-// packed register-tiled kernel, pack included, bitwise identical
-// (tests/linalg/test_gemm.cpp).
-void BM_GemmTiledPacked(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix a = random_dd_matrix(n, 1);
-  const Matrix b = random_dd_matrix(n, 2);
-  gs::linalg::GemmPackA pa;
-  gs::linalg::GemmPackB pb;
-  Matrix out;
-  for (auto _ : state) {
-    pa.pack(a);
-    pb.pack(b);
-    gs::linalg::gemm_packed_into(out, pa, pb);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_GemmTiledPacked)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(48)
-    ->Arg(64)
-    ->Arg(96)
-    ->Arg(128);
-
-// The grouped entry point on a log-reduction-shaped pass: four products
-// over two packed operands, what one squaring iteration actually runs.
-void BM_GemmGroupedSquaringPass(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Matrix h = random_dd_matrix(n, 1);
-  const Matrix l = random_dd_matrix(n, 2);
-  gs::linalg::GemmPackA ha, la;
-  gs::linalg::GemmPackB hb, lb;
-  Matrix u, lh, hh, ll;
-  for (auto _ : state) {
-    ha.pack(h);
-    la.pack(l);
-    hb.pack(h);
-    lb.pack(l);
-    const gs::linalg::GemmOp ops[4] = {
-        {&u, &ha, &lb}, {&lh, &la, &hb}, {&hh, &ha, &hb}, {&ll, &la, &lb}};
-    gs::linalg::gemm_grouped(ops, 4);
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(4 * 2 * n * n * n));
-}
-BENCHMARK(BM_GemmGroupedSquaringPass)->Arg(28)->Arg(64)->Arg(128);
-
 void BM_LuSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix a = random_dd_matrix(n, 3);
@@ -185,19 +132,30 @@ void BM_AwayPeriodAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_AwayPeriodAssembly);
 
-// The R solve on the paper's class-0 chain.
-void BM_RMatrixLogReduction(benchmark::State& state) {
-  const auto sys = gs::workload::paper_system({});
-  const gs::gang::ClassProcess cp(
-      sys, 0, gs::gang::away_period_heavy_traffic(sys, 0));
-  const auto& blk = cp.process().blocks();
+// The R solve on a Figure 2 class chain (class 0, lambda = 0.4), cold
+// (arg 0: every solve from X = 0) and warm (arg 1: the chain against its
+// heavy-traffic away period and against the fixed point's, alternately,
+// each Newton run starting from the other's X, as the gang fixed point's
+// successive iterations do).
+void BM_RMatrixNewton(benchmark::State& state) {
+  gs::workload::PaperKnobs knobs;
+  knobs.arrival_rate = 0.4;
+  const auto sys = gs::workload::paper_system(knobs);
+  const auto report = gs::gang::GangSolver(sys).solve();
+  const gs::gang::ClassProcess chains[2] = {
+      {sys, 0, gs::gang::away_period_heavy_traffic(sys, 0)},
+      {sys, 0, gs::gang::away_period(sys, 0, report.final_slices)}};
+  const bool warm = state.range(0) != 0;
   gs::qbd::Workspace ws;
+  std::size_t k = 0;
   for (auto _ : state) {
+    const auto& blk = chains[k++ % 2].process().blocks();
+    ws.warm = ws.warm && warm;
     benchmark::DoNotOptimize(
-        gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2, {}, &ws));
+        gs::qbd::solve_r(blk.a0, blk.a1, blk.a2, {}, &ws));
   }
 }
-BENCHMARK(BM_RMatrixLogReduction);
+BENCHMARK(BM_RMatrixNewton)->Arg(0)->Arg(1);
 
 // Uniformization on the away-period generator (block bidiagonal).
 void BM_UniformizationExpAction(benchmark::State& state) {

@@ -12,13 +12,13 @@ constexpr std::size_t MR = kBatchGemmMr;
 constexpr std::size_t NR = kBatchGemmNr;
 
 // One MR x NR tile of W-wide lane accumulators over a panel's retained
-// k-slices — the batch twin of gemm.cpp's micro_kernel. Per lane and per
+// k-slices. Per lane and per
 // accumulator the surviving k terms arrive in ascending order, one
 // multiply and one add each (dropped slices were all-zero across the
 // active lanes, so their terms were +-0.0 no-ops for every lane that
 // gets stored). All lanes accumulate; the caller masks the store.
 //
-// The full MR x NR x W accumulator block is W times the scalar kernel's
+// The full MR x NR x W accumulator block is W times a scalar tile's
 // and cannot live in registers (256 doubles at W = 8), so the tile is
 // walked in RB x CB register sub-tiles sized so RB * CB * W doubles fit
 // the vector register file, each streaming the panel's k-slices once.

@@ -2,23 +2,24 @@
 // packed, lane-masked GEMM over them.
 //
 // A BatchMatrix stores W matrices of one shape lane-major — entry (i, j)
-// holds its W lane values contiguously — so the per-entry work of the
-// scalar tiled GEMM (linalg/gemm.hpp) becomes a W-wide vector operation
-// over consecutive doubles. The solvers themselves run scalar; this
+// holds its W lane values contiguously — so the per-entry work of a
+// scalar multiply becomes a W-wide vector operation over consecutive
+// doubles. The solvers themselves run scalar; this
 // kernel is kept as the measured reference for the machine's multiply
 // throughput (the benchmark's packed-GEMM peak).
 //
-// Bitwise discipline: for each lane, the arithmetic performed is the
-// scalar kernel's arithmetic in the scalar kernel's order, so extracting
-// lane l of a result gives exactly the bits the scalar multiply on lane
-// l's inputs produces. The one deliberate, value-preserving deviation:
-// the A-side pack drops a k-slice only when it is zero in every active
-// lane (the scalar pack drops per lane). Including a lane's 0.0 * b term
-// adds +-0.0 to an accumulator that starts at +0.0 and therefore never
-// holds -0.0, which is a bitwise no-op — provided the operands are
-// finite, the same precondition linalg/gemm.hpp spells out for the
-// scalar kernel. A masked-out lane is never written: its storage keeps
-// its bits.
+// Bitwise discipline: for each lane and output element, the terms
+// a(i, k) * b(k, j) are accumulated in ascending-k order from +0.0, one
+// rounded multiply and one rounded add per term — multiply_into's
+// arithmetic — so extracting lane l of a result gives exactly the bits
+// multiply_into on lane l's inputs produces. The one deliberate,
+// value-preserving deviation: the A-side pack drops a k-slice only when
+// it is zero in every active lane (multiply_into skips each zero a(i, k)
+// of its own). Including a lane's 0.0 * b term adds +-0.0 to an
+// accumulator that starts at +0.0 and therefore never holds -0.0, which
+// is a bitwise no-op — provided the operands are finite. The kernel is
+// compiled with -ffp-contract=off, like the rest of gs_linalg. A
+// masked-out lane is never written: its storage keeps its bits.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +37,7 @@ constexpr std::size_t kMaxBatchLanes = 16;
 
 /// Rows per packed A panel / columns per packed B panel of the batched
 /// GEMM's register tile. The batch kernel walks each tile in lane-wide
-/// register sub-tiles, so it keeps the 4 x 8 shape the scalar kernel
-/// (linalg/gemm.hpp) gave up for its own accumulator budget.
+/// register sub-tiles, so a 4 x 8 tile fits its accumulator budget.
 constexpr std::size_t kBatchGemmMr = 4;
 constexpr std::size_t kBatchGemmNr = 8;
 
@@ -108,11 +108,10 @@ class BatchMatrix {
 /// The left operand of a batched GEMM, repacked into kBatchGemmMr-row
 /// panels of W-wide lane vectors: panel p holds rows [p*MR, p*MR + MR) k-major,
 /// slice t of panel p storing the MR x W doubles [t*MR*W + r*W + l], so
-/// the micro-kernel reads contiguous lane vectors. Packing keeps the
-/// scalar GemmPackA's sparsity awareness under the batch contract: a
-/// k-slice is dropped only when its MR values are zero in *every active
-/// lane* (the per-lane scalar pack drops per-lane; the extra retained
-/// terms are +-0.0 no-ops for the lanes that hold a zero — the
+/// the micro-kernel reads contiguous lane vectors. Packing is sparsity
+/// aware under the batch contract: a k-slice is dropped only when its MR
+/// values are zero in *every active lane* (the extra retained terms are
+/// +-0.0 no-ops for the lanes that hold a zero — the
 /// finite-operands argument of the file comment). Edge rows are
 /// zero-padded; inactive lanes are packed as-is (their products are
 /// computed but never stored). Buffers are reusable across repacks.
@@ -150,7 +149,7 @@ class BatchGemmPackA {
 /// The right operand of a batched GEMM, repacked into kBatchGemmNr-column
 /// panels of W-wide lane vectors: value (k, c, l) of panel p lives at
 /// [k*NR*W + c*W + l], zero-padded past the column edge. No drop rule —
-/// the A-side pack owns sparsity, exactly like the scalar GemmPackB.
+/// the A-side pack owns sparsity.
 class BatchGemmPackB {
  public:
   /// Repack from `b` (any shape).

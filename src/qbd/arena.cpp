@@ -96,6 +96,9 @@ WorkspaceArena::Lease WorkspaceArena::borrow(std::uint64_t key,
   chosen->busy = true;
   chosen->stamp = ++a.clock;
   if (chosen->slots.size() < count) chosen->slots.resize(count);
+  // A lease hands out scratch, never the R warm start a previous solve
+  // left behind: that would make a solve's bits depend on the one before.
+  for (Workspace& w : chosen->slots) w.warm = false;
   return Lease(chosen);
 }
 

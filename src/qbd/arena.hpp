@@ -18,9 +18,12 @@
 //    nested solve of the same shape) yields a fresh entry, never the busy
 //    one.
 //  * Reuse is invisible in results: every solver shapes its workspace on
-//    use and overwrites before reading (the PR 2 guarantee), so the bits
-//    of a solve never depend on what a previous solve left behind. Tests
-//    pin this by interleaving solves of different shapes.
+//    use and overwrites before reading, and borrow() clears the R solve's
+//    warm start in every slot it hands out, so the bits of a solve never
+//    depend on what a previous solve left behind. Within one lease the
+//    warm start carries over: GangSolver's class p solves start Newton
+//    from the previous fixed-point iteration's X. Tests pin this by
+//    interleaving solves of different shapes and rates.
 //
 // Entries are bounded per thread (kMaxEntries); when full, the
 // least-recently-used free entry of a *different* key is recycled.

@@ -3,26 +3,30 @@
 //     A0 + R A1 + R^2 A2 = 0                      (eq. 23 of the paper)
 //
 // under the convention pi_{n+1} = pi_n R for the repeating levels.
-// The solver uses one algorithm, logarithmic reduction (Latouche–
-// Ramaswami): it computes G, the first-passage matrix solving
-// A2 + A1 G + A0 G^2 = 0, then R = A0 (-(A1 + A0 G))^{-1} (quadratic
-// convergence). G = (-A1 - A0 G)^{-1} A2, so every column of G outside
-// A2's nonzero ("live") columns is exactly zero, and so is every such
-// column of the down iterates L_k the reduction builds G from: the loop
-// carries L, G and the products formed from them on those r columns only
-// (r = 2 of d = 12 on a Figure 2 class chain), scattering back to d x d
-// where a full matrix is needed (U = H L + L H, A0 G, the returned G).
-// The skipped terms are exact +-0 products, so the compact loop is
-// bitwise identical to the full-width one. Each product runs one kernel:
-// the squaring loop's through the packed GEMM (linalg/gemm.hpp) and the
-// 4-column blocked Lu::solve_into, the structured-block products through
-// dense multiply_into. The full-width loop and successive substitution
-// live on as test oracles (tests/qbd/*_oracle.hpp).
+// The solver uses one algorithm, Newton's method (Latouche, IMA J. Numer.
+// Anal. 14, 1994) on the first-passage matrix G, the minimal solution of
+// A2 + A1 G + A0 G^2 = 0, then R = A0 N^{-1} with N = -(A1 + A0 G).
+//
+// G = N^{-1} A2, so every column of G outside A2's nonzero ("live")
+// columns is exactly zero: G = X E^T, where E selects the r live columns
+// (r = 2 of d = 12 on a Figure 2 class chain) and X is d x r. With
+// K = E^T X, the live rows of X, the G equation becomes
+//
+//     F(X) = A2 E + A1 X + A0 X K = 0,
+//
+// d r unknowns. A Newton step solves the d r x d r system
+// J vec(D) = -vec(F(X)), J = I_r (x) (A1 + A0 G) + K^T (x) A0, and sets
+// X += D. From X = 0 the iterates increase monotonically to the minimal
+// solution. A Workspace keeps the converged X, and the next solve through
+// it (the same class chain at the next gang fixed-point iteration) starts
+// Newton there; a warm start that exhausts max_iter, goes non-finite or
+// ends on an X with a negative entry or a row sum above 1 (a non-minimal
+// solution) is abandoned for the cold start X = 0. Logarithmic reduction
+// and successive substitution live on as test oracles (tests/qbd/*_oracle.hpp).
 #pragma once
 
 #include <vector>
 
-#include "linalg/gemm.hpp"
 #include "linalg/gth.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -34,41 +38,49 @@ using linalg::Matrix;
 
 /// Knobs for the R solver. Thread-compatible: one options object may
 /// drive concurrent solves (it is only read). Stage timings flow through
-/// the obs registry (timers `qbd.rsolve.logreduction.{setup,loop,final}`,
-/// see docs/OBSERVABILITY.md).
+/// the obs registry (timers `qbd.rsolve.newton.{setup,loop,final}`, see
+/// docs/OBSERVABILITY.md).
 struct RSolveOptions {
-  /// Convergence threshold on the iteration's step / increment size.
+  /// Newton stops once a step changes no entry of G by more than this.
   double tol = 1e-13;
-  /// Iteration cap; exhaustion raises gs::NumericalError.
+  /// Newton step cap per start (warm, then cold); exhausting it on the
+  /// cold start raises gs::NumericalError.
   int max_iter = 100000;
 };
 
 struct RSolveResult {
   Matrix r;
   Matrix g;        ///< the first-passage matrix G
-  int iterations = 0;
+  int iterations = 0;  ///< Newton steps, warm and cold start together
   double residual = 0.0;  ///< max|A0 + R A1 + R^2 A2|
 };
 
-/// Reusable scratch storage for the R-matrix iterations and the QBD
-/// boundary solve. Every matrix-valued temporary of the hot loops lives
-/// here, so a caller that solves the same chain shapes repeatedly (the
-/// gang fixed point re-solves L chains per iteration) stops allocating
-/// after the first pass. One Workspace belongs to one solve at a time —
-/// concurrent per-class solves each carry their own (that is exactly how
-/// gang::GangSolver hands them to its thread-pool tasks). A
-/// default-constructed Workspace is empty; the solvers shape it on use.
+/// Reusable scratch storage for the R solve and the QBD boundary solve.
+/// Every matrix-valued temporary of the hot loops lives here, so a caller
+/// that solves the same chain shapes repeatedly (the gang fixed point
+/// re-solves L chains per iteration) stops allocating after the first
+/// pass. It also carries the R solve's warm start (`x`, `warm`): the next
+/// solve through this Workspace starts Newton from the last converged X,
+/// so the bits of a solve depend on the solve before it through the same
+/// Workspace. Set `warm = false` to solve cold. One Workspace belongs to
+/// one solve at a time — concurrent per-class solves each carry their own
+/// (that is exactly how gang::GangSolver hands them to its thread-pool
+/// tasks). A default-constructed Workspace is empty and cold; the solvers
+/// shape it on use.
 struct Workspace {
-  // Logarithmic reduction: A2's live (nonzero) columns; the H/L/G/T
-  // iterates and their products, with L, G, H L, L^2 and the increment
-  // T L held on the live columns only; the live rows of H and L; and the
-  // one factor the setup, every iteration and the final stage refactor
-  // in place.
-  std::vector<std::size_t> live;
-  Matrix h, l, g, t;
-  Matrix u, hl, lh, hh, ll, iu, incr, tmp;
-  Matrix h_live, l_live;
+  // Newton on G's live columns: A2's live (nonzero) columns (and the
+  // previous solve's, to validate the warm start), A2 on them, the
+  // iterate X, A0 X, M = A1 + A0 G (then N = -M), the residual F (then
+  // the step D), K = E^T X; the step's real Schur form T, Q of K, Y and
+  // A0 Y, each shifted system with its right-hand
+  // side and solution; and the factor those systems and N share.
+  std::vector<std::size_t> live, prev_live;
+  Matrix a2e, x, a0x, m, f, k, sch_t, sch_q, y, a0y, sys;
+  linalg::Vector rhs, sol;
   linalg::Lu lu;
+  /// True when `x` holds the converged X of the last R solve through
+  /// this Workspace, on its `live` columns.
+  bool warm = false;
   // Boundary level reduction (qbd::solve_with_r): R A2 (then the level-b
   // block B11 + R A2), one P_i per boundary-interior level, the running
   // pivot S_i, its exit rates U_i e and reused factor, the P_i U_i product,
@@ -80,13 +92,10 @@ struct Workspace {
   linalg::GthFactor bnd_gth;
   linalg::Lu bnd_lu;
   linalg::Vector bnd_exit, bnd_v, bnd_pv;
-  // r_residual scratch: R A1, R R, (R R) A2, and the running sum.
-  Matrix res_ra1, res_rr, res_rra2, res_acc;
-  // Packed-GEMM operand buffers for the grouped iterate products: two
-  // A-side and four B-side packs (H, L and the live rows of each) cover
-  // one squaring pass, gp_t_a the G/T carry pass.
-  linalg::GemmPackA gp_h_a, gp_l_a, gp_t_a;
-  linalg::GemmPackB gp_h_b, gp_l_b, gp_h_live_b, gp_l_live_b;
+  // r_residual scratch: A2's live columns, A2, R A2 and R (R A2) on
+  // those columns, R A1, and the running sum.
+  std::vector<std::size_t> res_live;
+  Matrix res_a2e, res_ra2, res_rra2, res_ra1, res_acc;
   // Revalue buffers for the gang fixed point: ClassProcess writes its
   // away-period rate sources here each iteration and QbdProcess::revalue
   // replays the compiled chain through them without allocating; the
@@ -97,19 +106,30 @@ struct Workspace {
   linalg::Vector conv_alpha;
 };
 
-/// Logarithmic reduction. Works for both recurrent and transient chains
-/// (G comes out stochastic respectively sub-stochastic).
+/// R and G by Newton's method on G's live columns (see the file comment).
+/// Works for both recurrent and transient chains (G comes out stochastic
+/// respectively sub-stochastic) from a cold start; the warm start's
+/// row-sum test assumes a recurrent chain, as qbd::solve's drift check
+/// guarantees. Throws gs::NumericalError when the cold start exhausts
+/// max_iter or diverges, or when the residual exceeds 1e-8 max(1, |A1|).
+RSolveResult solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
+                     const RSolveOptions& opts = {}, Workspace* ws = nullptr);
+
+/// solve_r under the name of the algorithm it replaced. It exists only
+/// for perfbench/replay.cpp, which calls it by that name; nothing else
+/// should.
 RSolveResult solve_r_logreduction(const Matrix& a0, const Matrix& a1,
                                   const Matrix& a2,
                                   const RSolveOptions& opts = {},
                                   Workspace* ws = nullptr);
 
-/// max|A0 + R A1 + R^2 A2| — the defining-equation residual.
+/// max|A0 + R A1 + R^2 A2| — the defining-equation residual, with R^2 A2
+/// formed as R (R A2) on A2's nonzero columns.
 double r_residual(const Matrix& r, const Matrix& a0, const Matrix& a1,
                   const Matrix& a2);
 
-/// Allocation-free form: the three products land in `ws` scratch, with
-/// the same bits as the form above.
+/// Allocation-free form: the products land in `ws` scratch, with the same
+/// bits as the form above.
 double r_residual(const Matrix& r, const Matrix& a0, const Matrix& a1,
                   const Matrix& a2, Workspace& ws);
 

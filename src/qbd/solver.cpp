@@ -172,7 +172,7 @@ QbdSolution solve(const QbdProcess& process, const SolveOptions& opts,
   }
 
   const RSolveResult rres =
-      solve_r_logreduction(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
+      solve_r(blk.a0, blk.a1, blk.a2, opts.r_options, &w);
   return solve_with_r(process, rres.r, opts, &w);
 }
 

@@ -39,8 +39,9 @@ namespace {
 using json::Json;
 
 // Revision 1: the Anderson-accelerated fixed-point update
-// (gang/anderson.hpp).
-constexpr std::int64_t kSolverRevision = 1;
+// (gang/anderson.hpp). Revision 2: R by warm-started Newton
+// (qbd/rmatrix.hpp), which moves N_p by up to ~1e-11 relative.
+constexpr std::int64_t kSolverRevision = 2;
 
 // R algorithms earlier solvers could select through options.qbd.r_method.
 // A line naming one describes a scenario no request can reach any more

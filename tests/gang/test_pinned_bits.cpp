@@ -76,14 +76,14 @@ TEST(PinnedBits, ErlangTwoServiceErlangTwoQuanta) {
   expect_pinned(kErlangTwo, ph::erlang(2, 1.0),
                 {
                     {0.3,
-                     {"0x1.63e8f4c85338ep-2", "0x1.4f4796555692ap-7",
-                      "0x1.6b2d865bc6546p-2", "0x1.52d58b1b989cbp-7"}},
+                     {"0x1.63e8f4c85338ep-2", "0x1.4f47965556929p-7",
+                      "0x1.6b2d865bc6545p-2", "0x1.52d58b1b989ccp-7"}},
                     {0.6,
                      {"0x1.9134de158f92fp-1", "0x1.a3d75dd879b64p-5",
-                      "0x1.b639036da5f04p-1", "0x1.b8820ecc2a795p-5"}},
+                      "0x1.b639036da5f02p-1", "0x1.b8820ecc2a795p-5"}},
                     {0.9,
-                     {"0x1.a6f6e9b0c2779p+0", "0x1.a0e9573637e15p-2",
-                      "0x1.38dd82bf59e72p+1", "0x1.e54d9a28853b5p-2"}},
+                     {"0x1.a6f6e9b0c2779p+0", "0x1.a0e9573637e13p-2",
+                      "0x1.38dd82bf59e73p+1", "0x1.e54d9a28853b3p-2"}},
                 });
 }
 
@@ -91,14 +91,14 @@ TEST(PinnedBits, HyperexponentialServiceErlangTwoQuanta) {
   expect_pinned(kHyperexponential, ph::erlang(2, 1.0),
                 {
                     {0.3,
-                     {"0x1.2cafa8de15ecep-2", "0x1.fa5a673fc9429p-8",
-                      "0x1.3486fcaf21f63p-2", "0x1.fc968ce91ff76p-8"}},
+                     {"0x1.2cafa8de15ecdp-2", "0x1.fa5a673fc9426p-8",
+                      "0x1.3486fcaf21f62p-2", "0x1.fc968ce91ff78p-8"}},
                     {0.6,
-                     {"0x1.4fe705e17a686p-1", "0x1.ee7b21cb7fc58p-6",
-                      "0x1.764a5e6ed68dap-1", "0x1.f8b1003d4c09bp-6"}},
+                     {"0x1.4fe705e17a686p-1", "0x1.ee7b21cb7fc56p-6",
+                      "0x1.764a5e6ed68d9p-1", "0x1.f8b1003d4c097p-6"}},
                     {0.9,
-                     {"0x1.2c3658471d3bbp+0", "0x1.62ccbe8e2d82bp-3",
-                      "0x1.9e9650cfa2cc7p+0", "0x1.79565914d816ep-3"}},
+                     {"0x1.2c3658471d3bep+0", "0x1.62ccbe8e2d82cp-3",
+                      "0x1.9e9650cfa2ccep+0", "0x1.79565914d8173p-3"}},
                 });
 }
 
@@ -109,14 +109,14 @@ TEST(PinnedBits, ErlangTwoServiceExponentialQuanta) {
   expect_pinned(kErlangTwo, ph::exponential(1.0),
                 {
                     {0.3,
-                     {"0x1.67fc0759f21a6p-2", "0x1.4dfdb1ece5fe1p-7",
-                      "0x1.6f4aba2fcb0b6p-2", "0x1.51ac1a90d72e2p-7"}},
+                     {"0x1.67fc0759f21a6p-2", "0x1.4dfdb1ece5fe2p-7",
+                      "0x1.6f4aba2fcb0b7p-2", "0x1.51ac1a90d72e3p-7"}},
                     {0.6,
-                     {"0x1.9c18ba93424b4p-1", "0x1.93a85bf5d30e1p-5",
-                      "0x1.c0ea18213cfdfp-1", "0x1.a926a80e5635dp-5"}},
+                     {"0x1.9c18ba93424b6p-1", "0x1.93a85bf5d30e8p-5",
+                      "0x1.c0ea18213cfddp-1", "0x1.a926a80e56364p-5"}},
                     {0.9,
-                     {"0x1.b96e75f26bd06p+0", "0x1.61650e06fc3fcp-2",
-                      "0x1.33c2e2dba979ap+1", "0x1.a0ee5d2bd4c24p-2"}},
+                     {"0x1.b96e75f26bd01p+0", "0x1.61650e06fc3f6p-2",
+                      "0x1.33c2e2dba9793p+1", "0x1.a0ee5d2bd4c1fp-2"}},
                 });
 }
 
@@ -127,11 +127,11 @@ TEST(PinnedBits, HyperexponentialServiceExponentialQuanta) {
                      {"0x1.32f1b115ed28p-2", "0x1.f8d3de363ba22p-8",
                       "0x1.3b02f273fe4afp-2", "0x1.fb2eb7f49865cp-8"}},
                     {0.6,
-                     {"0x1.5cb952423b5b5p-1", "0x1.e4c916d10e08ep-6",
-                      "0x1.8480bc03c65cep-1", "0x1.ef9ee0e1bbf19p-6"}},
+                     {"0x1.5cb952423b5b4p-1", "0x1.e4c916d10e08bp-6",
+                      "0x1.8480bc03c65cap-1", "0x1.ef9ee0e1bbf0fp-6"}},
                     {0.9,
-                     {"0x1.3c4449ac75cabp+0", "0x1.3d3528c1d436ap-3",
-                      "0x1.add1125bceb28p+0", "0x1.530660f573b1ap-3"}},
+                     {"0x1.3c4449ac75cadp+0", "0x1.3d3528c1d436fp-3",
+                      "0x1.add1125bceb2cp+0", "0x1.530660f573b1ep-3"}},
                 });
 }
 

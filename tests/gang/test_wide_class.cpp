@@ -61,7 +61,7 @@ TEST_P(WideClass, P64SolvesAndMatchesDenseOracle) {
     const gs::qbd::QbdProcess& proc = cp.process();
     EXPECT_EQ(proc.boundary_levels(), 64u >> p);
     const auto& blk = proc.blocks();
-    const auto rres = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
+    const auto rres = gs::qbd::solve_r(blk.a0, blk.a1, blk.a2);
     const gs::qbd::QbdSolution sol = gs::qbd::solve_with_r(proc, rres.r);
     const std::vector<Vector> ref =
         gs::qbd::testing::dense_boundary(proc, rres.r);

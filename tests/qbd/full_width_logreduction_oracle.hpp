@@ -1,11 +1,10 @@
-// The full-width log-reduction loop, kept as the test oracle for
-// qbd::solve_r_logreduction's compact one (as dense_boundary_oracle.hpp
-// is for the boundary): every iterate H, L, G, T is carried as a d x d
-// matrix, including the columns outside A2's support that are exactly
-// zero. Plain multiply_into products and per-column Lu::solve sweeps,
-// with the solver's association and stopping rule: the solver's packed
-// GEMM and blocked solves keep every term order of these, so the two
-// must agree bit for bit. For tests only.
+// Logarithmic reduction (Latouche-Ramaswami) on full-width iterates, kept
+// as the test oracle for qbd::solve_r's Newton iteration (as
+// dense_boundary_oracle.hpp is for the boundary): every iterate H, L, G,
+// T is carried as a d x d matrix, with plain multiply_into products and
+// per-column Lu::solve sweeps. An independent algorithm with quadratic
+// convergence and no warm start, so R and G from the two must agree to
+// rounding. For tests only.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Successive substitution for Neuts' R, kept as the test oracle for
-// qbd::solve_r_logreduction (as full_width_logreduction_oracle.hpp is for
-// its compact loop and dense_boundary_oracle.hpp for the boundary):
+// qbd::solve_r (as full_width_logreduction_oracle.hpp is too, and
+// dense_boundary_oracle.hpp for the boundary):
 //
 //     R_next (-A1) = A0 + R (R A2),   R_0 = 0,
 //

@@ -1,7 +1,8 @@
 // WorkspaceArena contract tests: borrow/release and busy semantics,
 // same-key reuse, the per-thread entry bound with LRU recycling, and the
 // guarantee that matters to everyone upstream — reusing a workspace that
-// previously served a different shape changes no bits of a solve.
+// previously served a different shape, or the same shape at other rates,
+// changes no bits of a solve.
 #include "qbd/arena.hpp"
 
 #include <gtest/gtest.h>
@@ -43,7 +44,7 @@ Blocks make_blocks(std::size_t d, double lambda, double mu) {
 
 Matrix solve_with_lease(const Blocks& b, std::uint64_t key) {
   WorkspaceArena::Lease lease = WorkspaceArena::borrow(key, 1);
-  return gs::qbd::solve_r_logreduction(b.a0, b.a1, b.a2, {}, &lease[0]).r;
+  return gs::qbd::solve_r(b.a0, b.a1, b.a2, {}, &lease[0]).r;
 }
 
 TEST(WorkspaceArena, SameKeyReusesEntryAcrossBorrows) {
@@ -52,13 +53,13 @@ TEST(WorkspaceArena, SameKeyReusesEntryAcrossBorrows) {
   {
     WorkspaceArena::Lease lease = WorkspaceArena::borrow(0xabcdu, 3);
     EXPECT_EQ(lease.size(), 3u);
-    lease[0].h.assign_zero(4, 4);  // grow some scratch
+    lease[0].m.assign_zero(4, 4);  // grow some scratch
   }
   EXPECT_EQ(WorkspaceArena::thread_entries(), before + 1);
   {
     // Freed entry with the same key comes back (scratch still grown).
     WorkspaceArena::Lease lease = WorkspaceArena::borrow(0xabcdu, 3);
-    EXPECT_EQ(lease[0].h.rows(), 4u);
+    EXPECT_EQ(lease[0].m.rows(), 4u);
   }
   EXPECT_EQ(WorkspaceArena::thread_entries(), before + 1);
 }
@@ -66,7 +67,7 @@ TEST(WorkspaceArena, SameKeyReusesEntryAcrossBorrows) {
 TEST(WorkspaceArena, BusyKeyYieldsFreshEntry) {
   WorkspaceArena::clear_thread();
   WorkspaceArena::Lease outer = WorkspaceArena::borrow(7u, 1);
-  outer[0].h.assign_zero(2, 2);
+  outer[0].m.assign_zero(2, 2);
   {
     // A nested borrow of the same key must not hand out the busy entry.
     WorkspaceArena::Lease inner = WorkspaceArena::borrow(7u, 1);
@@ -148,6 +149,28 @@ TEST(WorkspaceArena, ReuseAcrossShapesChangesNoBits) {
 
   EXPECT_EQ(gs::linalg::max_abs_diff(r_small_fresh, r_small_reused), 0.0);
   EXPECT_EQ(gs::linalg::max_abs_diff(r_big_fresh, r_big_reused), 0.0);
+}
+
+TEST(WorkspaceArena, WarmStartDoesNotCrossLeases) {
+  // Within a lease a slot carries Newton's warm start from one R solve to
+  // the next; borrow() clears it. So a solve that follows a same-shape,
+  // different-rate solve on the same key has the bits of the same solve
+  // on a fresh thread, whose arena never saw the other chain.
+  WorkspaceArena::clear_thread();
+  const Blocks a = make_blocks(6, 0.4, 1.0);
+  const Blocks b = make_blocks(6, 0.7, 1.2);
+  Matrix fresh;
+  std::thread t([&] { fresh = solve_with_lease(a, 300u); });
+  t.join();
+  {
+    WorkspaceArena::Lease lease = WorkspaceArena::borrow(300u, 1);
+    gs::qbd::solve_r(b.a0, b.a1, b.a2, {}, &lease[0]);
+    EXPECT_TRUE(lease[0].warm);
+  }
+  const Matrix after = solve_with_lease(a, 300u);
+  EXPECT_EQ(gs::linalg::max_abs_diff(fresh, after), 0.0);
+  WorkspaceArena::Lease lease = WorkspaceArena::borrow(300u, 1);
+  EXPECT_FALSE(lease[0].warm);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ double rel(double a, double b) {
 // Solve `process` both ways with the same R and compare.
 void expect_matches_oracle(const QbdProcess& process) {
   const auto& blk = process.blocks();
-  const auto rres = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
+  const auto rres = gs::qbd::solve_r(blk.a0, blk.a1, blk.a2);
   const QbdSolution sol = gs::qbd::solve_with_r(process, rres.r);
   const std::vector<Vector> ref = qt::dense_boundary(process, rres.r);
   ASSERT_EQ(sol.boundary_levels(), ref.size());
@@ -243,7 +243,7 @@ TEST(BoundaryRandomized, ReducibleChainThrowsTheOracleError) {
   const QbdProcess p = two_lanes();
   ASSERT_FALSE(p.is_irreducible());
   const auto& blk = p.blocks();
-  const Matrix r = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2).r;
+  const Matrix r = gs::qbd::solve_r(blk.a0, blk.a1, blk.a2).r;
   const std::string got = error_text([&] { gs::qbd::solve_with_r(p, r); });
   const std::string want = error_text([&] { qt::dense_boundary(p, r); });
   EXPECT_FALSE(want.empty());

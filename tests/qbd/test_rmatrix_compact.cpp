@@ -1,17 +1,16 @@
-// The log-reduction solver carries its iterates on A2's nonzero columns
-// only (every other column of G and L is exactly zero), through the
-// packed GEMM and the blocked Lu::solve_into. The full-width loop it
-// replaced stays as the oracle (full_width_logreduction_oracle.hpp), on
-// plain multiply_into products and per-column solves: on random gang
-// class chains with A2 masked to random column subsets (one live column,
-// every column, none), dense random chains, the reference queues, the
-// class chains of the paper's Figure 2-5 systems and a d = 128 chain,
-// both must give the same R and G bit for bit (memcmp) and the same
-// iteration count, or fail with the same text; and R must agree with the
-// successive-substitution oracle.
+// The Newton solver carries G on A2's nonzero columns only (every other
+// column of G is exactly zero). Logarithmic reduction on full-width
+// iterates stays as its oracle (full_width_logreduction_oracle.hpp): on
+// random gang class chains with A2 masked to random column subsets (one
+// live column, every column, none), dense random chains (r = d), the
+// reference queues, the class chains of the paper's Figure 2-5 systems,
+// random systems near the Theorem 4.4 drift boundary and a d = 128
+// chain, both must succeed or fail together, with R and G within 1e-13
+// of each other relative to the oracle's largest entry; and R must agree
+// with the successive-substitution oracle. A warm start from a poisoned
+// X must reach the same G or take the counted cold fallback.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,14 +35,14 @@ using gs::linalg::Matrix;
 using gs::qbd::RSolveResult;
 namespace qt = gs::qbd::testing;
 
-// Shape and every bit equal (memcmp, so signed zeros count).
-bool same_bits(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (std::size_t k = 0; k < a.rows() * a.cols(); ++k)
-    if (std::memcmp(a.data() + k, b.data() + k, sizeof(double)) != 0)
-      return false;
-  return true;
+// max|a - b| relative to max|b| (0 when both vanish).
+double rel_diff(const Matrix& a, const Matrix& b) {
+  const double scale = b.max_abs();
+  const double diff = gs::linalg::max_abs_diff(a, b);
+  return diff == 0.0 ? 0.0 : diff / scale;
 }
+
+constexpr double kOracleRel = 1e-13;
 
 std::vector<std::size_t> nonzero_columns(const Matrix& a) {
   std::vector<std::size_t> cols;
@@ -80,34 +79,33 @@ Outcome run(Solve&& solve) {
   return out;
 }
 
-// Compact solver vs the full-width oracle; returns whether the chain
-// solved. A shared Workspace also checks that reuse across shapes leaves
-// no trace.
+// Newton vs the full-width oracle; returns whether the chain solved. A
+// shared Workspace also checks that reuse across shapes leaves no trace
+// (its warm start is cleared first: warm starts have tests of their own).
 bool expect_matches_full_width(const Matrix& a0, const Matrix& a1,
                                const Matrix& a2, gs::qbd::Workspace& ws) {
+  ws.warm = false;
   const Outcome got =
-      run([&] { return gs::qbd::solve_r_logreduction(a0, a1, a2, {}, &ws); });
+      run([&] { return gs::qbd::solve_r(a0, a1, a2, {}, &ws); });
   const Outcome want =
       run([&] { return qt::full_width_logreduction(a0, a1, a2); });
-  EXPECT_EQ(got.error, want.error);
-  EXPECT_EQ(got.result.has_value(), want.result.has_value());
+  EXPECT_EQ(got.result.has_value(), want.result.has_value())
+      << got.error << " vs " << want.error;
   if (!got.result || !want.result) return false;
-  EXPECT_TRUE(same_bits(got.result->r, want.result->r) &&
-              same_bits(got.result->g, want.result->g));
-  EXPECT_EQ(got.result->iterations, want.result->iterations);
-  EXPECT_EQ(got.result->residual, want.result->residual);
+  EXPECT_LE(rel_diff(got.result->r, want.result->r), kOracleRel);
+  EXPECT_LE(rel_diff(got.result->g, want.result->g), kOracleRel);
   return true;
 }
 
-// Both checks on one chain: bitwise against the full-width loop, and R
+// Both checks on one chain: against the full-width loop, and R
 // against successive substitution at the randomized test's tolerance.
 void check_chain(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                  gs::qbd::Workspace& ws, bool against_substitution = true) {
   if (!expect_matches_full_width(a0, a1, a2, ws) || !against_substitution)
     return;
-  const RSolveResult lr = gs::qbd::solve_r_logreduction(a0, a1, a2);
+  const RSolveResult nw = gs::qbd::solve_r(a0, a1, a2);
   const RSolveResult ss = qt::substitution(a0, a1, a2);
-  EXPECT_LE(gs::linalg::max_abs_diff(lr.r, ss.r), 1e-9);
+  EXPECT_LE(gs::linalg::max_abs_diff(nw.r, ss.r), 1e-9);
 }
 
 TEST(RMatrixCompact, MaskedRandomChainsMatchFullWidth) {
@@ -256,24 +254,96 @@ TEST(RMatrixCompact, QbdKernelsChainMatchesFullWidth) {
   check_chain(blk.a0, blk.a1, blk.a2, ws);
 }
 
+// Random systems (random_systems.hpp) with half the classes within 10%
+// of the Theorem 4.4 drift boundary.
+TEST(RMatrixCompact, NearBoundaryRandomChainsMatchFullWidth) {
+  gs::util::Rng rng(20261021);
+  constexpr int kChains = 24;
+  gs::qbd::Workspace ws;
+  int chains = 0;
+  int near = 0;
+  while (chains < kChains) {
+    const qt::Draw draw = qt::random_system(rng, {{3, 6}, 64, 40});
+    const SystemParams& sys = draw.system;
+    for (std::size_t p = 0; p < sys.num_classes() && chains < kChains; ++p) {
+      if (draw.load[p] == 0.0) continue;
+      SCOPED_TRACE("chain " + std::to_string(chains) + " load " +
+                   std::to_string(draw.load[p]));
+      const ClassProcess cp(sys, p,
+                            gs::gang::away_period_heavy_traffic(sys, p));
+      const auto& blk = cp.process().blocks();
+      EXPECT_TRUE(expect_matches_full_width(blk.a0, blk.a1, blk.a2, ws));
+      ++chains;
+      near += draw.load[p] > 0.9;
+    }
+  }
+  EXPECT_GT(near, 0);
+}
+
+// A warm start from a poisoned X — another class's G, or twice the
+// chain's own — either converges to the chain's G or is abandoned for
+// the cold start, and the abandonment is counted.
+TEST(RMatrixCompact, PoisonedWarmStartReachesGOrFallsBack) {
+  gs::workload::PaperKnobs knobs;
+  knobs.arrival_rate = 0.4;
+  const SystemParams sys = gs::workload::paper_system(knobs);
+  gs::obs::configure({/*metrics=*/true, /*trace=*/false});
+  int fallbacks = 0;
+  for (std::size_t p = 0; p < sys.num_classes(); ++p) {
+    const ClassProcess cp(sys, p, gs::gang::away_period_heavy_traffic(sys, p));
+    const auto& blk = cp.process().blocks();
+    const RSolveResult want =
+        qt::full_width_logreduction(blk.a0, blk.a1, blk.a2);
+    const ClassProcess other(sys, (p + 1) % sys.num_classes(),
+                             gs::gang::away_period_heavy_traffic(
+                                 sys, (p + 1) % sys.num_classes()));
+    for (int poison = 0; poison < 2; ++poison) {
+      SCOPED_TRACE("class " + std::to_string(p) +
+                   (poison == 0 ? " from another class" : " from 2 G"));
+      gs::qbd::Workspace ws;
+      if (poison == 0) {
+        const auto& ob = other.process().blocks();
+        gs::qbd::solve_r(ob.a0, ob.a1, ob.a2, {}, &ws);
+      } else {
+        gs::qbd::solve_r(blk.a0, blk.a1, blk.a2, {}, &ws);
+        ws.x *= 2.0;
+      }
+      ASSERT_TRUE(ws.warm);
+      gs::obs::reset();
+      const RSolveResult got =
+          gs::qbd::solve_r(blk.a0, blk.a1, blk.a2, {}, &ws);
+      const gs::obs::Snapshot snap = gs::obs::snapshot();
+      EXPECT_EQ(snap.counter_value("qbd.rsolve.newton.warm"), 1u);
+      fallbacks += static_cast<int>(
+          snap.counter_value("qbd.rsolve.newton.cold_fallback"));
+      EXPECT_LE(rel_diff(got.r, want.r), kOracleRel);
+      EXPECT_LE(rel_diff(got.g, want.g), kOracleRel);
+    }
+  }
+  gs::obs::configure({});
+  // 2 G lies above the minimal solution: Newton from there converges to
+  // another root at least once, and the fallback catches it.
+  EXPECT_GT(fallbacks, 0);
+}
+
 // The solve reports its width: the span arg `cols` and the counter
-// qbd.rsolve.logreduction.live_cols (r summed over solves).
+// qbd.rsolve.newton.live_cols (r summed over solves).
 TEST(RMatrixCompact, ObsReportsLiveColumns) {
   const SystemParams sys = gs::workload::paper_system({});
   const ClassProcess cp(sys, 0, gs::gang::away_period_heavy_traffic(sys, 0));
   const auto& blk = cp.process().blocks();
   gs::obs::configure({/*metrics=*/true, /*trace=*/true});
   gs::obs::reset();
-  gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
-  gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
+  gs::qbd::solve_r(blk.a0, blk.a1, blk.a2);
+  gs::qbd::solve_r(blk.a0, blk.a1, blk.a2);
   const gs::obs::Snapshot snap = gs::obs::snapshot();
   const auto events = gs::obs::trace_events();
   gs::obs::configure({});
-  EXPECT_EQ(snap.counter_value("qbd.rsolve.logreduction.count"), 2u);
-  EXPECT_EQ(snap.counter_value("qbd.rsolve.logreduction.live_cols"), 4u);
+  EXPECT_EQ(snap.counter_value("qbd.rsolve.newton.count"), 2u);
+  EXPECT_EQ(snap.counter_value("qbd.rsolve.newton.live_cols"), 4u);
   int spans = 0;
   for (const auto& e : events) {
-    if (e.name != "qbd.rsolve.logreduction") continue;
+    if (e.name != "qbd.rsolve.newton") continue;
     ++spans;
     bool has_cols = false;
     for (const auto& arg : e.args)

@@ -1,7 +1,7 @@
 // Randomized cross-check of the one R algorithm the solver runs. Per-class
 // chains of random gang-scheduled systems (gang::ClassProcess against the
 // Theorem 4.1 heavy-traffic away period) must give the same R from
-// logarithmic reduction and from successive substitution, the trivially
+// Newton's method and from successive substitution, the trivially
 // correct oracle, with both satisfying the defining equation
 // A0 + R A1 + R^2 A2 = 0. The draws cover phase-type orders 1-4 for
 // arrival, service and quantum, partition sizes that are not powers of
@@ -62,7 +62,7 @@ TEST(RMatrixRandomized, LogReductionMatchesSubstitutionOracle) {
       ASSERT_TRUE(drift.stable);
       EXPECT_NEAR(drift.up_drift / drift.down_drift, draw.load[p], 1e-9);
 
-      const auto lr = gs::qbd::solve_r_logreduction(blk.a0, blk.a1, blk.a2);
+      const auto lr = gs::qbd::solve_r(blk.a0, blk.a1, blk.a2);
       const auto ss = qt::substitution(blk.a0, blk.a1, blk.a2);
       EXPECT_LE(gs::linalg::max_abs_diff(lr.r, ss.r), 1e-9);
       EXPECT_LE(lr.residual, 1e-10);

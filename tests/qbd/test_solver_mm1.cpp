@@ -52,7 +52,7 @@ INSTANTIATE_TEST_SUITE_P(LoadSweep, Mm1Sweep,
                          ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9, 0.98));
 
 TEST(SolverMm1, SubstitutionOracleAgreesWithSolve) {
-  // solve() runs log reduction; the substitution oracle's R, finished
+  // solve() runs Newton's method; the substitution oracle's R, finished
   // through the same boundary stage, must give the same measures.
   const auto proc = qt::mm1(0.8, 1.0);
   const auto& blk = proc.blocks();

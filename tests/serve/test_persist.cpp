@@ -231,6 +231,17 @@ TEST(CachePersistence, OtherSolverRevisionIsSkippedCurrentOneLoads) {
                   .as_bool());
 }
 
+// The solver revision this build stamps on its snapshot lines.
+std::int64_t current_revision() {
+  EvalService service(deterministic_options());
+  service.handle_line(solve_line(0.40));
+  std::stringstream snapshot;
+  service.save_cache(snapshot);
+  std::string line;
+  std::getline(snapshot, line);
+  return Json::parse(line).at("solver_revision").as_int();
+}
+
 TEST(CachePersistence, RemovedRAlgorithmLineIsSkippedAsStale) {
   // A snapshot written while r_method still selected the R algorithm:
   // one default (log reduction) entry and one solved with "newton". The
@@ -241,6 +252,24 @@ TEST(CachePersistence, RemovedRAlgorithmLineIsSkippedAsStale) {
   ASSERT_TRUE(std::getline(in, logreduction));
   ASSERT_TRUE(std::getline(in, newton));
   ASSERT_NE(newton.find(R"("r_method":"newton")"), std::string::npos);
+
+  // Both lines carry solver revision 1, and the R solver's change to
+  // Newton's method moved the answers to revision 2: as written, neither
+  // loads.
+  {
+    EvalService service(deterministic_options());
+    std::stringstream snapshot(logreduction + "\n" + newton + "\n");
+    EXPECT_EQ(service.load_cache(snapshot), 0u);
+  }
+  // Restamped with the current revision, only the removed r_method makes
+  // a line stale.
+  ASSERT_GT(current_revision(), 1);
+  for (std::string* line : {&logreduction, &newton}) {
+    Json entry = Json::parse(*line);
+    ASSERT_EQ(entry.at("solver_revision").as_int(), 1);
+    entry.set("solver_revision", current_revision());
+    *line = entry.dump();
+  }
 
   gs::obs::configure({/*metrics=*/true, /*trace=*/false});
   gs::obs::reset();
