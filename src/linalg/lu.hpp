@@ -1,16 +1,16 @@
 // LU decomposition with partial pivoting, and the solve/inverse helpers the
 // matrix-geometric solver is built on.
 //
-// The QBD algorithms repeatedly solve systems against the *same* matrix
-// (e.g. (I-U)^{-1} inside logarithmic reduction), so the factorization is a
-// first-class object that can be reused across right-hand sides. Row
-// systems x A = b reuse the same factors via A^T = U^T L^T P.
+// The QBD algorithms solve systems against the same matrix with several
+// right-hand sides, so the factorization is a first-class object that can
+// be reused across them. Row systems x A = b reuse the same factors via
+// A^T = U^T L^T P.
 //
 // The factor is lean: factor() eliminates on row pointers into one packed
-// matrix and keeps nothing else but the permutation, because the log-
-// reduction R solve factors ~16 small pivots for each right division it
-// runs. The sparsity pattern the right division exploits is counted by
-// solve_right_into itself.
+// matrix and keeps nothing else but the permutation, because the R solve
+// factors a few small shifted systems per Newton step for each right
+// division it runs. The sparsity pattern the right division exploits is
+// counted by solve_right_into itself.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -55,13 +55,13 @@ class Lu {
   /// Solve x A = b (row system), reusing the same factors.
   Vector solve_left(const Vector& b) const;
   /// Solve X A = B row-by-row into `x`, reusing its storage — the right
-  /// division R = A0 (-U)^{-1} that ends the log-reduction R solve,
-  /// replacing an explicitly formed inverse. The sweeps run in
+  /// division R = A0 N^{-1} that ends the R solve, replacing an
+  /// explicitly formed inverse. The sweeps run in
   /// right-looking (axpy) order over contiguous rows of the factor, so
   /// they vectorize without FP reassociation, and when the factor keeps
   /// at most half its off-diagonal entries they visit its nonzeros only
   /// (the pattern is counted here, not by factor(): this is its only
-  /// reader, and it runs once per R solve against ~16 factorizations).
+  /// reader, and it runs once per R solve against several factorizations).
   /// The result is deterministic for a fixed factor but may differ from
   /// solve_left in the last ulp (update order of the back substitution is
   /// reversed; skipped +-0.0 terms). `x` must not alias `b`.

@@ -14,15 +14,19 @@
 //
 //     F(X) = A2 E + A1 X + A0 X K = 0,
 //
-// d r unknowns. A Newton step solves the d r x d r system
-// J vec(D) = -vec(F(X)), J = I_r (x) (A1 + A0 G) + K^T (x) A0, and sets
-// X += D. From X = 0 the iterates increase monotonically to the minimal
+// d r unknowns. A Newton step solves J vec(D) = -vec(F(X)) with
+// J = I_r (x) (A1 + A0 G) + K^T (x) A0 and sets X += D; it never forms
+// J, but solves through the real Schur form of K (Bartels-Stewart): one
+// d x d system per real eigenvalue of K, one 2d x 2d system per complex
+// pair. From X = 0 the iterates increase monotonically to the minimal
 // solution. A Workspace keeps the converged X, and the next solve through
 // it (the same class chain at the next gang fixed-point iteration) starts
-// Newton there; a warm start that exhausts max_iter, goes non-finite or
-// ends on an X with a negative entry or a row sum above 1 (a non-minimal
-// solution) is abandoned for the cold start X = 0. Logarithmic reduction
-// and successive substitution live on as test oracles (tests/qbd/*_oracle.hpp).
+// Newton there; a warm start that exhausts max_iter, meets a singular or
+// non-finite step, or ends on an X with an entry below -tol or a row sum
+// above 1 (a non-minimal root) is abandoned for the cold start X = 0.
+// DESIGN.md § R-matrix has the derivation and the measurements.
+// Logarithmic reduction and successive substitution live on as test
+// oracles (tests/qbd/*_oracle.hpp).
 #pragma once
 
 #include <vector>
@@ -108,10 +112,12 @@ struct Workspace {
 
 /// R and G by Newton's method on G's live columns (see the file comment).
 /// Works for both recurrent and transient chains (G comes out stochastic
-/// respectively sub-stochastic) from a cold start; the warm start's
-/// row-sum test assumes a recurrent chain, as qbd::solve's drift check
-/// guarantees. Throws gs::NumericalError when the cold start exhausts
-/// max_iter or diverges, or when the residual exceeds 1e-8 max(1, |A1|).
+/// respectively sub-stochastic). The warm start's row-sum test exposes a
+/// non-minimal root only on a recurrent chain, which qbd::solve's drift
+/// check guarantees; a transient chain solved through a warm Workspace
+/// may keep one. Throws gs::NumericalError when the cold start exhausts
+/// max_iter, meets a singular step or diverges, or when the residual
+/// exceeds 1e-8 max(1, |A1|).
 RSolveResult solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
                      const RSolveOptions& opts = {}, Workspace* ws = nullptr);
 

@@ -1,5 +1,5 @@
 // Full stationary solution of a QBD process (Theorem 4.2):
-//   * R from the repeating blocks by logarithmic reduction,
+//   * R from the repeating blocks by Newton's method (qbd/rmatrix.hpp),
 //   * boundary vectors from the finite balance system (eqs. 21–22, 25–26),
 //     solved level by level (linear level reduction, DESIGN.md),
 //   * normalization via the matrix-geometric tail (eq. 24),
@@ -15,8 +15,8 @@ namespace gs::qbd {
 
 /// Knobs for solve(). The defaults reproduce the paper's configuration.
 struct SolveOptions {
-  /// Tolerance / iteration caps forwarded to the R solver (logarithmic
-  /// reduction, the only algorithm solve() runs — see DESIGN.md
+  /// Step tolerance and per-start step cap forwarded to the R solver
+  /// (Newton's method, the only algorithm solve() runs — see DESIGN.md
   /// § R-matrix).
   RSolveOptions r_options{};
   /// When false (default) an unstable chain (drift condition violated)
@@ -136,7 +136,9 @@ class QbdSolution {
 /// `ws` is optional scratch storage (see qbd::Workspace): callers that
 /// solve same-shaped chains repeatedly — the gang fixed point re-solves L
 /// chains every iteration — pass one Workspace per concurrent solve and
-/// the R-matrix and boundary temporaries stop being reallocated.
+/// the R-matrix and boundary temporaries stop being reallocated. The R
+/// solve starts Newton from the G the previous solve through `ws` left
+/// (set `ws->warm = false` to start cold).
 QbdSolution solve(const QbdProcess& process, const SolveOptions& opts = {},
                   Workspace* ws = nullptr);
 

@@ -280,34 +280,36 @@ TEST(RMatrixCompact, NearBoundaryRandomChainsMatchFullWidth) {
   EXPECT_GT(near, 0);
 }
 
-// A warm start from a poisoned X — another class's G, or twice the
-// chain's own — either converges to the chain's G or is abandoned for
-// the cold start, and the abandonment is counted.
+// A warm start from a poisoned X — another class's G, the class's own G
+// at a heavier load, or twice its own G — either converges to the
+// chain's G or is abandoned for the cold start, and the abandonment is
+// counted.
 TEST(RMatrixCompact, PoisonedWarmStartReachesGOrFallsBack) {
   gs::workload::PaperKnobs knobs;
   knobs.arrival_rate = 0.4;
   const SystemParams sys = gs::workload::paper_system(knobs);
+  knobs.arrival_rate = 0.7;
+  const SystemParams heavier = gs::workload::paper_system(knobs);
+  const std::size_t classes = sys.num_classes();
   gs::obs::configure({/*metrics=*/true, /*trace=*/false});
   int fallbacks = 0;
-  for (std::size_t p = 0; p < sys.num_classes(); ++p) {
+  for (std::size_t p = 0; p < classes; ++p) {
     const ClassProcess cp(sys, p, gs::gang::away_period_heavy_traffic(sys, p));
     const auto& blk = cp.process().blocks();
     const RSolveResult want =
         qt::full_width_logreduction(blk.a0, blk.a1, blk.a2);
-    const ClassProcess other(sys, (p + 1) % sys.num_classes(),
-                             gs::gang::away_period_heavy_traffic(
-                                 sys, (p + 1) % sys.num_classes()));
-    for (int poison = 0; poison < 2; ++poison) {
-      SCOPED_TRACE("class " + std::to_string(p) +
-                   (poison == 0 ? " from another class" : " from 2 G"));
+    const ClassProcess donors[2] = {
+        {sys, (p + 1) % classes,
+         gs::gang::away_period_heavy_traffic(sys, (p + 1) % classes)},
+        {heavier, p, gs::gang::away_period_heavy_traffic(heavier, p)}};
+    for (int poison = 0; poison < 3; ++poison) {
+      SCOPED_TRACE("class " + std::to_string(p) + " poison " +
+                   std::to_string(poison));
       gs::qbd::Workspace ws;
-      if (poison == 0) {
-        const auto& ob = other.process().blocks();
-        gs::qbd::solve_r(ob.a0, ob.a1, ob.a2, {}, &ws);
-      } else {
-        gs::qbd::solve_r(blk.a0, blk.a1, blk.a2, {}, &ws);
-        ws.x *= 2.0;
-      }
+      const auto& donor =
+          poison < 2 ? donors[poison].process().blocks() : blk;
+      gs::qbd::solve_r(donor.a0, donor.a1, donor.a2, {}, &ws);
+      if (poison == 2) ws.x *= 2.0;
       ASSERT_TRUE(ws.warm);
       gs::obs::reset();
       const RSolveResult got =
@@ -321,8 +323,8 @@ TEST(RMatrixCompact, PoisonedWarmStartReachesGOrFallsBack) {
     }
   }
   gs::obs::configure({});
-  // 2 G lies above the minimal solution: Newton from there converges to
-  // another root at least once, and the fallback catches it.
+  // 2 G lies above the minimal solution, and Newton from there converges
+  // to another root: the fallback must have caught it.
   EXPECT_GT(fallbacks, 0);
 }
 
