@@ -363,7 +363,7 @@ RSolveResult solve_r(const Matrix& a0, const Matrix& a1, const Matrix& a2,
     try {
       run = newton(a0, a1, opts, w);
     } catch (const NumericalError&) {
-      run.converged = false;  // a singular Jacobian
+      run.converged = false;  // a singular step or an unconverged Schur form
     }
     out.iterations = run.steps;
     if (!run.converged || !minimal_looking(w.x, opts.tol)) {
